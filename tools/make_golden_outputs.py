@@ -1,0 +1,91 @@
+"""Regenerate tests/golden_outputs.json, the frozen corpus of CLI outputs.
+
+Run from the repository root:
+
+    python3 tools/make_golden_outputs.py
+
+Each command runs in-process through `nchodge.cli.main`; the corpus keeps its
+exit code and the sha256 of its stdout and stderr.  The commands are `compute`
+for every selector, `sslog` and every `nbhd:<key>` in both formats, plus
+`verify --suite all --seed 7`, on the four fixtures and two generic
+arrangements, plus the `fujiki`, `les` and `cup` suites on the arrangement
+with an empty divisor (each exits 2), and one `gen`.
+tests/test_golden_outputs.py reruns them and compares.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import pathlib
+
+from nchodge import (
+    BUILTIN_NAMES,
+    SELECTORS,
+    builtin_atlas,
+    cli,
+    generic_arrangement,
+    key_to_string,
+)
+
+HERE = pathlib.Path(__file__).resolve().parent.parent
+GOLDEN = HERE / "tests" / "golden_outputs.json"
+
+EMPTY_DIVISOR = "--family generic --dim 2 --hyperplanes 0"
+ATLAS_FLAGS = tuple(f"--family {name}" for name in BUILTIN_NAMES) + (
+    EMPTY_DIVISOR,
+    "--family generic --dim 2 --hyperplanes 4",
+)
+
+
+def _atlas(flags: str):
+    words = flags.split(" ")
+    if words[1] == "generic":
+        return generic_arrangement(int(words[3]), int(words[5]))
+    return builtin_atlas(words[1])
+
+
+def commands() -> list[str]:
+    """Every command of the corpus, as a space-separated argument list."""
+    out = ["gen --family generic --dim 3 --hyperplanes 4"]
+    for flags in ATLAS_FLAGS:
+        keys = _atlas(flags).keys_sorted()
+        selectors = [*SELECTORS, "sslog", *(f"nbhd:{key_to_string(k)}" for k in keys)]
+        for selector in selectors:
+            for fmt in ("text", "json"):
+                out.append(f"compute {flags} --complex {selector} --format {fmt}")
+        out.append(f"verify {flags} --suite all --seed 7 --format json")
+    for suite in ("fujiki", "les", "cup"):
+        out.append(f"verify {EMPTY_DIVISOR} --suite {suite}")
+    return out
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def run_command(command: str) -> dict:
+    """Exit code and output digests of one in-process `nc-hodge` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(command.split(" "))
+    return {
+        "exit": code,
+        "stdout_sha256": _sha256(out.getvalue()),
+        "stderr_sha256": _sha256(err.getvalue()),
+    }
+
+
+def main() -> None:
+    corpus = {
+        "format": "nc-hodge-golden-outputs/1",
+        "commands": [
+            {"command": command, **run_command(command)} for command in commands()
+        ],
+    }
+    GOLDEN.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN} ({len(corpus['commands'])} commands)")
+
+
+if __name__ == "__main__":
+    main()
