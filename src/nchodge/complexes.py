@@ -33,7 +33,7 @@ from .errors import (
     NotChainMap,
     UnknownStratum,
 )
-from .linalg import RationalMatrix, Vector, zero_vector
+from .linalg import RationalMatrix, Vector
 from .rings import Bidegree
 
 TermBlock = dict[Bidegree, RationalMatrix]  # keyed by twisted (a, b)
@@ -171,6 +171,39 @@ class WeightRow:
         raise DimensionMismatch(f"term {term} has no ({m}, {ab}) slice")
 
 
+def _place_blocks(
+    blocks: dict[tuple[PureTerm, PureTerm], TermBlock],
+    source: RowFamily,
+    target: RowFamily,
+) -> dict[tuple[int, int, Bidegree], RationalMatrix]:
+    """Sum term-to-term blocks into one matrix per (q, source degree, type),
+    placing each block at its terms' offsets in the source and target rows."""
+    scratch: dict[tuple[int, int, Bidegree], list[list[Fraction]]] = {}
+    for (t1, t2), block in blocks.items():
+        src_row = source.row(t1.q)
+        dst_row = target.row(t2.q)
+        for ab, mat in block.items():
+            off1, d1 = src_row.offset(t1.m, t1, ab)
+            off2, d2 = dst_row.offset(t2.m, t2, ab)
+            if mat.shape != (d2, d1):
+                raise DimensionMismatch(
+                    f"block {t1.describe()} -> {t2.describe()} at {ab}: "
+                    f"shape {mat.shape}, expected {(d2, d1)}"
+                )
+            key = (t1.q, t1.m, ab)
+            work = scratch.get(key)
+            if work is None:
+                work = [
+                    [Fraction(0)] * src_row.dims[(t1.m, ab)]
+                    for _ in range(dst_row.dims[(t2.m, ab)])
+                ]
+                scratch[key] = work
+            for i in range(d2):
+                for jj in range(d1):
+                    work[off2 + i][off1 + jj] += mat.rows[i][jj]
+    return {key: RationalMatrix(work) for key, work in scratch.items()}
+
+
 class RowFamily:
     """A finite family of weight rows plus its term-level block data."""
 
@@ -212,34 +245,13 @@ class RowFamily:
                         offset += d
                     row.layout[(m, ab)] = tuple(lay)
                     row.dims[(m, ab)] = offset
-        scratch: dict[tuple[int, int, Bidegree], list[list[Fraction]]] = {}
-        for (t1, t2), block in self.blocks.items():
+        for t1, t2 in self.blocks:
             if t1.q != t2.q:
                 raise DimensionMismatch("differential block changes the weight")
             if t2.m != t1.m + 1:
                 raise DimensionMismatch("differential block is not of degree +1")
-            row = self.rows[t1.q]
-            for ab, mat in block.items():
-                off1, d1 = row.offset(t1.m, t1, ab)
-                off2, d2 = row.offset(t1.m + 1, t2, ab)
-                if mat.shape != (d2, d1):
-                    raise DimensionMismatch(
-                        f"block {t1.describe()} -> {t2.describe()} at {ab}: "
-                        f"shape {mat.shape}, expected {(d2, d1)}"
-                    )
-                key = (t1.q, t1.m, ab)
-                work = scratch.get(key)
-                if work is None:
-                    work = [
-                        [Fraction(0)] * row.dims[(t1.m, ab)]
-                        for _ in range(row.dims[(t1.m + 1, ab)])
-                    ]
-                    scratch[key] = work
-                for i in range(d2):
-                    for jj in range(d1):
-                        work[off2 + i][off1 + jj] += mat.rows[i][jj]
-        for (q, m, ab), work in scratch.items():
-            self.rows[q].diff[(m, ab)] = RationalMatrix(work)
+        for (q, m, ab), mat in _place_blocks(self.blocks, self, self).items():
+            self.rows[q].diff[(m, ab)] = mat
 
     # -- element plumbing ---------------------------------------------------
 
@@ -247,9 +259,9 @@ class RowFamily:
         return tuple(sorted(self.rows))
 
     def row(self, q: int) -> WeightRow:
-        if q not in self.rows:
-            self.rows[q] = WeightRow(q)
-        return self.rows[q]
+        """The weight-q row; an empty one, not stored, if the family has none."""
+        row = self.rows.get(q)
+        return WeightRow(q) if row is None else row
 
     def degrees(self) -> tuple[int, ...]:
         out = set()
@@ -325,38 +337,18 @@ class RowMorphism:
     label: str = ""
 
     def __post_init__(self):
-        for (t1, t2), block in self.blocks.items():
+        for t1, t2 in self.blocks:
             if t1.q != t2.q or t1.m != t2.m:
                 raise DimensionMismatch(f"morphism block {t1} -> {t2} shifts degrees")
+        self._matrices = _place_blocks(self.blocks, self.source, self.target)
 
     def matrix(self, q: int, m: int, ab: Bidegree) -> RationalMatrix:
-        src_row = self.source.row(q)
-        dst_row = self.target.row(q)
-        rows = dst_row.dim(m, ab)
-        cols = src_row.dim(m, ab)
-        work = [[Fraction(0)] * cols for _ in range(rows)]
-        for (t1, t2), block in self.blocks.items():
-            if t1.q != q or t1.m != m:
-                continue
-            mat = block.get(ab)
-            if mat is None:
-                continue
-            off1, d1 = src_row.offset(m, t1, ab)
-            off2, d2 = dst_row.offset(m, t2, ab)
-            if mat.shape != (d2, d1):
-                raise DimensionMismatch(f"morphism block {t1} -> {t2} shape")
-            for i in range(d2):
-                for jj in range(d1):
-                    work[off2 + i][off1 + jj] += mat.rows[i][jj]
-        return RationalMatrix(work, ncols=cols)
-
-    def apply(self, q: int, m: int, elem: Element) -> Element:
-        out: Element = {}
-        src_row = self.source.row(q)
-        for ab in src_row.types_at(m):
-            image = self.matrix(q, m, ab).apply(self.source.flatten(q, m, ab, elem))
-            out.update(self.target.unflatten(q, m, ab, image))
-        return out
+        mat = self._matrices.get((q, m, ab))
+        if mat is None:
+            return RationalMatrix.zeros(
+                self.target.row(q).dim(m, ab), self.source.row(q).dim(m, ab)
+            )
+        return mat
 
     def is_chain_map(self) -> bool:
         weights = set(self.source.weights()) | set(self.target.weights())
@@ -387,35 +379,29 @@ class RowMorphism:
         return True
 
 
-def cone_rows(morphism: RowMorphism, shift: bool = True) -> RowFamily:
+def cone_rows(morphism: RowMorphism) -> RowFamily:
     """Mapping cone of a row morphism.
 
-    With shift=True (the convention every builder uses) degree m consists of
-    the source in degree m and the target in degree m-1, so the cone fits
-    before the source in the long exact sequence; shift=False gives the
-    unshifted cone sitting after the target.
+    Degree m consists of the source in degree m and the target in degree
+    m-1, so the cone fits before the source in the long exact sequence.
     """
     if not morphism.is_chain_map():
         raise NotChainMap(f"cone of {morphism.label or 'morphism'}: not a chain map")
-    src_delta = 0 if shift else -1
-    tgt_delta = 1 if shift else 0
-    src_sign = 1 if shift else -1
-    tgt_sign = -1 if shift else 1
 
     def as_src(t: PureTerm) -> PureTerm:
-        return dataclasses.replace(t, side="s", shift=t.shift + src_delta)
+        return dataclasses.replace(t, side="s")
 
     def as_tgt(t: PureTerm) -> PureTerm:
-        return dataclasses.replace(t, side="t", shift=t.shift + tgt_delta)
+        return dataclasses.replace(t, side="t", shift=t.shift + 1)
 
     terms = tuple(as_src(t) for t in morphism.source.terms) + tuple(
         as_tgt(t) for t in morphism.target.terms
     )
     blocks: dict[tuple[PureTerm, PureTerm], TermBlock] = {}
     for (t1, t2), block in morphism.source.blocks.items():
-        blocks[(as_src(t1), as_src(t2))] = scale_block(block, src_sign)
+        blocks[(as_src(t1), as_src(t2))] = dict(block)
     for (t1, t2), block in morphism.target.blocks.items():
-        blocks[(as_tgt(t1), as_tgt(t2))] = scale_block(block, tgt_sign)
+        blocks[(as_tgt(t1), as_tgt(t2))] = scale_block(block, -1)
     for (t1, t2), block in morphism.blocks.items():
         blocks[(as_src(t1), as_tgt(t2))] = dict(block)
     label = f"cone({morphism.label})" if morphism.label else "cone"
@@ -433,9 +419,8 @@ def rows_constant(atlas: StrataAtlas) -> RowFamily:
 
 
 def rows_sum_strata(atlas: StrataAtlas) -> RowFamily:
-    """Cech complex of the closed divisor: level p holds (p+1)-fold meets."""
-    if not atlas.components:
-        raise EmptyDivisor("the divisor has no components")
+    """Cech complex of the closed divisor: level p holds (p+1)-fold meets
+    (no terms for an empty divisor)."""
     terms = []
     for key in atlas.keys_sorted():
         depth = len(key[0])
@@ -526,9 +511,8 @@ def rows_stratum_log(atlas: StrataAtlas, ckey: StratumKey) -> RowFamily:
 
 def rows_semisimplicial_log(atlas: StrataAtlas) -> RowFamily:
     """Log rows over the semisimplicial divisor: Cech levels of the
-    components, each carrying its own stratum-log family."""
-    if not atlas.components:
-        raise EmptyDivisor("the divisor has no components")
+    components, each carrying its own stratum-log family (no terms for an
+    empty divisor)."""
     all_terms: list[PureTerm] = []
     blocks: dict[tuple[PureTerm, PureTerm], TermBlock] = {}
     for ckey in atlas.keys_sorted():
@@ -557,10 +541,6 @@ def rows_semisimplicial_log(atlas: StrataAtlas) -> RowFamily:
     return RowFamily(atlas, "sslog", tuple(all_terms), blocks)
 
 
-def _zero_family(atlas: StrataAtlas, label: str) -> RowFamily:
-    return RowFamily(atlas, label, (), {})
-
-
 def _truncate_positive_twist(family: RowFamily, label: str) -> RowFamily:
     """Quotient by the twist-free subcomplex: keep only the k >= 1 terms."""
     terms = tuple(t for t in family.terms if t.k >= 1)
@@ -580,8 +560,6 @@ def coker_u_rows(atlas: StrataAtlas) -> RowFamily:
 
 def coker_v_rows(atlas: StrataAtlas) -> RowFamily:
     """rows_semisimplicial_log modulo the image of the divisor rows."""
-    if not atlas.components:
-        return _zero_family(atlas, "coker(v)")
     return _truncate_positive_twist(rows_semisimplicial_log(atlas), "coker(v)")
 
 
@@ -639,12 +617,34 @@ def morphism_log_restriction(
 
 SELECTORS = ("X", "D", "log", "XD", "XD-tilde", "locD", "locD-tilde")
 
+ROWS = {
+    "x": rows_constant,
+    "d": rows_sum_strata,
+    "log": rows_log,
+    "sslog": rows_semisimplicial_log,
+}
+
+# Each relative or local theory is the cone of one morphism:
+# selector -> (label, source builder, target builder, morphism builder).
+CONES = {
+    "xd": ("XD", rows_constant, rows_sum_strata, morphism_i_star),
+    "xd-tilde": ("XD-tilde", rows_log, rows_semisimplicial_log, morphism_log_restriction),
+    "locd": ("locD", rows_constant, rows_log, morphism_u),
+    "locd-tilde": ("locD-tilde", rows_sum_strata, rows_semisimplicial_log, morphism_v),
+}
+
+
+def cone_morphism(atlas: StrataAtlas, selector: str) -> RowMorphism:
+    """The morphism whose cone is the named relative or local theory."""
+    _, source, target, morphism = CONES[selector.strip().lower()]
+    return morphism(atlas, source(atlas), target(atlas))
+
 
 def build(atlas: StrataAtlas, selector: str) -> RowFamily:
     """Build the weight rows of one of the named complexes.
 
     Selectors (case-insensitive): X, D, log, XD, XD-tilde, locD, locD-tilde,
-    and nbhd:<stratum-key> for punctured neighborhoods.
+    sslog, and nbhd:<stratum-key> for punctured neighborhoods.
     """
     text = selector.strip()
     low = text.lower()
@@ -652,53 +652,13 @@ def build(atlas: StrataAtlas, selector: str) -> RowFamily:
         from .atlas import key_from_string
 
         return rows_stratum_log(atlas, key_from_string(text[len("nbhd:"):]))
-    if low == "x":
-        return rows_constant(atlas)
-    if low == "d":
-        return rows_sum_strata(atlas)
-    if low == "log":
-        return rows_log(atlas)
-    if low == "sslog":
-        return rows_semisimplicial_log(atlas)
-    empty = not atlas.components
-    if low == "xd":
-        fx = rows_constant(atlas)
-        fd = _zero_family(atlas, "D") if empty else rows_sum_strata(atlas)
-        morphism = (
-            RowMorphism(fx, fd, {}, label="i*")
-            if empty
-            else morphism_i_star(atlas, fx, fd)
-        )
-        out = cone_rows(morphism)
-        out.label = "XD"
-        return out
-    if low == "xd-tilde":
-        flog = rows_log(atlas)
-        fss = _zero_family(atlas, "sslog") if empty else rows_semisimplicial_log(atlas)
-        morphism = (
-            RowMorphism(flog, fss, {}, label="restriction")
-            if empty
-            else morphism_log_restriction(atlas, flog, fss)
-        )
-        out = cone_rows(morphism)
-        out.label = "XD-tilde"
-        return out
-    if low == "locd":
-        fx = rows_constant(atlas)
-        flog = rows_log(atlas)
-        out = cone_rows(morphism_u(atlas, fx, flog))
-        out.label = "locD"
-        return out
-    if low == "locd-tilde":
-        fd = _zero_family(atlas, "D") if empty else rows_sum_strata(atlas)
-        fss = _zero_family(atlas, "sslog") if empty else rows_semisimplicial_log(atlas)
-        morphism = (
-            RowMorphism(fd, fss, {}, label="v")
-            if empty
-            else morphism_v(atlas, fd, fss)
-        )
-        out = cone_rows(morphism)
-        out.label = "locD-tilde"
+    if low in ("d", "sslog") and not atlas.components:
+        raise EmptyDivisor("the divisor has no components")
+    if low in ROWS:
+        return ROWS[low](atlas)
+    if low in CONES:
+        out = cone_rows(cone_morphism(atlas, low))
+        out.label = CONES[low][0]
         return out
     raise BadParams(
         f"unknown complex selector {selector!r}; expected one of "

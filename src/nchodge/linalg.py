@@ -34,21 +34,6 @@ def zero_vector(length: int) -> Vector:
     return (Fraction(0),) * length
 
 
-def add_vectors(u: Vector, v: Vector) -> Vector:
-    if len(u) != len(v):
-        raise DimensionMismatch(f"vector lengths {len(u)} and {len(v)} differ")
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def scale_vector(c, v: Vector) -> Vector:
-    c = _frac(c)
-    return tuple(c * a for a in v)
-
-
-def is_zero_vector(v: Vector) -> bool:
-    return all(a == 0 for a in v)
-
-
 class RationalMatrix:
     """Immutable dense matrix over Fraction.
 
@@ -323,12 +308,6 @@ class CohomologySpace:
     representatives: tuple[Vector, ...]
     cycles: tuple[Vector, ...]
     boundaries: tuple[Vector, ...]
-
-    def contains_boundary(self, v: Sequence) -> bool:
-        span = EchelonSpan(len(v))
-        for b in self.boundaries:
-            span.add(b)
-        return span.contains(v)
 
 
 def cohomology_at(d_in: RationalMatrix, d_out: RationalMatrix) -> CohomologySpace:

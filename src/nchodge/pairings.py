@@ -25,10 +25,8 @@ from .complexes import (
     build,
     coker_u_rows,
     coker_v_rows,
+    cone_morphism,
     cone_rows,
-    morphism_i_star,
-    morphism_u,
-    rows_constant,
     rows_log,
     rows_sum_strata,
 )
@@ -496,69 +494,26 @@ def _inject_cone_target(elem: Element) -> Element:
     }
 
 
-def _connecting_matrix(
-    base_table: MixedHodgeTable,
-    base_family: RowFamily,
-    cone_family: RowFamily,
-    cone_table: MixedHodgeTable,
-    m: int,
-    q: int,
-    ab: Bidegree,
-) -> RationalMatrix:
-    """Class map H^m(target) -> H^{m+1}(cone), y |-> class of (0, y)."""
-    space = cone_table.space(m + 1, q, ab)
-    target_dim = 0 if space is None else space.dim
-    cols = []
-    for rep in base_table.representatives(m, q, ab):
-        elem = base_family.unflatten(q, m, ab, rep)
-        vec = cone_family.flatten(q, m + 1, ab, _inject_cone_target(elem))
-        coords = express_in_space(space, vec)
-        if coords is None:
-            raise DimensionMismatch("connecting image is not a cycle class")
-        cols.append(coords)
-    return RationalMatrix.from_columns(cols, target_dim)
-
-
-def _projection_matrix(
-    cone_table: MixedHodgeTable,
-    cone_family: RowFamily,
-    base_family: RowFamily,
-    base_table: MixedHodgeTable,
-    m: int,
-    q: int,
-    ab: Bidegree,
-) -> RationalMatrix:
-    """Class map H^m(cone) -> H^m(source), (x, y) |-> x."""
-    space = base_table.space(m, q, ab)
-    target_dim = 0 if space is None else space.dim
-    cols = []
-    for rep in cone_table.representatives(m, q, ab):
-        elem = cone_family.unflatten(q, m, ab, rep)
-        vec = base_family.flatten(q, m, ab, _strip_cone_source(elem))
-        coords = express_in_space(space, vec)
-        if coords is None:
-            raise DimensionMismatch("cone projection image is not a cycle class")
-        cols.append(coords)
-    return RationalMatrix.from_columns(cols, target_dim)
-
-
-def _morphism_matrix(
-    morphism: RowMorphism,
+def _class_map(
     src_table: MixedHodgeTable,
     dst_table: MixedHodgeTable,
-    m: int,
+    m_src: int,
+    m_dst: int,
     q: int,
     ab: Bidegree,
+    transform,
 ) -> RationalMatrix:
-    space = dst_table.space(m, q, ab)
+    """Matrix of the map H^m_src(src) -> H^m_dst(dst) in block (q, ab) that
+    sends the class of a cycle vector c to the class of transform(c)."""
+    space = dst_table.space(m_dst, q, ab)
     target_dim = 0 if space is None else space.dim
     cols = []
-    for rep in src_table.representatives(m, q, ab):
-        elem = morphism.source.unflatten(q, m, ab, rep)
-        vec = morphism.target.flatten(q, m, ab, morphism.apply(q, m, elem))
-        coords = express_in_space(space, vec)
+    for rep in src_table.representatives(m_src, q, ab):
+        coords = express_in_space(space, transform(rep))
         if coords is None:
-            raise DimensionMismatch("morphism image is not a cycle class")
+            raise DimensionMismatch(
+                f"map into {dst_table.label}: image is not a cycle class"
+            )
         cols.append(coords)
     return RationalMatrix.from_columns(cols, target_dim)
 
@@ -589,20 +544,36 @@ def _exact_at(
 def _sequence_checks(
     lines: list[CheckLine],
     tag: str,
-    cone_family: RowFamily,
-    cone_table: MixedHodgeTable,
     morphism: RowMorphism,
-    src_table: MixedHodgeTable,
-    dst_table: MixedHodgeTable,
     names: tuple[str, str, str],
-) -> None:
-    """Exactness of ... -> H^i(cone) -> H^i(src) -> H^i(dst) -> H^{i+1}(cone) -> ..."""
+) -> tuple[MixedHodgeTable, MixedHodgeTable, MixedHodgeTable]:
+    """Exactness of ... -> H^i(cone) -> H^i(src) -> H^i(dst) -> H^{i+1}(cone) -> ...
+
+    Returns the tables of the cone, the source and the target.
+    """
     cone_name, src_name, dst_name = names
+    cone_table = compute_table(cone_rows(morphism))
+    src_table = compute_table(morphism.source)
+    dst_table = compute_table(morphism.target)
+    cone, src, dst = cone_table.family, src_table.family, dst_table.family
+    connecting: dict[tuple[int, int, Bidegree], RationalMatrix] = {}
+
+    def delta(m: int, q: int, ab: Bidegree) -> RationalMatrix:
+        """H^m(dst) -> H^{m+1}(cone), y |-> class of (0, y)."""
+        if (m, q, ab) not in connecting:
+            connecting[(m, q, ab)] = _class_map(
+                dst_table, cone_table, m, m + 1, q, ab,
+                lambda y: cone.flatten(
+                    q, m + 1, ab, _inject_cone_target(dst.unflatten(q, m, ab, y))
+                ),
+            )
+        return connecting[(m, q, ab)]
+
     degrees = sorted(
         set(cone_table.degrees()) | set(src_table.degrees()) | set(dst_table.degrees())
     )
     if not degrees:
-        return
+        return cone_table, src_table, dst_table
     for i in range(min(degrees), max(degrees) + 2):
         blocks = {
             (q, ab)
@@ -616,28 +587,29 @@ def _sequence_checks(
         }
         for q, ab in sorted(blocks):
             where = f"[w={q},({ab[0]},{ab[1]})] ({tag})"
-            delta_in = _connecting_matrix(
-                dst_table, morphism.target, cone_family, cone_table, i - 1, q, ab
-            )
-            proj_here = _projection_matrix(
-                cone_table, cone_family, morphism.source, src_table, i, q, ab
+            # (x, y) |-> x
+            proj_here = _class_map(
+                cone_table, src_table, i, i, q, ab,
+                lambda v: src.flatten(
+                    q, i, ab, _strip_cone_source(cone.unflatten(q, i, ab, v))
+                ),
             )
             _exact_at(
-                lines, f"{cone_name}^{i}{where}", delta_in, proj_here,
+                lines, f"{cone_name}^{i}{where}", delta(i - 1, q, ab), proj_here,
                 cone_table.dim(i, q, ab),
             )
-            f_here = _morphism_matrix(morphism, src_table, dst_table, i, q, ab)
+            f_here = _class_map(
+                src_table, dst_table, i, i, q, ab, morphism.matrix(q, i, ab).apply
+            )
             _exact_at(
                 lines, f"{src_name}^{i}{where}", proj_here, f_here,
                 src_table.dim(i, q, ab),
             )
-            delta_out = _connecting_matrix(
-                dst_table, morphism.target, cone_family, cone_table, i, q, ab
-            )
             _exact_at(
-                lines, f"{dst_name}^{i}{where}", f_here, delta_out,
+                lines, f"{dst_name}^{i}{where}", f_here, delta(i, q, ab),
                 dst_table.dim(i, q, ab),
             )
+    return cone_table, src_table, dst_table
 
 
 def les_check(atlas: StrataAtlas) -> CheckReport:
@@ -647,27 +619,11 @@ def les_check(atlas: StrataAtlas) -> CheckReport:
         raise EmptyDivisor("the sequences need a nonempty divisor")
     n = atlas.dim
     lines: list[CheckLine] = []
-
-    fx = rows_constant(atlas)
-    fd = rows_sum_strata(atlas)
-    istar = morphism_i_star(atlas, fx, fd)
-    fxd = cone_rows(istar)
-    table_x = compute_table(fx)
-    table_d = compute_table(fd)
-    table_xd = compute_table(fxd)
-    _sequence_checks(
-        lines, "pair", fxd, table_xd, istar, table_x, table_d,
-        ("H(X,D)", "H(X)", "H(D)"),
+    table_xd, table_x, table_d = _sequence_checks(
+        lines, "pair", cone_morphism(atlas, "XD"), ("H(X,D)", "H(X)", "H(D)")
     )
-
-    flog = rows_log(atlas)
-    umap = morphism_u(atlas, fx, flog)
-    flocd = cone_rows(umap)
-    table_u = compute_table(flog)
-    table_locd = compute_table(flocd)
-    _sequence_checks(
-        lines, "local", flocd, table_locd, umap, table_x, table_u,
-        ("H_D", "H(X)", "H(U)"),
+    table_locd, _, table_u = _sequence_checks(
+        lines, "local", cone_morphism(atlas, "locD"), ("H_D", "H(X)", "H(U)")
     )
 
     # the two sequences are blockwise dual to each other

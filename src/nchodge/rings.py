@@ -8,11 +8,11 @@ vectors are coordinates in the fixed slice bases the tables refer to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BidegreeError, DimensionMismatch
-from .linalg import RationalMatrix, Vector, is_zero_vector, vector, zero_vector
+from .linalg import RationalMatrix, Vector, vector
 
 Bidegree = tuple[int, int]
 SliceKey = tuple[int, int, int]  # (j, a, b)
@@ -72,9 +72,6 @@ class PureHodgeRing:
 
     def slice_dim(self, j: int, ab: Bidegree) -> int:
         return self.hodge.get(j, {}).get(ab, 0)
-
-    def total_dim(self, j: int) -> int:
-        return sum(self.hodge.get(j, {}).values())
 
     def mult_apply(
         self, j1: int, ab1: Bidegree, x: Vector, j2: int, ab2: Bidegree, y: Vector

@@ -18,7 +18,6 @@ from .atlas import (
     BlockMap,
     StrataAtlas,
     Stratum,
-    StratumKey,
     key_from_string,
     key_to_string,
 )
@@ -38,12 +37,8 @@ def _require(data: dict, key: str, kind, where: str):
     return value
 
 
-def _rational_str(x) -> str:
-    return str(x)
-
-
 def _matrix_to_json(mat: RationalMatrix) -> list[list[str]]:
-    return [[_rational_str(x) for x in row] for row in mat.rows]
+    return [[str(x) for x in row] for row in mat.rows]
 
 
 def _matrix_from_json(value, where: str) -> RationalMatrix:
@@ -118,8 +113,8 @@ def _stratum_to_json(stratum: Stratum) -> dict:
         "dimension": stratum.dim,
         "hodge": hodge,
         "mult": mult,
-        "unit": [_rational_str(x) for x in ring.unit],
-        "fundamental": [_rational_str(x) for x in ring.fundamental],
+        "unit": [str(x) for x in ring.unit],
+        "fundamental": [str(x) for x in ring.fundamental],
     }
 
 
@@ -162,12 +157,9 @@ def _ring_from_json(data: dict, where: str) -> PureHodgeRing:
     fundamental = _vector_from_json(
         _require(data, "fundamental", list, where), f"{where}.fundamental"
     )
-    try:
-        return PureHodgeRing(
-            dim=dim, hodge=hodge, mult=mult, unit=unit, fundamental=fundamental
-        )
-    except NCHodgeError:
-        raise
+    return PureHodgeRing(
+        dim=dim, hodge=hodge, mult=mult, unit=unit, fundamental=fundamental
+    )
 
 
 def atlas_to_json(atlas: StrataAtlas) -> dict:
@@ -198,7 +190,7 @@ def atlas_to_json(atlas: StrataAtlas) -> dict:
         {
             "component": atlas.components[a],
             "stratum": key_to_string(skey),
-            "class": [_rational_str(x) for x in cls],
+            "class": [str(x) for x in cls],
         }
         for (a, skey), cls in sorted(atlas.divisor_classes.items())
         if len(cls) > 0
@@ -239,7 +231,7 @@ def atlas_from_json(data) -> StrataAtlas:
         ring = _ring_from_json(entry, where)
         strata.append(Stratum(indices=tuple(indices_raw), label=label, ring=ring))
 
-    def read_maps(field: str, flip: bool):
+    def read_maps(field: str):
         raw = _require(data, field, list, "top level")
         out = {}
         for i, entry in enumerate(raw):
@@ -258,8 +250,8 @@ def atlas_from_json(data) -> StrataAtlas:
             out[pair] = blocks
         return out
 
-    restrictions = read_maps("restrictions", flip=False)
-    gysin = read_maps("gysin", flip=True)
+    restrictions = read_maps("restrictions")
+    gysin = read_maps("gysin")
 
     classes_raw = data.get("divisor_classes", [])
     if not isinstance(classes_raw, list):

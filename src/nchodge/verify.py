@@ -10,16 +10,7 @@ from __future__ import annotations
 import random
 
 from .atlas import StrataAtlas, key_to_string, validate_atlas
-from .complexes import (
-    SELECTORS,
-    build,
-    morphism_u,
-    morphism_v,
-    rows_constant,
-    rows_log,
-    rows_semisimplicial_log,
-    rows_sum_strata,
-)
+from .complexes import SELECTORS, build, cone_morphism
 from .errors import BadParams
 from .logforms import (
     LogChart,
@@ -142,22 +133,14 @@ def suite_cup(atlas: StrataAtlas) -> CheckReport:
     lines.append(
         CheckLine("extraordinary product is a chain map", chain_map_check(ext))
     )
-    fx = rows_constant(atlas)
-    flog = rows_log(atlas)
-    lines.append(
-        CheckLine(
-            "u is blockwise injective",
-            morphism_u(atlas, fx, flog).blockwise_injective(),
+    for selector in ("locD", "locD-tilde"):
+        morphism = cone_morphism(atlas, selector)
+        lines.append(
+            CheckLine(
+                f"{morphism.label} is blockwise injective",
+                morphism.blockwise_injective(),
+            )
         )
-    )
-    fd = rows_sum_strata(atlas)
-    fss = rows_semisimplicial_log(atlas)
-    lines.append(
-        CheckLine(
-            "v is blockwise injective",
-            morphism_v(atlas, fd, fss).blockwise_injective(),
-        )
-    )
     return CheckReport("cup", tuple(lines))
 
 

@@ -6,11 +6,13 @@ from nchodge.atlas import generic_arrangement, key_to_string
 from nchodge.complexes import (
     SELECTORS,
     build,
-    cone_rows,
+    coker_v_rows,
+    cone_morphism,
     morphism_i_star,
     morphism_u,
     rows_constant,
     rows_log,
+    rows_semisimplicial_log,
     rows_sum_strata,
 )
 from nchodge.errors import BadParams, EmptyDivisor, UnknownStratum
@@ -58,18 +60,21 @@ class TestConeConventions:
                     else:
                         assert t.shift == 1
 
-    def test_unshifted_cone_differs_by_one(self, p1_1pt):
-        f = morphism_i_star(p1_1pt, rows_constant(p1_1pt), rows_sum_strata(p1_1pt))
-        shifted = compute_table(cone_rows(f, shift=True))
-        plain = compute_table(cone_rows(f, shift=False))
-        assert shifted.degrees() == tuple(m + 1 for m in plain.degrees())
-        for m in plain.degrees():
-            assert plain.entries(m) == shifted.entries(m + 1)
-
     def test_morphisms_are_chain_maps(self, triangle):
         fx = rows_constant(triangle)
         assert morphism_i_star(triangle, fx, rows_sum_strata(triangle)).is_chain_map()
         assert morphism_u(triangle, fx, rows_log(triangle)).is_chain_map()
+
+    @pytest.mark.parametrize("selector", ["XD", "XD-tilde", "locD", "locD-tilde"])
+    def test_cone_morphisms_are_chain_maps(self, triangle, selector):
+        assert cone_morphism(triangle, selector).is_chain_map()
+
+    def test_chain_map_check_leaves_families_unchanged(self, triangle):
+        fx, fd = rows_constant(triangle), rows_sum_strata(triangle)
+        assert fd.weights() == (0, 2)
+        assert morphism_i_star(triangle, fx, fd).is_chain_map()
+        assert fx.weights() == (0, 2, 4)
+        assert fd.weights() == (0, 2)
 
 
 class TestSelectorErrors:
@@ -77,9 +82,10 @@ class TestSelectorErrors:
         with pytest.raises(BadParams):
             build(p1_1pt, "bogus")
 
-    def test_empty_divisor_has_no_d(self):
+    @pytest.mark.parametrize("selector", ["D", "sslog"])
+    def test_empty_divisor_has_no_d(self, selector):
         with pytest.raises(EmptyDivisor):
-            build(generic_arrangement(2, 0), "D")
+            build(generic_arrangement(2, 0), selector)
 
     def test_nbhd_unknown_stratum(self, p1_1pt):
         with pytest.raises(UnknownStratum):
@@ -204,6 +210,14 @@ class TestEmptyDivisor:
         a = generic_arrangement(2, 0)
         assert table_of(a, "locD").degrees() == ()
         assert table_of(a, "locD-tilde").degrees() == ()
+
+    def test_divisor_families_have_no_terms(self):
+        a = generic_arrangement(2, 0)
+        for builder in (rows_sum_strata, rows_semisimplicial_log, coker_v_rows):
+            family = builder(a)
+            assert family.terms == () and family.weights() == ()
+        for selector in ("XD", "XD-tilde", "locD-tilde"):
+            assert cone_morphism(a, selector).blocks == {}
 
 
 class TestSmoothDivisorNeighborhood:

@@ -5,7 +5,6 @@ import pytest
 
 from nchodge.errors import CompositionNonzero, DimensionMismatch
 from nchodge.linalg import (
-    CohomologySpace,
     EchelonSpan,
     RationalMatrix,
     cohomology_at,
@@ -201,12 +200,6 @@ class TestCohomology:
         d_out = M([[1, 0]])
         with pytest.raises(CompositionNonzero):
             cohomology_at(d_in, d_out)
-
-    def test_contains_boundary(self):
-        d = M([[1, -1], [-1, 1]])
-        h = cohomology_at(RationalMatrix.zeros(2, 0), d)
-        assert isinstance(h, CohomologySpace)
-        assert not h.contains_boundary(vector([1, 0]))
 
     def test_quotient_representatives_are_cycles(self):
         rng = random.Random(31)

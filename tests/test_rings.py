@@ -11,7 +11,7 @@ class TestTruncatedPolynomialRing:
         assert r.degrees() == (0, 2, 4)
         assert r.slice_dim(2, (1, 1)) == 1
         assert r.slice_dim(2, (2, 0)) == 0
-        assert r.total_dim(4) == 1
+        assert r.slices(4) == (((2, 2), 1),)
 
     def test_point(self):
         r = truncated_polynomial_ring(0)
@@ -44,7 +44,7 @@ class TestEllipticRing:
         r = elliptic_curve_ring()
         assert r.slice_dim(1, (1, 0)) == 1
         assert r.slice_dim(1, (0, 1)) == 1
-        assert r.total_dim(1) == 2
+        assert r.slices(1) == (((0, 1), 1), ((1, 0), 1))
 
     def test_odd_degree_anticommutes(self):
         r = elliptic_curve_ring()
