@@ -1,10 +1,16 @@
 """Exact linear algebra over the rationals.
 
 Everything downstream reduces to kernels, images and quotients of matrices
-with Fraction entries.  Matrices are immutable and dense (row-major tuples);
-vectors are tuples of Fractions.  All elimination follows a fixed first-pivot
-rule (leftmost available column, topmost available row), so every basis this
-module hands out is deterministic for a given input.
+with Fraction entries.  Storage is dense: matrices are immutable row-major
+tuples of Fractions, vectors are tuples of Fractions, and every result this
+module hands out has that form.  The work is sparse: products skip zero
+entries, and elimination runs on sparse rows `{column: value}` whose values
+stay Python ints until a division forces a Fraction (an integral Fraction
+becomes an int again).  The first-pivot rule is unchanged: rows are taken
+top to bottom and each residual is pivoted at its leftmost nonzero column.
+Reduced row echelon form is unique, so pivots, RREF and every basis derived
+from them are those of the leftmost-column, topmost-row elimination, and are
+deterministic for a given input.
 """
 
 from __future__ import annotations
@@ -32,6 +38,62 @@ def vector(entries: Iterable) -> Vector:
 
 def zero_vector(length: int) -> Vector:
     return (Fraction(0),) * length
+
+
+_ZERO = Fraction(0)
+SparseRow = dict  # column -> nonzero value, an int unless it is not integral
+
+
+def _int_first(x):
+    """`x` as an int when it is integral, else unchanged."""
+    return x if type(x) is int or x.denominator != 1 else x.numerator
+
+
+def _nonzeros(entries: Iterable) -> list[tuple[int, object]]:
+    return [(j, _int_first(x)) for j, x in enumerate(entries) if x]
+
+
+def _dense(row: SparseRow, length: int) -> list[Fraction]:
+    out = [_ZERO] * length
+    for j, x in row.items():
+        out[j] = _frac(x)
+    return out
+
+
+def _residual(basis: dict[int, SparseRow], row: SparseRow) -> SparseRow:
+    """`row` reduced in place against `basis` (pivot column -> row in RREF)."""
+    for p in [c for c in row if c in basis]:
+        _subtract(row, row[p], basis[p])
+    return row
+
+
+def _absorb(basis: dict[int, SparseRow], row: SparseRow) -> bool:
+    """Add `row` to `basis`, keeping it in RREF; True iff it was independent.
+
+    The residual is normalised at its leftmost column, which is then cleared
+    from every other basis row.
+    """
+    row = _residual(basis, row)
+    if not row:
+        return False
+    pivot = min(row)
+    inv = _int_first(Fraction(1) / row[pivot])
+    new = {j: _int_first(x * inv) for j, x in row.items()}
+    for other in basis.values():
+        if pivot in other:
+            _subtract(other, other[pivot], new)
+    basis[pivot] = new
+    return True
+
+
+def _subtract(row: SparseRow, factor, other: SparseRow) -> None:
+    """row -= factor * other, in place, dropping the zeros it makes."""
+    for j, y in other.items():
+        x = row.get(j, 0) - factor * y
+        if x:
+            row[j] = _int_first(x)
+        else:
+            del row[j]
 
 
 class RationalMatrix:
@@ -120,9 +182,9 @@ class RationalMatrix:
             raise DimensionMismatch(
                 f"matrix has {self.ncols} columns, vector has {len(v)}"
             )
-        v = vector(v)
+        right = _nonzeros(vector(v))
         return tuple(
-            sum((row[i] * v[i] for i in range(self.ncols)), Fraction(0))
+            _frac(sum(_int_first(row[i]) * x for i, x in right if row[i]))
             for row in self.rows
         )
 
@@ -131,20 +193,15 @@ class RationalMatrix:
             raise DimensionMismatch(
                 f"cannot compose {self.shape} with {other.shape}"
             )
-        cols = other.ncols
-        return RationalMatrix(
-            [
-                [
-                    sum(
-                        (self.rows[i][k] * other.rows[k][j] for k in range(self.ncols)),
-                        Fraction(0),
-                    )
-                    for j in range(cols)
-                ]
-                for i in range(self.nrows)
-            ],
-            ncols=cols,
-        )
+        right = [_nonzeros(row) for row in other.rows]
+        out = []
+        for row in self.rows:
+            acc: SparseRow = {}
+            for k, a in _nonzeros(row):
+                for j, b in right[k]:
+                    acc[j] = acc.get(j, 0) + a * b
+            out.append(_dense(acc, other.ncols))
+        return RationalMatrix(out, ncols=other.ncols)
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.shape != other.shape:
@@ -196,48 +253,29 @@ class ReducedMatrix:
 
 
 def reduce(matrix: RationalMatrix) -> ReducedMatrix:
-    rows = [list(row) for row in matrix.rows]
-    nrows, ncols = matrix.nrows, matrix.ncols
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    rank = len(pivots)
-    pivot_set = set(pivots)
+    ncols = matrix.ncols
+    basis: dict[int, SparseRow] = {}
+    for row in matrix.rows:
+        _absorb(basis, dict(_nonzeros(row)))
+    pivots = sorted(basis)
+    rows = [_dense(basis[p], ncols) for p in pivots]
+    rows += [[_ZERO] * ncols] * (matrix.nrows - len(pivots))
     kernel = []
     for free in range(ncols):
-        if free in pivot_set:
+        if free in basis:
             continue
-        vec = [Fraction(0)] * ncols
+        vec = [_ZERO] * ncols
         vec[free] = Fraction(1)
-        for i, p in enumerate(pivots):
-            vec[p] = -rows[i][free]
+        for p in pivots:
+            vec[p] = _frac(-basis[p].get(free, 0))
         kernel.append(tuple(vec))
-    image = tuple(matrix.column(p) for p in pivots)
     return ReducedMatrix(
         matrix=matrix,
         rref=RationalMatrix(rows, ncols=ncols),
-        rank=rank,
+        rank=len(pivots),
         pivots=tuple(pivots),
         kernel=tuple(kernel),
-        image=image,
+        image=tuple(matrix.column(p) for p in pivots),
     )
 
 
@@ -250,36 +288,23 @@ class EchelonSpan:
 
     def __init__(self, length: int):
         self.length = length
-        self._rows: list[tuple[int, list[Fraction]]] = []
+        self._basis: dict[int, SparseRow] = {}
 
-    def _residual(self, v: Sequence) -> list[Fraction]:
+    def _row(self, v: Sequence) -> SparseRow:
         if len(v) != self.length:
             raise DimensionMismatch("vector length disagrees with span arity")
-        work = [_frac(x) for x in v]
-        for pivot, row in self._rows:
-            if work[pivot] != 0:
-                factor = work[pivot]
-                work = [x - factor * y for x, y in zip(work, row)]
-        return work
+        return dict(_nonzeros(vector(v)))
 
     def add(self, v: Sequence) -> bool:
         """Add `v` to the span; True iff it was independent of the span."""
-        work = self._residual(v)
-        for pivot in range(self.length):
-            if work[pivot] != 0:
-                inv = Fraction(1) / work[pivot]
-                normalized = [x * inv for x in work]
-                self._rows.append((pivot, normalized))
-                self._rows.sort(key=lambda item: item[0])
-                return True
-        return False
+        return _absorb(self._basis, self._row(v))
 
     def contains(self, v: Sequence) -> bool:
-        return all(x == 0 for x in self._residual(v))
+        return not _residual(self._basis, self._row(v))
 
     @property
     def rank(self) -> int:
-        return len(self._rows)
+        return len(self._basis)
 
 
 def solve(matrix: RationalMatrix, rhs: Sequence) -> Vector | None:

@@ -242,6 +242,9 @@ def run_suite(
     name = name.strip().lower()
     if name not in SUITES:
         raise BadParams(f"unknown suite {name!r}; expected one of {', '.join(SUITES)}")
+    if name in ("logforms", "all") and degree_bound < 1:
+        # Below 1 there are no ideal forms to take residues of: nothing to check.
+        raise BadParams(f"suite {name!r} needs a degree bound >= 1, got {degree_bound}")
     if name == "logforms":
         return suite_logforms(seed=seed, degree_bound=degree_bound)
     if atlas is None:

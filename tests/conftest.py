@@ -1,7 +1,24 @@
+import tempfile
+
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from nchodge.fixtures import builtin_atlas
 from nchodge.linalg import RationalMatrix, rank, reduce
+
+# Same examples on every run and no example database.
+settings.register_profile("nchodge", derandomize=True, database=None, deadline=None)
+settings.load_profile("nchodge")
+
+
+def pytest_configure(config):
+    # Hypothesis caches the literals it reads from local source files (from
+    # collection on); keep that cache in a temporary directory, so no
+    # .hypothesis/ appears in the checkout.
+    home = tempfile.TemporaryDirectory(prefix="nchodge-hypothesis-")
+    config.add_cleanup(home.cleanup)
+    set_hypothesis_home_dir(home.name)
 
 
 def circle_bundle_table(ring, chern):

@@ -131,6 +131,16 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--family", "p1_1pt", "--suite", "wat")
         assert code == 2
 
+    @pytest.mark.parametrize("suite", ["logforms", "all"])
+    @pytest.mark.parametrize("bound", ["0", "-1"])
+    def test_vacuous_degree_bound_rejected(self, capsys, suite, bound):
+        # a bound below 1 admits no ideal forms: the residue check would be vacuous
+        code, out, err = run(capsys, "verify", "--family", "p1_1pt",
+                             "--suite", suite, "--degree-bound", bound)
+        assert code == 2
+        assert out == ""
+        assert f"got {bound}" in err
+
     def test_failing_check_exits_one(self, tmp_path, capsys):
         broken = tmp_path / "broken.json"
         write_broken_atlas(broken)

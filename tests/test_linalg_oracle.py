@@ -1,0 +1,121 @@
+"""Property tests: the sparse kernel in `nchodge.linalg` against the dense oracle.
+
+`reference_linalg` holds the dense `Fraction` elimination and products.
+Reduced row echelon form is unique, so both must agree entry for entry on
+every input.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import reference_linalg as ref
+from nchodge.errors import CompositionNonzero
+from nchodge.linalg import EchelonSpan, RationalMatrix, cohomology_at, reduce
+
+# Nonzero entries: unit and non-unit ints, and proper rationals.
+VALUES = (1, -1, 2, -3, Fraction(1, 2), 3, -2, Fraction(-2, 3), Fraction(3, 4))
+SIDES = st.integers(0, 6)
+RANKS = st.integers(0, 3)
+DENSITIES = st.sampled_from([0, 10, 50, 100])  # percent of nonzero cells
+CELLS = st.integers(0, 99)
+
+
+def draw_entries(draw, n: int, m: int) -> RationalMatrix:
+    percent = draw(DENSITIES)
+    # One draw per cell: below `percent` it picks a nonzero value, else 0.
+    cells = [draw(CELLS) for _ in range(n * m)]
+    entries = [VALUES[c % len(VALUES)] if c < percent else 0 for c in cells]
+    return RationalMatrix([entries[i * m:(i + 1) * m] for i in range(n)], ncols=m)
+
+
+def draw_matrix(draw, n: int, m: int) -> RationalMatrix:
+    if draw(st.booleans()):
+        # A product through a narrow middle: low rank, dependent rows.
+        k = draw(RANKS)
+        return ref.matmul(draw_entries(draw, n, k), draw_entries(draw, k, m))
+    return draw_entries(draw, n, m)
+
+
+@st.composite
+def matrices(draw):
+    return draw_matrix(draw, draw(SIDES), draw(SIDES))
+
+
+@st.composite
+def matrix_and_vector(draw):
+    m = draw(matrices())
+    return m, draw_entries(draw, 1, m.ncols).rows[0]
+
+
+@st.composite
+def composable_pairs(draw):
+    a = draw(matrices())
+    return a, draw_matrix(draw, a.ncols, draw(SIDES))
+
+
+def all_fractions(vectors) -> bool:
+    return all(type(x) is Fraction for v in vectors for x in v)
+
+
+@given(matrices())
+def test_reduce_matches_reference(m):
+    got, want = reduce(m), ref.reduce(m)
+    assert got.rref == want.rref
+    assert got.pivots == want.pivots
+    assert got.rank == want.rank
+    assert got.kernel == want.kernel
+    assert got.image == want.image
+    assert all_fractions(got.rref.rows + got.kernel + got.image)
+
+
+@given(matrices(), st.lists(st.booleans(), max_size=12))
+def test_echelon_span_answers_match_reference(m, adds):
+    got, want = EchelonSpan(m.ncols), ref.EchelonSpan(m.ncols)
+    vectors = [m.rows[i % m.nrows] for i in range(len(adds))] if m.nrows else []
+    for v, add in zip(vectors, adds):
+        if add:
+            assert got.add(v) == want.add(v)
+        else:
+            assert got.contains(v) == want.contains(v)
+        assert got.rank == want.rank
+    for v in m.rows:
+        assert got.contains(v) == want.contains(v)
+
+
+@given(matrix_and_vector())
+def test_apply_matches_reference(pair):
+    m, v = pair
+    got = m.apply(v)
+    assert got == ref.apply(m, v)
+    assert all_fractions([got])
+
+
+@given(composable_pairs())
+def test_matmul_matches_reference(pair):
+    a, b = pair
+    got = a @ b
+    assert got == ref.matmul(a, b)
+    assert all_fractions(got.rows)
+
+
+@given(
+    st.integers(1, 6), st.integers(1, 6), st.integers(1, 6), st.data(),
+    st.sampled_from(VALUES), st.sampled_from(VALUES),
+)
+def test_single_nonzero_composition_raises(n_src, n_mid, n_dst, data, a, b):
+    i = data.draw(st.integers(0, n_mid - 1))
+    j = data.draw(st.integers(0, n_src - 1))
+    r = data.draw(st.integers(0, n_dst - 1))
+    d_in = RationalMatrix(
+        [[a if (x, y) == (i, j) else 0 for y in range(n_src)] for x in range(n_mid)]
+    )
+    d_out = RationalMatrix(
+        [[b if (x, y) == (r, i) else 0 for y in range(n_mid)] for x in range(n_dst)]
+    )
+    product = d_out @ d_in
+    assert sum(1 for row in product.rows for x in row if x) == 1
+    with pytest.raises(CompositionNonzero):
+        cohomology_at(d_in, d_out)
