@@ -57,6 +57,10 @@ def commands() -> list[str]:
         out.append(f"verify {flags} --suite all --seed 7 --format json")
     for suite in ("fujiki", "les", "cup"):
         out.append(f"verify {EMPTY_DIVISOR} --suite {suite}")
+    for seed in (0, 1, 23):
+        out.append(f"verify --suite logforms --seed {seed}")
+    for bound in (1, 3):
+        out.append(f"verify --suite logforms --seed 0 --degree-bound {bound}")
     return out
 
 
