@@ -11,14 +11,23 @@ those indices whose variable divides z^E.
 
 Coefficients are polynomials, not germs; every statement checked here
 preserves coefficient degree, so truncated enumeration is faithful.
+
+A polynomial is a dict {exponents: coefficient} with no zero coefficients.
+Coefficients follow the integer-first rule of `linalg`: a value is a Python
+int until a division forces a Fraction, and an integral Fraction becomes an
+int again, so the values in `LogPolyForm.terms` may be ints; `str()` prints
+them exactly as before.  Sums and products accumulate in place into one
+output dict (`_add_term`) instead of copying a polynomial per term.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .errors import (
     BadParams,
@@ -27,27 +36,60 @@ from .errors import (
     NonHomogeneous,
     WeightTooLow,
 )
-from .linalg import EchelonSpan
+from .linalg import EchelonSpan, _int_first
 from .reports import CheckLine, CheckReport
 
 Exponents = tuple[int, ...]
-Poly = dict[Exponents, Fraction]
+Poly = dict[Exponents, int | Fraction]
 
 
 # -- polynomial coefficients ---------------------------------------------------
 
 
+def _coeff(value):
+    """`value` as an exact coefficient: an int when integral, else a Fraction."""
+    if type(value) is int:
+        return value
+    return _int_first(value if type(value) is Fraction else Fraction(value))
+
+
+def _add_term(acc: Poly, e: Exponents, c) -> None:
+    """acc[e] += c in place; the sum stays int-first and is dropped at zero."""
+    old = acc.get(e)
+    if old is not None:
+        c = old + c
+    if c:
+        acc[e] = _int_first(c)
+    elif old is not None:
+        del acc[e]
+
+
+def _add_poly(acc: Poly, a: Poly) -> None:
+    """acc += a in place."""
+    for e, c in a.items():
+        _add_term(acc, e, c)
+
+
+def _add_product(acc: Poly, a: Poly, b: Poly, sign: int) -> None:
+    """acc += sign * a * b in place."""
+    for e1, c1 in a.items():
+        if sign < 0:
+            c1 = -c1
+        for e2, c2 in b.items():
+            _add_term(acc, tuple(map(add, e1, e2)), c1 * c2)
+
+
 def poly_const(n: int, value) -> Poly:
-    value = Fraction(value)
-    if value == 0:
+    value = _coeff(value)
+    if not value:
         return {}
     return {(0,) * n: value}
 
 
 def monomial(n: int, powers: dict[int, int], coeff=1) -> Poly:
     """z^powers with 1-based variable keys."""
-    coeff = Fraction(coeff)
-    if coeff == 0:
+    coeff = _coeff(coeff)
+    if not coeff:
         return {}
     exps = [0] * n
     for var, e in powers.items():
@@ -61,32 +103,20 @@ def monomial(n: int, powers: dict[int, int], coeff=1) -> Poly:
 
 def poly_add(a: Poly, b: Poly) -> Poly:
     out = dict(a)
-    for e, c in b.items():
-        s = out.get(e, Fraction(0)) + c
-        if s == 0:
-            out.pop(e, None)
-        else:
-            out[e] = s
+    _add_poly(out, b)
     return out
 
 
 def poly_scale(c, a: Poly) -> Poly:
-    c = Fraction(c)
-    if c == 0:
+    c = _coeff(c)
+    if not c:
         return {}
-    return {e: c * v for e, v in a.items()}
+    return {e: _int_first(c * v) for e, v in a.items()}
 
 
 def poly_mul(a: Poly, b: Poly) -> Poly:
     out: Poly = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            s = out.get(e, Fraction(0)) + c1 * c2
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
+    _add_product(out, a, b, 1)
     return out
 
 
@@ -190,11 +220,9 @@ class LogPolyForm:
             b = frozenset(b)
             if not all(1 <= i <= chart.n for i in b):
                 raise BadParams("basis index outside 1..n")
-            poly = {
-                e: Fraction(c)
-                for e, c in dict(poly).items()
-                if c != 0
-            }
+            if type(poly) is not dict:
+                poly = dict(poly)
+            poly = {e: _coeff(c) for e, c in poly.items() if c != 0}
             for e in poly:
                 if len(e) != chart.n or any(x < 0 for x in e):
                     raise BadParams(f"bad exponent tuple {e} for n={chart.n}")
@@ -208,9 +236,9 @@ class LogPolyForm:
                             f"xi_{i} has a pole along the slice z_{i} = 0"
                         )
                 continue
-            poly = poly_restrict(poly, chart.omitted)
-            if poly:
-                cleaned[b] = poly_add(cleaned.get(b, {}), poly)
+            if chart.omitted:
+                poly = poly_restrict(poly, chart.omitted)
+            _add_poly(cleaned.setdefault(b, {}), poly)
         object.__setattr__(self, "chart", chart)
         object.__setattr__(
             self, "terms", {b: p for b, p in cleaned.items() if p}
@@ -241,7 +269,7 @@ class LogPolyForm:
         _same_chart(self, other)
         merged = {b: dict(p) for b, p in self.terms.items()}
         for b, p in other.terms.items():
-            merged[b] = poly_add(merged.get(b, {}), p)
+            _add_poly(merged.setdefault(b, {}), p)
         return LogPolyForm(self.chart, merged)
 
     def __sub__(self, other: "LogPolyForm") -> "LogPolyForm":
@@ -348,9 +376,7 @@ def wedge(a: LogPolyForm, b: LogPolyForm) -> LogPolyForm:
                 continue
             inversions = sum(1 for x in b1 for y in b2 if x > y)
             sign = -1 if inversions % 2 else 1
-            merged = b1 | b2
-            poly = poly_scale(sign, poly_mul(p1, p2))
-            out[merged] = poly_add(out.get(merged, {}), poly)
+            _add_product(out.setdefault(b1 | b2, {}), p1, p2, sign)
     return LogPolyForm(a.chart, out)
 
 
@@ -358,24 +384,20 @@ def exterior_d(a: LogPolyForm) -> LogPolyForm:
     """d(f xi_B) = sum_i c_i xi_i ^ xi_B, with c_i = z_i df/dz_i on divisor
     branches (keeping coefficients polynomial) and df/dz_i above."""
     chart = a.chart
+    live = chart.live_indices
     out: dict[frozenset[int], Poly] = {}
     for b, poly in a.terms.items():
-        for e, c in poly.items():
-            for i in chart.live_indices:
+        for i in live - b:
+            inversions = sum(1 for y in b if y < i)
+            sign = -1 if inversions % 2 else 1
+            acc = out.setdefault(b | {i}, {})
+            for e, c in poly.items():
                 power = e[i - 1]
-                if power == 0 or i in b:
+                if power == 0:
                     continue
-                if i <= chart.l:
-                    coeff_exp = e
-                else:
-                    coeff_exp = tuple(
-                        x - 1 if idx == i - 1 else x for idx, x in enumerate(e)
-                    )
-                inversions = sum(1 for y in b if y < i)
-                sign = -1 if inversions % 2 else 1
-                merged = b | {i}
-                add = {coeff_exp: Fraction(power) * c * sign}
-                out[merged] = poly_add(out.get(merged, {}), add)
+                if i > chart.l:
+                    e = e[: i - 1] + (power - 1,) + e[i:]
+                _add_term(acc, e, power * sign * c)
     return LogPolyForm(chart, out)
 
 
@@ -384,18 +406,21 @@ def weight_level(a: LogPolyForm) -> int:
     a.degree()
     level = 0
     logs = a.chart.log_indices
-    for b, e, _ in a.monomials():
-        poles = sum(1 for i in b & logs if e[i - 1] == 0)
-        level = max(level, poles)
+    for b, poly in a.terms.items():
+        blogs = b & logs
+        for e in poly:
+            poles = sum(1 for i in blogs if e[i - 1] == 0)
+            level = max(level, poles)
     return level
 
 
 def in_ideal_subcomplex(a: LogPolyForm) -> bool:
     """True iff every coefficient lies in the chart's monomial ideal."""
     ideal = a.chart.ideal
-    for _, e, _ in a.monomials():
-        if not any(e[j - 1] > 0 for j in ideal):
-            return False
+    for poly in a.terms.values():
+        for e in poly:
+            if not any(e[j - 1] > 0 for j in ideal):
+                return False
     return True
 
 
@@ -422,11 +447,10 @@ def residue(a: LogPolyForm, indices) -> LogPolyForm:
             continue
         rest = b - idx
         inversions = sum(1 for i in idx for y in rest if y < i)
-        sign = -1 if inversions % 2 else 1
-        restricted = poly_restrict(poly, idx)
-        if not restricted:
-            continue
-        out[rest] = poly_add(out.get(rest, {}), poly_scale(sign, restricted))
+        acc = out.setdefault(rest, {})
+        for e, c in poly.items():
+            if all(e[i - 1] == 0 for i in idx):
+                _add_term(acc, e, -c if inversions % 2 else c)
     return LogPolyForm(target, out)
 
 
@@ -444,6 +468,19 @@ def _monomials_up_to(n: int, degree: int):
                 prev = c
             exps.append(total + n - 2 - prev)
             yield tuple(exps)
+
+
+@functools.lru_cache(maxsize=32)
+def _exponent_pool(n: int, degree: int, omitted: frozenset[int]) -> tuple[Exponents, ...]:
+    """The exponent tuples of `_monomials_up_to` that vanish on `omitted`, in
+    the same order; `random_poly` draws from it, so the order fixes what a
+    seed produces.  One `verify --suite logforms` run asks for 7 to 12 keys.
+    """
+    return tuple(
+        e
+        for e in _monomials_up_to(n, degree)
+        if all(e[i - 1] == 0 for i in omitted)
+    )
 
 
 def _monomial_index(a: LogPolyForm, index: dict) -> None:
@@ -465,9 +502,8 @@ def ideal_weight_generators(chart: LogChart, p: int, degree_bound: int):
     live = sorted(chart.live_indices)
     exps = [
         e
-        for e in _monomials_up_to(chart.n, degree_bound)
-        if all(e[i - 1] == 0 for i in chart.omitted)
-        and any(e[j - 1] > 0 for j in chart.ideal)
+        for e in _exponent_pool(chart.n, degree_bound, chart.omitted)
+        if any(e[j - 1] > 0 for j in chart.ideal)
     ]
     for b in itertools.combinations(live, p):
         bset = frozenset(b)
@@ -475,7 +511,7 @@ def ideal_weight_generators(chart: LogChart, p: int, degree_bound: int):
         for e in exps:
             poles = sum(1 for i in blogs if e[i - 1] == 0)
             if poles <= chart.k:
-                yield LogPolyForm(chart, {bset: {e: Fraction(1)}})
+                yield LogPolyForm(chart, {bset: {e: 1}})
 
 
 def _claim_target_span(chart: LogChart, p: int, degree_bound: int):
@@ -484,11 +520,7 @@ def _claim_target_span(chart: LogChart, p: int, degree_bound: int):
     sliced = chart.restrict(chart.residue_set)
     live = sorted(sliced.live_indices)
     generators: list[LogPolyForm] = []
-    exps = [
-        e
-        for e in _monomials_up_to(chart.n, degree_bound)
-        if all(e[i - 1] == 0 for i in sliced.omitted)
-    ]
+    exps = _exponent_pool(chart.n, degree_bound, sliced.omitted)
     for j in sorted(chart.j2):
         zj = LogPolyForm(sliced, {frozenset(): monomial(chart.n, {j: 1})})
         dzj = dz_form(sliced, j)
@@ -498,7 +530,7 @@ def _claim_target_span(chart: LogChart, p: int, degree_bound: int):
             for b in itertools.combinations(live, r):
                 base = from_regular(sliced, {frozenset(b): 1})
                 for e in exps:
-                    coeff = LogPolyForm(sliced, {frozenset(): {e: Fraction(1)}})
+                    coeff = LogPolyForm(sliced, {frozenset(): {e: 1}})
                     gen = wedge(lead, wedge(coeff, base))
                     if not gen.is_zero():
                         generators.append(gen)
@@ -517,14 +549,15 @@ def claim_forward_check(
     Checks every monomial generator with coefficient degree at most the
     bound, then seeded random combinations of them.
     """
-    if chart.k == 0 or not chart.j2:
-        # k = 0 has no residue to take; empty J2 means C contains the slice,
-        # where the claim's right side is the zero subspace
-        candidates = list(ideal_weight_generators(chart, p, degree_bound))
-        if chart.k == 0:
-            return True
+    if chart.k == 0:
+        # no residue to take
+        return True
+    if not chart.j2:
+        # empty J2 means C contains the slice, where the claim's right side
+        # is the zero subspace
         return all(
-            residue(g, chart.residue_set).is_zero() for g in candidates
+            residue(g, chart.residue_set).is_zero()
+            for g in ideal_weight_generators(chart, p, degree_bound)
         )
     generators, index = _claim_target_span(chart, p, degree_bound + 1)
     candidates = list(ideal_weight_generators(chart, p, degree_bound))
@@ -648,17 +681,11 @@ def claim_witness(
 
 def random_poly(rng: random.Random, chart: LogChart, degree: int = 2,
                 terms: int = 3) -> Poly:
-    pool = [
-        e
-        for e in _monomials_up_to(chart.n, degree)
-        if all(e[i - 1] == 0 for i in chart.omitted)
-    ]
+    pool = _exponent_pool(chart.n, degree, chart.omitted)
     out: Poly = {}
     for _ in range(terms):
         e = rng.choice(pool)
-        c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        if c:
-            out = poly_add(out, {e: c})
+        _add_term(out, e, Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
     return out
 
 
@@ -670,7 +697,7 @@ def random_form(rng: random.Random, chart: LogChart, p: int, degree: int = 2,
     built: dict[frozenset[int], Poly] = {}
     for _ in range(terms):
         b = frozenset(rng.sample(live, p))
-        built[b] = poly_add(built.get(b, {}), random_poly(rng, chart, degree, 2))
+        _add_poly(built.setdefault(b, {}), random_poly(rng, chart, degree, 2))
     return LogPolyForm(chart, built)
 
 

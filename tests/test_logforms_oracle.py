@@ -1,0 +1,193 @@
+"""Property tests: the polynomial kernel of `nchodge.logforms` against the
+frozen `Fraction`-per-term engine in `reference_logforms`.
+
+Both engines must build the same forms: equal `terms` compared as values,
+equal `str()`, equal degree and weight level, and the same exception type
+when either raises.  The library must also keep every coefficient
+integer-first: an `int` when integral, otherwise a `Fraction`.  Seeded
+random forms must come out of both engines in the same order, so that a
+given seed prints the same report.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import reference_logforms as ref
+from nchodge import logforms as lf
+from nchodge.verify import FUZZ_CHARTS, _random_lift
+
+# Every fuzz chart and its residue slice (every fuzz chart has k >= 1); two
+# fuzz charts share a slice.
+CHARTS = tuple(
+    dict.fromkeys(FUZZ_CHARTS + tuple(c.restrict(c.residue_set) for c in FUZZ_CHARTS))
+)
+
+# Nonzero exact coefficients: unit and non-unit ints, proper rationals, and
+# integral Fractions that the library must turn into ints.
+EXACT = (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(4, 2), Fraction(-9, 3))
+# What a caller may also hand the public constructor.
+LOOSE = EXACT + (0, Fraction(0), "0", "3/4", "-2", 0.5, -1.25, 2.0, 0.0)
+
+
+def int_first(poly: dict) -> bool:
+    return all(
+        type(c) is int if c.denominator == 1 else type(c) is Fraction
+        for c in poly.values()
+    )
+
+
+def outcome(build):
+    """(value, None) or (None, exception type) of `build()`."""
+    try:
+        return build(), None
+    except Exception as exc:
+        return None, type(exc)
+
+
+def assert_same_form(got_outcome, want_outcome):
+    got, got_exc = got_outcome
+    want, want_exc = want_outcome
+    assert got_exc is want_exc
+    if want is None:
+        return
+    assert got.chart == want.chart
+    assert got.terms == want.terms
+    assert str(got) == str(want)
+    assert all(p and int_first(p) for p in got.terms.values())
+    assert outcome(got.degree) == outcome(want.degree)
+    assert outcome(lambda: lf.weight_level(got)) == outcome(
+        lambda: ref.weight_level(want)
+    )
+
+
+def exponents(n: int, top: int = 2):
+    return st.tuples(*[st.integers(0, top)] * n)
+
+
+def polys(n: int, values=EXACT):
+    return st.dictionaries(exponents(n), st.sampled_from(values), max_size=4)
+
+
+@st.composite
+def raw_terms(draw, chart, values=LOOSE):
+    """Terms as a caller writes them: bases as unsorted tuples (two may name
+    the same set), possibly mixed degrees, dead or out-of-range indices and
+    bad exponent tuples."""
+    indices = st.integers(1, chart.n + (1 if draw(st.integers(0, 9)) == 0 else 0))
+    basis = st.lists(indices, max_size=3, unique=True).map(tuple)
+    terms = draw(st.dictionaries(basis, polys(chart.n, values), max_size=4))
+    if draw(st.integers(0, 9)) == 0 and terms:
+        bad = draw(st.sampled_from([(0,) * (chart.n + 1), (-1,) + (0,) * (chart.n - 1)]))
+        terms[next(iter(terms))] = {bad: 1}
+    return terms
+
+
+@st.composite
+def form_pairs(draw, chart):
+    """One homogeneous form with exact coefficients, built by both engines."""
+    live = sorted(chart.live_indices)
+    p = draw(st.integers(0, len(live)))
+    if not live:
+        basis = st.just([])
+    else:
+        basis = st.lists(st.sampled_from(live), min_size=p, max_size=p, unique=True)
+    bases = draw(st.lists(basis, max_size=3))
+    terms = {tuple(b): draw(polys(chart.n)) for b in bases}
+    return lf.LogPolyForm(chart, terms), ref.LogPolyForm(chart, terms)
+
+
+def charts():
+    return st.sampled_from(CHARTS)
+
+
+def chart_id(chart) -> str:
+    ideal = "".join(map(str, sorted(chart.ideal)))
+    omitted = "".join(map(str, sorted(chart.omitted)))
+    return f"n{chart.n}l{chart.l}k{chart.k}J{ideal}O{omitted}"
+
+
+@given(charts().flatmap(lambda c: st.tuples(st.just(c), raw_terms(c))))
+def test_constructor_matches_reference(case):
+    chart, terms = case
+    assert_same_form(
+        outcome(lambda: lf.LogPolyForm(chart, terms)),
+        outcome(lambda: ref.LogPolyForm(chart, terms)),
+    )
+
+
+@given(charts().flatmap(
+    lambda c: st.tuples(form_pairs(c), form_pairs(c), st.sampled_from(EXACT))
+))
+def test_wedge_sum_and_scale_match_reference(case):
+    (a, a_ref), (b, b_ref), c = case
+    assert_same_form(
+        outcome(lambda: lf.wedge(a, b)), outcome(lambda: ref.wedge(a_ref, b_ref))
+    )
+    assert_same_form(outcome(lambda: a + b), outcome(lambda: a_ref + b_ref))
+    assert_same_form(outcome(lambda: a.scale(c)), outcome(lambda: a_ref.scale(c)))
+
+
+@given(charts().flatmap(lambda c: form_pairs(c)))
+def test_exterior_d_matches_reference(pair):
+    a, a_ref = pair
+    assert_same_form(
+        outcome(lambda: lf.exterior_d(a)), outcome(lambda: ref.exterior_d(a_ref))
+    )
+    assert lf.in_ideal_subcomplex(a) == ref.in_ideal_subcomplex(a_ref)
+
+
+@given(charts().flatmap(
+    lambda c: st.tuples(
+        form_pairs(c),
+        st.lists(st.integers(0, c.n + 1), max_size=3, unique=True),
+    )
+))
+def test_residue_matches_reference(case):
+    (a, a_ref), indices = case
+    assert_same_form(
+        outcome(lambda: lf.residue(a, indices)),
+        outcome(lambda: ref.residue(a_ref, indices)),
+    )
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            polys(n), polys(n), st.sampled_from(EXACT + (0,)),
+            st.frozensets(st.integers(1, n)),
+        )
+    )
+)
+def test_poly_helpers_match_reference(case):
+    a, b, c, zeroed = case
+    for got, want in (
+        (lf.poly_add(a, b), ref.poly_add(a, b)),
+        (lf.poly_scale(c, a), ref.poly_scale(c, a)),
+        (lf.poly_mul(a, b), ref.poly_mul(a, b)),
+        (lf.poly_restrict(a, zeroed), ref.poly_restrict(a, zeroed)),
+    ):
+        assert got == want
+        assert lf.format_poly(got) == ref.format_poly(want)
+    assert int_first(lf.poly_mul(a, b))
+    assert int_first(lf.poly_scale(c, a))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 23])
+@pytest.mark.parametrize("chart", CHARTS, ids=chart_id)
+def test_seeded_draws_match_reference(chart, seed):
+    """The first draws of each random form builder print the reference's
+    bytes and leave both generators in the same state."""
+    got_rng, want_rng = random.Random(seed), random.Random(seed)
+    for p in range(chart.n + 1):
+        got = lf.random_form(got_rng, chart, p)
+        assert str(got) == str(ref.random_form(want_rng, chart, p))
+        got, exc = outcome(lambda: lf.random_ideal_form(got_rng, chart, p))
+        want, want_exc = outcome(lambda: ref.random_ideal_form(want_rng, chart, p))
+        assert (str(got), exc) == (str(want), want_exc)
+        got = _random_lift(got_rng, chart, p)
+        assert str(got) == str(ref._random_lift(want_rng, chart, p))
+    assert got_rng.getstate() == want_rng.getstate()
