@@ -15,9 +15,9 @@ preserves coefficient degree, so truncated enumeration is faithful.
 A polynomial is a dict {exponents: coefficient} with no zero coefficients.
 Coefficients follow the integer-first rule of `linalg`: a value is a Python
 int until a division forces a Fraction, and an integral Fraction becomes an
-int again, so the values in `LogPolyForm.terms` may be ints; `str()` prints
-them exactly as before.  Sums and products accumulate in place into one
-output dict (`_add_term`) instead of copying a polynomial per term.
+int again, so the values in `LogPolyForm.terms` may be ints (`str()` prints
+2 and Fraction(2) alike).  Sums and products accumulate in place into one
+output dict through `_add_term`, never copying a polynomial per term.
 """
 
 from __future__ import annotations
@@ -220,9 +220,7 @@ class LogPolyForm:
             b = frozenset(b)
             if not all(1 <= i <= chart.n for i in b):
                 raise BadParams("basis index outside 1..n")
-            if type(poly) is not dict:
-                poly = dict(poly)
-            poly = {e: _coeff(c) for e, c in poly.items() if c != 0}
+            poly = {e: _coeff(c) for e, c in dict(poly).items() if c != 0}
             for e in poly:
                 if len(e) != chart.n or any(x < 0 for x in e):
                     raise BadParams(f"bad exponent tuple {e} for n={chart.n}")
