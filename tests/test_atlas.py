@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from nchodge.atlas import (
@@ -17,6 +19,7 @@ from nchodge.errors import (
 from nchodge.fixtures import BUILTIN_NAMES, builtin_atlas
 from nchodge.linalg import RationalMatrix, vector
 from nchodge.rings import truncated_polynomial_ring
+from nchodge.verify import run_suite
 
 
 class TestKeys:
@@ -192,3 +195,174 @@ class TestValidator:
         gysin = {(((0,), ""), ((), "")): {(0, (0, 0)): one, (2, (1, 1)): one}}
         with pytest.raises(LatticeError):
             StrataAtlas(("A",), strata, {}, gysin, {})
+
+
+def _corrupted(atlas, rings=(), restrictions=(), gysin=(), classes=()):
+    """A copy of atlas with some rings, map blocks or divisor classes replaced.
+
+    restrictions and gysin map ((source, target), (j, ab)) to a new block.
+    """
+    rings = dict(rings)
+    strata = [
+        Stratum(s.indices, s.label, rings.get(key, s.ring))
+        for key, s in atlas.strata.items()
+    ]
+
+    def blocks(maps, replaced):
+        out = {pair: dict(bm) for pair, bm in maps.items()}
+        for (pair, block), mat in dict(replaced).items():
+            out[pair][block] = mat
+        return out
+
+    return StrataAtlas(
+        atlas.components,
+        strata,
+        blocks(atlas.restrictions, restrictions),
+        blocks(atlas.gysin, gysin),
+        {**atlas.divisor_classes, **dict(classes)},
+    )
+
+
+def _with_sheet(ring, key, value):
+    """The ring with one 1x1 multiplication sheet replaced by [[value]]."""
+    return dataclasses.replace(
+        ring, mult={**ring.mult, key: [RationalMatrix([[value]])]}
+    )
+
+
+X, H0, H1, H01 = ((), ""), ((0,), ""), ((1,), ""), ((0, 1), "")
+TWO = RationalMatrix([[2]])
+
+
+def _corruption(kind):
+    g11, g21 = generic_arrangement(1, 1), generic_arrangement(2, 1)
+    g31, g22 = generic_arrangement(3, 1), generic_arrangement(2, 2)
+    g32, ell = generic_arrangement(3, 2), builtin_atlas("elliptic_1pt")
+    h, unit = (2, 1, 1), (0, 0, 0)
+    if kind == "left unit":
+        return _corrupted(g11, rings={X: _with_sheet(g11.ring(X), (unit, h), 2)})
+    if kind == "right unit":
+        return _corrupted(g11, rings={X: _with_sheet(g11.ring(X), (h, unit), 2)})
+    if kind == "graded commutativity":
+        # odd classes of the elliptic curve made to commute
+        sheet = ((1, 0, 1), (1, 1, 0))
+        return _corrupted(ell, rings={X: _with_sheet(ell.ring(X), sheet, 1)})
+    if kind == "path-dependent restriction":
+        return _corrupted(g32, restrictions={((H0, H01), (2, (1, 1))): TWO})
+    if kind == "unit not fixed":
+        return _corrupted(g11, restrictions={((X, H0), (0, (0, 0))): TWO})
+    if kind == "restriction not multiplicative":
+        return _corrupted(g31, restrictions={((X, H0), (2, (1, 1))): TWO})
+    if kind == "projection formula":
+        return _corrupted(g21, gysin={((H0, X), (2, (1, 1))): TWO})
+    if kind == "gysin-after-restriction":
+        return _corrupted(g11, classes={(0, X): vector([3])})
+    if kind == "restriction-after-gysin":
+        return _corrupted(g21, classes={(0, H0): vector([3])})
+    if kind == "divisor-class restriction":
+        return _corrupted(g22, classes={(1, H0): vector([3])})
+    if kind == "base change":
+        return _corrupted(g32, gysin={((H01, H1), (0, (0, 0))): TWO})
+    raise AssertionError(kind)
+
+
+# What validate_atlas reports on each corruption, in its order.
+VIOLATIONS = {
+    "left unit": (
+        "((), ''): unit fails on the left at (2, (1, 1), 0)",
+        "((), ''): graded commutativity fails at (0, (0, 0), 0)x(2, (1, 1), 0)",
+        "((), ''): graded commutativity fails at (2, (1, 1), 0)x(0, (0, 0), 0)",
+    ),
+    "right unit": (
+        "((), ''): unit fails on the right at (2, (1, 1), 0)",
+        "((), ''): graded commutativity fails at (0, (0, 0), 0)x(2, (1, 1), 0)",
+        "((), ''): graded commutativity fails at (2, (1, 1), 0)x(0, (0, 0), 0)",
+        "((0,), '')->((), ''): projection formula"
+        " fails at (0, (0, 0), 0)x(0, (0, 0), 0)",
+        "((), '')->((0,), ''): gysin-after-restriction fails at (0, (0, 0), 0)",
+    ),
+    "graded commutativity": (
+        "((), ''): graded commutativity fails at (1, (0, 1), 0)x(1, (1, 0), 0)",
+        "((), ''): graded commutativity fails at (1, (1, 0), 0)x(1, (0, 1), 0)",
+    ),
+    "path-dependent restriction": (
+        "restriction to ((0, 1), '') from ((), '') depends on the path",
+        "((0, 1), '')->((0,), ''): projection formula"
+        " fails at (0, (0, 0), 0)x(2, (1, 1), 0)",
+        "((0,), '')->((0, 1), ''): gysin-after-restriction fails at (2, (1, 1), 0)",
+        "((0, 1), '')->((0,), ''): restriction-after-gysin fails at (0, (0, 0), 0)",
+        "((0,), '')->((0, 1), ''): divisor class of component 0"
+        " does not restrict correctly",
+        "((0,), '')->((0, 1), ''): divisor class of component 1"
+        " does not restrict correctly",
+        "base change fails on square ((), '')/((0,), '')/((1,), '') at (2, (1, 1), 0)",
+    ),
+    "unit not fixed": (
+        "((), '')->((0,), ''): restriction does not fix the unit",
+        "((), '')->((0,), ''): restriction not multiplicative"
+        " at (0, (0, 0), 0)x(0, (0, 0), 0)",
+        "((0,), '')->((), ''): projection formula"
+        " fails at (0, (0, 0), 0)x(0, (0, 0), 0)",
+        "((), '')->((0,), ''): gysin-after-restriction fails at (0, (0, 0), 0)",
+    ),
+    "restriction not multiplicative": (
+        "((), '')->((0,), ''): restriction not multiplicative"
+        " at (2, (1, 1), 0)x(2, (1, 1), 0)",
+        "((0,), '')->((), ''): projection formula"
+        " fails at (0, (0, 0), 0)x(2, (1, 1), 0)",
+        "((0,), '')->((), ''): projection formula"
+        " fails at (2, (1, 1), 0)x(2, (1, 1), 0)",
+        "((), '')->((0,), ''): gysin-after-restriction fails at (2, (1, 1), 0)",
+        "((0,), '')->((), ''): restriction-after-gysin fails at (0, (0, 0), 0)",
+        "((), '')->((0,), ''): divisor class of component 0"
+        " does not restrict correctly",
+    ),
+    "projection formula": (
+        "((0,), '')->((), ''): projection formula"
+        " fails at (0, (0, 0), 0)x(2, (1, 1), 0)",
+        "((), '')->((0,), ''): gysin-after-restriction fails at (2, (1, 1), 0)",
+    ),
+    "gysin-after-restriction": (
+        "((), '')->((0,), ''): gysin-after-restriction fails at (0, (0, 0), 0)",
+    ),
+    "restriction-after-gysin": (
+        "((0,), '')->((), ''): restriction-after-gysin fails at (0, (0, 0), 0)",
+        "((), '')->((0,), ''): divisor class of component 0"
+        " does not restrict correctly",
+    ),
+    "divisor-class restriction": (
+        "((), '')->((0,), ''): divisor class of component 1"
+        " does not restrict correctly",
+        "((0,), '')->((0, 1), ''): gysin-after-restriction fails at (0, (0, 0), 0)",
+    ),
+    "base change": (
+        "((0, 1), '')->((1,), ''): projection formula"
+        " fails at (0, (0, 0), 0)x(2, (1, 1), 0)",
+        "((1,), '')->((0, 1), ''): gysin-after-restriction fails at (0, (0, 0), 0)",
+        "((0, 1), '')->((1,), ''): restriction-after-gysin fails at (0, (0, 0), 0)",
+        "base change fails on square ((), '')/((0,), '')/((1,), '') at (0, (0, 0), 0)",
+    ),
+}
+
+
+class TestViolationPins:
+    @pytest.mark.parametrize("kind", sorted(VIOLATIONS))
+    def test_exact_violations(self, kind):
+        report = validate_atlas(_corruption(kind))
+        assert not report.ok
+        assert report.violations == VIOLATIONS[kind]
+
+    def test_consistency_suite_detail(self):
+        report = run_suite("consistency", _corruption("path-dependent restriction"))
+        assert not report.ok
+        assert [line.name for line in report.lines] == ["atlas invariants"]
+        assert report.lines[0].detail == (
+            "restriction to ((0, 1), '') from ((), '') depends on the path; "
+            "((0, 1), '')->((0,), ''): projection formula fails at "
+            "(0, (0, 0), 0)x(2, (1, 1), 0); "
+            "((0,), '')->((0, 1), ''): gysin-after-restriction fails at "
+            "(2, (1, 1), 0)"
+        )
+        assert str(report) == "consistency\n  [FAIL] atlas invariants (" + (
+            report.lines[0].detail
+        ) + ")"

@@ -7,6 +7,7 @@ from nchodge.complexes import build, morphism_u, morphism_v, rows_constant, rows
 from nchodge.errors import EmptyDivisor
 from nchodge.linalg import RationalMatrix, rank
 from nchodge.pairings import (
+    GradedPairing,
     chain_map_check,
     cup_extraordinary,
     cup_log_XD,
@@ -24,6 +25,48 @@ def atlas_by_name(name):
     from nchodge.fixtures import builtin_atlas
 
     return builtin_atlas(name)
+
+
+def _with_resolver(pairing, edit):
+    """The same product, with each resolved target list passed through edit."""
+    resolve = pairing._resolver
+    return GradedPairing(
+        pairing.atlas,
+        pairing.left,
+        pairing.right,
+        pairing.target,
+        lambda t1, t2: edit(t1, t2, resolve(t1, t2)),
+        pairing.label,
+    )
+
+
+PRODUCTS = {"cup_log_XD": cup_log_XD, "cup_extraordinary": cup_extraordinary}
+
+# Each edit breaks the Leibniz identity of its product on the triangle.
+BROKEN_RESOLVERS = {
+    "cup_log_XD": {
+        "cone sign flipped on t-side targets": lambda t1, t2, out: [
+            (t3, -sign if t3.side == "t" else sign) for t3, sign in out
+        ],
+        "t-side targets dropped": lambda t1, t2, out: [
+            (t3, sign) for t3, sign in out if t3.side != "t"
+        ],
+        "targets of residue-carrying left terms dropped": lambda t1, t2, out: (
+            [] if t1.res else out
+        ),
+    },
+    "cup_extraordinary": {
+        "sign flipped at odd simplicial level": lambda t1, t2, out: [
+            (t3, -sign if t2.p % 2 else sign) for t3, sign in out
+        ],
+        "level-1 targets dropped": lambda t1, t2, out: [
+            (t3, sign) for t3, sign in out if t3.p != 1
+        ],
+        "level-0 targets dropped": lambda t1, t2, out: [
+            (t3, sign) for t3, sign in out if t3.p != 0
+        ],
+    },
+}
 
 
 class TestShuffleSign:
@@ -51,6 +94,16 @@ class TestChainMaps:
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_extraordinary_is_chain_map(self, name):
         assert chain_map_check(cup_extraordinary(atlas_by_name(name)))
+
+    @pytest.mark.parametrize(
+        "product, broken",
+        [(p, b) for p, edits in BROKEN_RESOLVERS.items() for b in edits],
+    )
+    def test_broken_resolver_is_not_a_chain_map(self, triangle, product, broken):
+        pairing = PRODUCTS[product](triangle)
+        assert chain_map_check(pairing) is True
+        edit = BROKEN_RESOLVERS[product][broken]
+        assert chain_map_check(_with_resolver(pairing, edit)) is False
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_u_v_blockwise_injective(self, name):
