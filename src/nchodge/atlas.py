@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     BadParams,
@@ -26,7 +25,7 @@ from .errors import (
     UnknownStratum,
 )
 from .linalg import RationalMatrix, Vector, vector, zero_vector
-from .rings import Bidegree, PureHodgeRing, truncated_polynomial_ring
+from .rings import Bidegree, GradedVector, PureHodgeRing, truncated_polynomial_ring
 
 StratumKey = tuple[tuple[int, ...], str]
 BlockMap = dict[tuple[int, Bidegree], RationalMatrix]
@@ -87,11 +86,30 @@ def compose_blockmaps(second: BlockMap, first: BlockMap) -> BlockMap:
     return out
 
 
-def blockmap_apply(bm: BlockMap, j: int, ab: Bidegree, v: Vector, target_dim: int) -> Vector:
+def gysin_slice(j: int, ab: Bidegree) -> tuple[int, Bidegree]:
+    """Where a Gysin block on slice (j, ab) lands: one Tate twist up."""
+    return j + 2, (ab[0] + 1, ab[1] + 1)
+
+
+def restrict(bm: BlockMap, ring: PureHodgeRing, x: GradedVector) -> GradedVector:
+    """Image of x under a restriction map into `ring`; a block keeps its slice.
+    Absent blocks act as zero."""
+    j, ab, v = x
     mat = bm.get((j, ab))
     if mat is None:
-        return zero_vector(target_dim)
-    return mat.apply(v)
+        return j, ab, zero_vector(ring.slice_dim(j, ab))
+    return j, ab, mat.apply(v)
+
+
+def push_forward(bm: BlockMap, ring: PureHodgeRing, x: GradedVector) -> GradedVector:
+    """Image of x under a Gysin map into `ring`, in gysin_slice of its slice.
+    Absent blocks act as zero."""
+    j, ab, v = x
+    jt, abt = gysin_slice(j, ab)
+    mat = bm.get((j, ab))
+    if mat is None:
+        return jt, abt, zero_vector(ring.slice_dim(jt, abt))
+    return jt, abt, mat.apply(v)
 
 
 class StrataAtlas:
@@ -195,27 +213,18 @@ class StrataAtlas:
             raise UnknownStratum(f"no stratum {key} in atlas")
 
     def _check_blockmap_shapes(self) -> None:
-        for (skey, tkey), bm in self.restrictions.items():
-            src, tgt = self.ring(skey), self.ring(tkey)
-            for (j, ab), mat in bm.items():
-                want = (tgt.slice_dim(j, ab), src.slice_dim(j, ab))
-                if mat.shape != want:
-                    raise DimensionMismatch(
-                        f"restriction {skey}->{tkey} block {(j, ab)}: "
-                        f"shape {mat.shape}, expected {want}"
-                    )
-        for (tkey, skey), bm in self.gysin.items():
-            src, tgt = self.ring(tkey), self.ring(skey)
-            for (j, ab), mat in bm.items():
-                want = (
-                    tgt.slice_dim(j + 2, (ab[0] + 1, ab[1] + 1)),
-                    src.slice_dim(j, ab),
-                )
-                if mat.shape != want:
-                    raise DimensionMismatch(
-                        f"gysin {tkey}->{skey} block {(j, ab)}: "
-                        f"shape {mat.shape}, expected {want}"
-                    )
+        # both kinds of map are keyed (source, target)
+        for kind, maps in (("restriction", self.restrictions), ("gysin", self.gysin)):
+            for (skey, tkey), bm in maps.items():
+                src, tgt = self.ring(skey), self.ring(tkey)
+                for (j, ab), mat in bm.items():
+                    lands = gysin_slice(j, ab) if kind == "gysin" else (j, ab)
+                    want = (tgt.slice_dim(*lands), src.slice_dim(j, ab))
+                    if mat.shape != want:
+                        raise DimensionMismatch(
+                            f"{kind} {skey}->{tkey} block {(j, ab)}: "
+                            f"shape {mat.shape}, expected {want}"
+                        )
 
     # -- queries ------------------------------------------------------------
 
@@ -322,32 +331,24 @@ class AtlasReport:
         return "atlas invalid:\n" + "\n".join(f"  - {v}" for v in self.violations)
 
 
-def _basis(dim: int, index: int) -> Vector:
-    return tuple(Fraction(1 if i == index else 0) for i in range(dim))
-
-
 def _ring_violations(key: StratumKey, ring: PureHodgeRing) -> list[str]:
     out = []
-    basis = list(ring.basis_elements())
-    for j, ab, u in basis:
-        x = _basis(ring.slice_dim(j, ab), u)
-        left = ring.mult_apply(0, (0, 0), ring.unit, j, ab, x)
-        right = ring.mult_apply(j, ab, x, 0, (0, 0), ring.unit)
+    basis = list(ring.basis_vectors())
+    unit = (0, (0, 0), ring.unit)
+    for at, x in basis:
+        left = ring.product(unit, x)
+        right = ring.product(x, unit)
         if left != x:
-            out.append(f"{key}: unit fails on the left at {(j, ab, u)}")
+            out.append(f"{key}: unit fails on the left at {at}")
         if right != x:
-            out.append(f"{key}: unit fails on the right at {(j, ab, u)}")
-    for j1, ab1, u in basis:
-        for j2, ab2, v in basis:
-            x = _basis(ring.slice_dim(j1, ab1), u)
-            y = _basis(ring.slice_dim(j2, ab2), v)
-            xy = ring.mult_apply(j1, ab1, x, j2, ab2, y)
-            yx = ring.mult_apply(j2, ab2, y, j1, ab1, x)
-            sign = -1 if (j1 % 2 and j2 % 2) else 1
+            out.append(f"{key}: unit fails on the right at {at}")
+    for at1, x in basis:
+        for at2, y in basis:
+            xy = ring.mult_apply(*x, *y)
+            yx = ring.mult_apply(*y, *x)
+            sign = -1 if (x[0] % 2 and y[0] % 2) else 1
             if xy != tuple(sign * t for t in yx):
-                out.append(
-                    f"{key}: graded commutativity fails at {(j1, ab1, u)}x{(j2, ab2, v)}"
-                )
+                out.append(f"{key}: graded commutativity fails at {at1}x{at2}")
     return out
 
 
@@ -383,94 +384,56 @@ def validate_atlas(atlas: StrataAtlas) -> AtlasReport:
 
     for skey, tkey in covers:
         ring_s, ring_t = atlas.ring(skey), atlas.ring(tkey)
+        basis_s, basis_t = list(ring_s.basis_vectors()), list(ring_t.basis_vectors())
         rest = atlas.restrictions[(skey, tkey)]
         gys = atlas.gysin[(tkey, skey)]
         a = (set(tkey[0]) - set(skey[0])).pop()
-        c_s = atlas.divisor_class(a, skey)
-        c_t = atlas.divisor_class(a, tkey)
+        c_s = (2, (1, 1), atlas.divisor_class(a, skey))
+        c_t = (2, (1, 1), atlas.divisor_class(a, tkey))
 
         # restriction is a ring map
-        unit_image = blockmap_apply(rest, 0, (0, 0), ring_s.unit, ring_t.slice_dim(0, (0, 0)))
-        if unit_image != ring_t.unit:
+        if restrict(rest, ring_t, (0, (0, 0), ring_s.unit))[2] != ring_t.unit:
             violations.append(f"{skey}->{tkey}: restriction does not fix the unit")
-        for j1, ab1, u in ring_s.basis_elements():
-            x = _basis(ring_s.slice_dim(j1, ab1), u)
-            rx = blockmap_apply(rest, j1, ab1, x, ring_t.slice_dim(j1, ab1))
-            for j2, ab2, v in ring_s.basis_elements():
-                y = _basis(ring_s.slice_dim(j2, ab2), v)
-                jt = j1 + j2
-                abt = (ab1[0] + ab2[0], ab1[1] + ab2[1])
-                lhs = blockmap_apply(
-                    rest, jt, abt, ring_s.mult_apply(j1, ab1, x, j2, ab2, y),
-                    ring_t.slice_dim(jt, abt),
-                )
-                ry = blockmap_apply(rest, j2, ab2, y, ring_t.slice_dim(j2, ab2))
-                rhs = ring_t.mult_apply(j1, ab1, rx, j2, ab2, ry)
+        for at1, x in basis_s:
+            rx = restrict(rest, ring_t, x)
+            for at2, y in basis_s:
+                lhs = restrict(rest, ring_t, ring_s.product(x, y))
+                rhs = ring_t.product(rx, restrict(rest, ring_t, y))
                 if lhs != rhs:
                     violations.append(
-                        f"{skey}->{tkey}: restriction not multiplicative at "
-                        f"{(j1, ab1, u)}x{(j2, ab2, v)}"
+                        f"{skey}->{tkey}: restriction not multiplicative at {at1}x{at2}"
                     )
 
         # projection formula: gysin(x . rho(y)) = gysin(x) . y
-        for j1, ab1, u in ring_t.basis_elements():
-            x = _basis(ring_t.slice_dim(j1, ab1), u)
-            gx = blockmap_apply(
-                gys, j1, ab1, x, ring_s.slice_dim(j1 + 2, (ab1[0] + 1, ab1[1] + 1))
-            )
-            for j2, ab2, v in ring_s.basis_elements():
-                y = _basis(ring_s.slice_dim(j2, ab2), v)
-                ry = blockmap_apply(rest, j2, ab2, y, ring_t.slice_dim(j2, ab2))
-                prod_t = ring_t.mult_apply(j1, ab1, x, j2, ab2, ry)
-                jt = j1 + j2
-                abt = (ab1[0] + ab2[0], ab1[1] + ab2[1])
-                lhs = blockmap_apply(
-                    gys, jt, abt, prod_t,
-                    ring_s.slice_dim(jt + 2, (abt[0] + 1, abt[1] + 1)),
-                )
-                rhs = ring_s.mult_apply(
-                    j1 + 2, (ab1[0] + 1, ab1[1] + 1), gx, j2, ab2, y
-                )
-                if lhs != rhs:
+        for at1, x in basis_t:
+            gx = push_forward(gys, ring_s, x)
+            for at2, y in basis_s:
+                prod_t = ring_t.product(x, restrict(rest, ring_t, y))
+                if push_forward(gys, ring_s, prod_t) != ring_s.product(gx, y):
                     violations.append(
-                        f"{tkey}->{skey}: projection formula fails at "
-                        f"{(j1, ab1, u)}x{(j2, ab2, v)}"
+                        f"{tkey}->{skey}: projection formula fails at {at1}x{at2}"
                     )
 
         # gysin after restriction = multiplication by the divisor class upstairs
-        for j, ab, u in ring_s.basis_elements():
-            y = _basis(ring_s.slice_dim(j, ab), u)
-            ry = blockmap_apply(rest, j, ab, y, ring_t.slice_dim(j, ab))
-            lhs = blockmap_apply(
-                gys, j, ab, ry, ring_s.slice_dim(j + 2, (ab[0] + 1, ab[1] + 1))
-            )
-            rhs = ring_s.mult_apply(2, (1, 1), c_s, j, ab, y)
-            if lhs != rhs:
+        for at, y in basis_s:
+            lhs = push_forward(gys, ring_s, restrict(rest, ring_t, y))
+            if lhs != ring_s.product(c_s, y):
                 violations.append(
-                    f"{skey}->{tkey}: gysin-after-restriction fails at {(j, ab, u)}"
+                    f"{skey}->{tkey}: gysin-after-restriction fails at {at}"
                 )
 
         # restriction after gysin = multiplication by the divisor class downstairs
-        for j, ab, u in ring_t.basis_elements():
-            x = _basis(ring_t.slice_dim(j, ab), u)
-            gx = blockmap_apply(
-                gys, j, ab, x, ring_s.slice_dim(j + 2, (ab[0] + 1, ab[1] + 1))
-            )
-            lhs = blockmap_apply(
-                rest, j + 2, (ab[0] + 1, ab[1] + 1), gx,
-                ring_t.slice_dim(j + 2, (ab[0] + 1, ab[1] + 1)),
-            )
-            rhs = ring_t.mult_apply(2, (1, 1), c_t, j, ab, x)
-            if lhs != rhs:
+        for at, x in basis_t:
+            lhs = restrict(rest, ring_t, push_forward(gys, ring_s, x))
+            if lhs != ring_t.product(c_t, x):
                 violations.append(
-                    f"{tkey}->{skey}: restriction-after-gysin fails at {(j, ab, u)}"
+                    f"{tkey}->{skey}: restriction-after-gysin fails at {at}"
                 )
 
         # divisor classes restrict to divisor classes
         for other in range(ncomp):
-            c_up = atlas.divisor_class(other, skey)
-            down = blockmap_apply(rest, 2, (1, 1), c_up, ring_t.slice_dim(2, (1, 1)))
-            if down != atlas.divisor_class(other, tkey):
+            c_up = (2, (1, 1), atlas.divisor_class(other, skey))
+            if restrict(rest, ring_t, c_up)[2] != atlas.divisor_class(other, tkey):
                 violations.append(
                     f"{skey}->{tkey}: divisor class of component {other} "
                     "does not restrict correctly"
@@ -490,32 +453,20 @@ def validate_atlas(atlas: StrataAtlas) -> AtlasReport:
                         for v in atlas.children.get((tkey, b), ())
                         if atlas.leq(v, wkey)
                     ]
-                    for j, ab, u in ring_t.basis_elements():
-                        x = _basis(ring_t.slice_dim(j, ab), u)
-                        jt, abt = j + 2, (ab[0] + 1, ab[1] + 1)
-                        gx = blockmap_apply(
-                            atlas.gysin[(tkey, skey)], j, ab, x,
-                            ring_s.slice_dim(jt, abt),
-                        )
-                        lhs = blockmap_apply(
-                            atlas.restrictions[(skey, wkey)], jt, abt, gx,
-                            ring_w.slice_dim(jt, abt),
-                        )
-                        rhs = zero_vector(ring_w.slice_dim(jt, abt))
+                    for at, x in ring_t.basis_vectors():
+                        gx = push_forward(atlas.gysin[(tkey, skey)], ring_s, x)
+                        lhs = restrict(atlas.restrictions[(skey, wkey)], ring_w, gx)[2]
+                        rhs = zero_vector(len(lhs))
                         for vkey in vs:
-                            rx = blockmap_apply(
-                                atlas.restrictions[(tkey, vkey)], j, ab, x,
-                                atlas.ring(vkey).slice_dim(j, ab),
+                            rx = restrict(
+                                atlas.restrictions[(tkey, vkey)], atlas.ring(vkey), x
                             )
-                            piece = blockmap_apply(
-                                atlas.gysin[(vkey, wkey)], j, ab, rx,
-                                ring_w.slice_dim(jt, abt),
-                            )
-                            rhs = tuple(p + q for p, q in zip(rhs, piece))
+                            piece = push_forward(atlas.gysin[(vkey, wkey)], ring_w, rx)
+                            rhs = tuple(p + q for p, q in zip(rhs, piece[2]))
                         if lhs != rhs:
                             violations.append(
                                 f"base change fails on square {skey}/{tkey}/{wkey} "
-                                f"at {(j, ab, u)}"
+                                f"at {at}"
                             )
 
     return AtlasReport(ok=not violations, violations=tuple(violations))

@@ -33,7 +33,7 @@ from .errors import (
     NotChainMap,
     UnknownStratum,
 )
-from .linalg import RationalMatrix, Vector
+from .linalg import RationalMatrix, Vector, unit_vector
 from .rings import Bidegree
 
 TermBlock = dict[Bidegree, RationalMatrix]  # keyed by twisted (a, b)
@@ -306,10 +306,7 @@ class RowFamily:
                 for ab in row.types_at(m):
                     for t, off, d in row.layout[(m, ab)]:
                         for i in range(d):
-                            vec = tuple(
-                                Fraction(1 if idx == i else 0) for idx in range(d)
-                            )
-                            yield q, m, ab, {(t, ab): vec}
+                            yield q, m, ab, {(t, ab): unit_vector(d, i)}
 
     def differentials_square_to_zero(self) -> bool:
         for q in self.weights():

@@ -40,6 +40,11 @@ def zero_vector(length: int) -> Vector:
     return (Fraction(0),) * length
 
 
+def unit_vector(length: int, index: int) -> Vector:
+    """The standard basis vector e_index of the given length."""
+    return tuple(Fraction(1 if i == index else 0) for i in range(length))
+
+
 _ZERO = Fraction(0)
 SparseRow = dict  # column -> nonzero value, an int unless it is not integral
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import dataclasses
 from fractions import Fraction
 
-from .atlas import StrataAtlas, blockmap_apply
+from .atlas import StrataAtlas, restrict
 from .complexes import (
     Element,
     PureTerm,
@@ -116,23 +116,18 @@ class GradedPairing:
     def evaluate(self, left_elem: Element, right_elem: Element) -> Element:
         out: Element = {}
         for (t1, ab1), x in left_elem.items():
-            raw1 = (ab1[0] - t1.k, ab1[1] - t1.k)
+            # untwisted: the slice of H^j(stratum) the coordinates live in
+            x1 = (t1.j, (ab1[0] - t1.k, ab1[1] - t1.k), x)
             for (t2, ab2), y in right_elem.items():
-                raw2 = (ab2[0] - t2.k, ab2[1] - t2.k)
+                y1 = (t2.j, (ab2[0] - t2.k, ab2[1] - t2.k), y)
                 for t3, sign in self._targets(t1, t2):
                     tkey = t3.stratum
                     ring = self.atlas.ring(tkey)
-                    x2 = blockmap_apply(
-                        self.atlas.rho(t1.stratum, tkey), t1.j, raw1, x,
-                        ring.slice_dim(t1.j, raw1),
-                    )
-                    if all(c == 0 for c in x2):
+                    x2 = restrict(self.atlas.rho(t1.stratum, tkey), ring, x1)
+                    if all(c == 0 for c in x2[2]):
                         continue
-                    y2 = blockmap_apply(
-                        self.atlas.rho(t2.stratum, tkey), t2.j, raw2, y,
-                        ring.slice_dim(t2.j, raw2),
-                    )
-                    z = ring.mult_apply(t1.j, raw1, x2, t2.j, raw2, y2)
+                    y2 = restrict(self.atlas.rho(t2.stratum, tkey), ring, y1)
+                    z = ring.mult_apply(*x2, *y2)
                     if all(c == 0 for c in z):
                         continue
                     if sign != 1:

@@ -12,10 +12,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BidegreeError, DimensionMismatch
-from .linalg import RationalMatrix, Vector, vector
+from .linalg import RationalMatrix, Vector, unit_vector, vector
 
 Bidegree = tuple[int, int]
 SliceKey = tuple[int, int, int]  # (j, a, b)
+GradedVector = tuple[int, Bidegree, Vector]  # coordinates in slice (j, ab)
 
 
 @dataclass
@@ -111,12 +112,18 @@ class PureHodgeRing:
                         rows[i][m] += coeff * tensors[u].rows[i][m]
         return RationalMatrix(rows, ncols=right_dim)
 
-    def basis_elements(self):
-        """Yield (j, (a, b), index) over the whole ring, in sorted order."""
+    def product(self, x: GradedVector, y: GradedVector) -> GradedVector:
+        """x*y in the slice it lands in (zeros if that slice is absent)."""
+        (j1, ab1, _), (j2, ab2, _) = x, y
+        return j1 + j2, (ab1[0] + ab2[0], ab1[1] + ab2[1]), self.mult_apply(*x, *y)
+
+    def basis_vectors(self):
+        """Yield ((j, ab, index), (j, ab, e_index)) over the whole ring, in
+        sorted order: where each basis vector sits, and the vector itself."""
         for j in self.degrees():
             for ab, d in self.slices(j):
                 for i in range(d):
-                    yield j, ab, i
+                    yield (j, ab, i), (j, ab, unit_vector(d, i))
 
 
 def _unit_tensors(ring_dims: dict[int, dict[Bidegree, int]]):
@@ -129,13 +136,10 @@ def _unit_tensors(ring_dims: dict[int, dict[Bidegree, int]]):
             if j > 0:
                 key_right = ((j, ab[0], ab[1]), (0, 0, 0))
                 mult[key_right] = [
-                    RationalMatrix.from_columns([_basis_vec(d, u)], d) for u in range(d)
+                    RationalMatrix.from_columns([unit_vector(d, u)], d)
+                    for u in range(d)
                 ]
     return mult
-
-
-def _basis_vec(length: int, index: int) -> Vector:
-    return tuple(Fraction(1 if i == index else 0) for i in range(length))
 
 
 def truncated_polynomial_ring(dim: int) -> PureHodgeRing:

@@ -26,10 +26,10 @@ class TestTruncatedPolynomialRing:
 
     def test_unit_is_neutral(self):
         r = truncated_polynomial_ring(3)
-        for j, ab, idx in r.basis_elements():
-            v = tuple(1 if i == idx else 0 for i in range(r.slice_dim(j, ab)))
-            got = r.mult_apply(0, (0, 0), r.unit, j, ab, vector(v))
-            assert got == vector(v)
+        for (j, ab, idx), (_, _, v) in r.basis_vectors():
+            assert v == vector(1 if i == idx else 0 for i in range(r.slice_dim(j, ab)))
+            got = r.mult_apply(0, (0, 0), r.unit, j, ab, v)
+            assert got == v
 
     def test_associative_and_commutative(self):
         r = truncated_polynomial_ring(3)
