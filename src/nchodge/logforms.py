@@ -220,7 +220,7 @@ class LogPolyForm:
             b = frozenset(b)
             if not all(1 <= i <= chart.n for i in b):
                 raise BadParams("basis index outside 1..n")
-            poly = {e: _coeff(c) for e, c in dict(poly).items() if c != 0}
+            poly = {e: k for e, c in dict(poly).items() if (k := _coeff(c)) != 0}
             for e in poly:
                 if len(e) != chart.n or any(x < 0 for x in e):
                     raise BadParams(f"bad exponent tuple {e} for n={chart.n}")

@@ -7,6 +7,10 @@ These are the `Fraction`-per-term versions of the polynomial helpers,
 in-place, kept verbatim as an oracle for `test_logforms_oracle.py`.  Every
 coefficient here is a `Fraction`; the library may hold the same values as
 `int`, so forms are compared by value and by `str()`.
+
+One line changed after the freeze: `LogPolyForm` converts a coefficient
+before it drops zeros, so a zero written as a string (`"0"`) gives the zero
+term, as the number 0 does, instead of reaching the pole check.
 """
 
 from __future__ import annotations
@@ -112,11 +116,7 @@ class LogPolyForm:
             b = frozenset(b)
             if not all(1 <= i <= chart.n for i in b):
                 raise BadParams("basis index outside 1..n")
-            poly = {
-                e: Fraction(c)
-                for e, c in dict(poly).items()
-                if c != 0
-            }
+            poly = {e: f for e, c in dict(poly).items() if (f := Fraction(c)) != 0}
             for e in poly:
                 if len(e) != chart.n or any(x < 0 for x in e):
                     raise BadParams(f"bad exponent tuple {e} for n={chart.n}")

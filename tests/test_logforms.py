@@ -108,6 +108,14 @@ class TestForms:
         with pytest.raises(BadParams):
             LogPolyForm(sliced, {frozenset({1}): poly_const(3, 1)})
 
+    def test_zero_coefficients_are_dropped_whatever_their_type(self):
+        # a zero is dropped before the pole check, however it is written
+        sliced = LogChart(2, 2, 1, {1}).restrict({1})
+        for zero in (0, Fraction(0), 0.0, "0", "0/5", "-0"):
+            assert LogPolyForm(sliced, {(1,): {(0, 0): zero}}).is_zero()
+            a = LogPolyForm(sliced, {(1,): {(0, 0): zero, (1, 0): "1/2"}})
+            assert a.terms == {} and a == LogPolyForm(sliced, {})
+
 
 class TestExteriorD:
     def test_d_of_z1_xi2(self):
