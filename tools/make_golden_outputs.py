@@ -9,7 +9,10 @@ exit code and the sha256 of its stdout and stderr.  The commands are `compute`
 for every selector, `sslog` and every `nbhd:<key>` in both formats, plus
 `verify --suite all --seed 7`, on the four fixtures and two generic
 arrangements, plus the `fujiki`, `les` and `cup` suites on the arrangement
-with an empty divisor (each exits 2), and one `gen`.
+with an empty divisor (each exits 2), and one `gen`.  Five commands run the
+atlas-free log-forms suite: `verify --suite logforms --seed S` for S in 0, 1
+and 23, and `verify --suite logforms --seed 0 --degree-bound B` for B in 1
+and 3.
 tests/test_golden_outputs.py reruns them and compares.
 """
 
