@@ -336,11 +336,9 @@ def _ring_violations(key: StratumKey, ring: PureHodgeRing) -> list[str]:
     basis = list(ring.basis_vectors())
     unit = (0, (0, 0), ring.unit)
     for at, x in basis:
-        left = ring.product(unit, x)
-        right = ring.product(x, unit)
-        if left != x:
+        if ring.product(unit, x) != x:
             out.append(f"{key}: unit fails on the left at {at}")
-        if right != x:
+        if ring.product(x, unit) != x:
             out.append(f"{key}: unit fails on the right at {at}")
     for at1, x in basis:
         for at2, y in basis:
