@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import math
 
 import pytest
@@ -13,9 +15,11 @@ from nchodge.complexes import (
     rows_constant,
     rows_log,
     rows_semisimplicial_log,
+    rows_stratum_log,
     rows_sum_strata,
 )
 from nchodge.errors import BadParams, EmptyDivisor, UnknownStratum
+from nchodge.fixtures import BUILTIN_NAMES, builtin_atlas
 from nchodge.tables import compute_table, euler_check
 
 
@@ -258,3 +262,55 @@ class TestDeletedNeighborhoods:
         assert got[0] == t_cstar[0]
         assert got[1] == ((2, (1, 1), 2),)
         assert got[2] == ((4, (2, 2), 1),)
+
+
+IDENTITY_ATLASES = [
+    pytest.param(functools.partial(builtin_atlas, name), id=name)
+    for name in BUILTIN_NAMES
+] + [
+    pytest.param(functools.partial(generic_arrangement, n, m), id=f"generic({n},{m})")
+    for n, m in [(2, 0), (2, 4), (3, 5)]
+]
+
+
+def _term_sans_simp(term):
+    return tuple(
+        getattr(term, f.name) for f in dataclasses.fields(term) if f.name != "simp"
+    )
+
+
+def _sans_simp(terms, blocks):
+    """Terms in order and blocks by term pair, with each term's simp set aside."""
+    return (
+        [_term_sans_simp(t) for t in terms],
+        {
+            (_term_sans_simp(t1), _term_sans_simp(t2)): block
+            for (t1, t2), block in blocks.items()
+        },
+    )
+
+
+class TestSharedCombinatorics:
+    """The open complement is the deleted neighborhood of the ambient stratum,
+    and the divisor rows are the twist-zero subcomplex of the semisimplicial
+    log rows."""
+
+    @pytest.mark.parametrize("make", IDENTITY_ATLASES)
+    def test_log_is_ambient_neighborhood(self, make):
+        atlas = make()
+        log = rows_log(atlas)
+        nbhd = rows_stratum_log(atlas, atlas.x_key)
+        assert _sans_simp(log.terms, log.blocks) == _sans_simp(nbhd.terms, nbhd.blocks)
+
+    @pytest.mark.parametrize("make", IDENTITY_ATLASES)
+    def test_divisor_is_twist_zero_sslog(self, make):
+        atlas = make()
+        fd = rows_sum_strata(atlas)
+        fss = rows_semisimplicial_log(atlas)
+        zero_terms = [t for t in fss.terms if t.k == 0]
+        zero_blocks = {
+            pair: block
+            for pair, block in fss.blocks.items()
+            if pair[0].k == 0 and pair[1].k == 0
+        }
+        assert _sans_simp(fd.terms, fd.blocks) == _sans_simp(zero_terms, zero_blocks)
