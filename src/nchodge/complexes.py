@@ -10,11 +10,20 @@ Hodge types by (k, k), so a term of weight q = j + 2k contributes its
 slice, so each (q, a, b) block is an honest complex of finite dimensional
 rational spaces and the whole mixed structure is read off blockwise.
 
+Simplex convention: every term names the stratum whose Cech simplex or
+punctured neighborhood it sits on.  Constant and log terms sit on the
+ambient stratum, a divisor term on its own stratum, and a term of the
+semisimplicial log family on the component meet of its Cech level p, one
+less than that meet's depth.  One Cech step restricts a term to the meet of
+its simplex with one more component and lands on that meet's level; it is
+the Cech differential, and out of the ambient simplex the restriction to
+level 0.
+
 Sign conventions: removing the r-th element (1-based, ascending order) of a
-residue set carries (-1)^(r-1), and the same rule drives the Cech direction;
-the residue direction of the semisimplicial family carries an extra Koszul
-factor (-1)^p.  Cones are shifted: degree m of Cone(f) is source degree m
-plus target degree m-1, with d(x, y) = (dx, f(x) - dy).
+residue set carries (-1)^(r-1) times a Koszul factor (-1)^p, and the same
+rule without the Koszul factor drives the Cech direction.  Cones are
+shifted: degree m of Cone(f) is source degree m plus target degree m-1,
+with d(x, y) = (dx, f(x) - dy).
 """
 
 from __future__ import annotations
@@ -44,8 +53,8 @@ Element = dict[tuple["PureTerm", Bidegree], Vector]
 class PureTerm:
     """One pure piece H^j(stratum)(-k) sitting in a weight row.
 
-    res is the residue index set the piece remembers, simp the stratum whose
-    neighborhood a semisimplicial piece belongs to (with simplicial level p),
+    simp is the stratum whose Cech simplex or neighborhood the piece sits on
+    (at simplicial level p), res the residue index set it remembers, and
     side/shift mark membership in a mapping cone.  Total degree is
     j + k + p + shift; the intrinsic weight j + 2k never includes the shift.
     """
@@ -54,8 +63,8 @@ class PureTerm:
     j: int
     k: int
     p: int
+    simp: StratumKey
     res: tuple[int, ...] = ()
-    simp: StratumKey | None = None
     side: str = ""
     shift: int = 0
 
@@ -73,7 +82,7 @@ class PureTerm:
             self.k,
             self.p,
             self.res,
-            self.simp if self.simp is not None else ((), ""),
+            self.simp,
             self.stratum,
             self.j,
             self.shift,
@@ -85,7 +94,8 @@ class PureTerm:
         bits = [f"H^{self.j}({key_to_string(self.stratum) or 'X'})"]
         if self.k:
             bits.append(f"(-{self.k})")
-        if self.simp is not None:
+        # shown unless the piece sits on the ambient simplex or its own
+        if self.simp[0] and self.simp != self.stratum:
             bits.append(f"@{key_to_string(self.simp) or 'X'}[p={self.p}]")
         if self.side:
             bits.append(f"[{self.side}]")
@@ -117,14 +127,6 @@ def _map_term_block(raw: BlockMap, j: int, twist: int) -> TermBlock:
         if jj == j and mat.nrows > 0 and mat.ncols > 0:
             out[(a + twist, b + twist)] = mat
     return out
-
-
-def _restrict_block(atlas, skey, tkey, j, twist) -> TermBlock:
-    return _map_term_block(atlas.rho(skey, tkey), j, twist)
-
-
-def _gysin_block(atlas, tkey, skey, j, twist) -> TermBlock:
-    return _map_term_block(atlas.gysin_map(tkey, skey), j, twist)
 
 
 def _chern_block(atlas, a: int, tkey, j, twist) -> TermBlock:
@@ -411,58 +413,47 @@ def cone_rows(morphism: RowMorphism) -> RowFamily:
 def rows_constant(atlas: StrataAtlas) -> RowFamily:
     """Cohomology of the ambient space: one column of pure terms."""
     ring = atlas.ring(atlas.x_key)
-    terms = tuple(PureTerm(atlas.x_key, j, 0, 0) for j in ring.degrees())
+    terms = tuple(
+        PureTerm(atlas.x_key, j, 0, 0, simp=atlas.x_key) for j in ring.degrees()
+    )
     return RowFamily(atlas, "X", terms, {})
+
+
+def _cech_blocks(atlas: StrataAtlas, terms):
+    """One Cech step out of each term's simplex: restrict to the meets with
+    one more component, landing on their level (level 0 from the ambient)."""
+    blocks: dict[tuple[PureTerm, PureTerm], TermBlock] = {}
+    for t in terms:
+        carried = set(t.simp[0])
+        for b in range(len(atlas.components)):
+            if b in carried:
+                continue
+            sign = -1 if sum(1 for i in carried if i < b) % 2 else 1
+            for c2 in atlas.children.get((t.simp, b), ()):
+                for wkey in atlas.intersection_components(
+                    set(t.stratum[0]) | {b}, [c2, t.stratum]
+                ):
+                    block = _map_term_block(atlas.rho(t.stratum, wkey), t.j, t.k)
+                    if block:
+                        level = len(c2[0]) - 1
+                        t2 = PureTerm(wkey, t.j, t.k, level, simp=c2, res=t.res)
+                        blocks[(t, t2)] = scale_block(block, sign)
+    return blocks
 
 
 def rows_sum_strata(atlas: StrataAtlas) -> RowFamily:
     """Cech complex of the closed divisor: level p holds (p+1)-fold meets
     (no terms for an empty divisor)."""
-    terms = []
-    for key in atlas.keys_sorted():
-        depth = len(key[0])
-        if depth == 0:
-            continue
-        for j in atlas.ring(key).degrees():
-            terms.append(PureTerm(key, j, 0, depth - 1))
-    blocks: dict[tuple[PureTerm, PureTerm], TermBlock] = {}
-    for t in terms:
-        present = set(t.stratum[0])
-        for a in range(len(atlas.components)):
-            if a in present:
-                continue
-            pos = sum(1 for i in present if i < a)
-            sign = -1 if pos % 2 else 1
-            for child in atlas.children.get((t.stratum, a), ()):
-                block = _restrict_block(atlas, t.stratum, child, t.j, 0)
-                if block:
-                    t2 = PureTerm(child, t.j, 0, t.p + 1)
-                    blocks[(t, t2)] = scale_block(block, sign)
-    return RowFamily(atlas, "D", tuple(terms), blocks)
+    terms = tuple(
+        PureTerm(key, j, 0, len(key[0]) - 1, simp=key)
+        for key in atlas.keys_sorted()
+        if key[0]
+        for j in atlas.ring(key).degrees()
+    )
+    return RowFamily(atlas, "D", terms, _cech_blocks(atlas, terms))
 
 
-def rows_log(atlas: StrataAtlas) -> RowFamily:
-    """Weight rows of the open complement: residues along deeper strata."""
-    terms = []
-    for key in atlas.keys_sorted():
-        for j in atlas.ring(key).degrees():
-            terms.append(PureTerm(key, j, len(key[0]), 0, res=key[0]))
-    blocks: dict[tuple[PureTerm, PureTerm], TermBlock] = {}
-    for t in terms:
-        if t.k == 0:
-            continue
-        for r, a in enumerate(t.res):
-            parent = atlas.parent[(t.stratum, a)]
-            sign = -1 if r % 2 else 1
-            block = _gysin_block(atlas, t.stratum, parent, t.j, t.k)
-            if block:
-                rest = tuple(x for x in t.res if x != a)
-                t2 = PureTerm(parent, t.j + 2, t.k - 1, 0, res=rest)
-                blocks[(t, t2)] = scale_block(block, sign)
-    return RowFamily(atlas, "log", tuple(terms), blocks)
-
-
-def _stratum_log_data(atlas: StrataAtlas, ckey: StratumKey, p: int, koszul: bool):
+def _stratum_log_data(atlas: StrataAtlas, ckey: StratumKey, p: int):
     """Terms and residue-direction blocks of the log family along one stratum."""
     carried = set(ckey[0])
     ncomp = len(atlas.components)
@@ -471,71 +462,56 @@ def _stratum_log_data(atlas: StrataAtlas, ckey: StratumKey, p: int, koszul: bool
         for J in itertools.combinations(range(ncomp), size):
             for tkey in atlas.intersection_components(carried | set(J), [ckey]):
                 for j in atlas.ring(tkey).degrees():
-                    terms.append(PureTerm(tkey, j, size, p, res=J, simp=ckey))
+                    terms.append(PureTerm(tkey, j, size, p, simp=ckey, res=J))
     blocks: dict[tuple[PureTerm, PureTerm], TermBlock] = {}
-    koszul_sign = (-1 if p % 2 else 1) if koszul else 1
     for t in terms:
-        if t.k == 0:
-            continue
         for r, a in enumerate(t.res):
             rest = tuple(x for x in t.res if x != a)
-            sign = (-1 if r % 2 else 1) * koszul_sign
             if a in carried:
                 block = _chern_block(atlas, a, t.stratum, t.j, t.k)
-                t2 = PureTerm(t.stratum, t.j + 2, t.k - 1, p, res=rest, simp=ckey)
+                tkey = t.stratum
             else:
-                parent = atlas.parent[(t.stratum, a)]
-                if not atlas.leq(parent, ckey):
+                tkey = atlas.parent[(t.stratum, a)]
+                if not atlas.leq(tkey, ckey):
                     raise LatticeError(
-                        f"stratum {parent} escapes {ckey} while removing {a}"
+                        f"stratum {tkey} escapes {ckey} while removing {a}"
                     )
-                block = _gysin_block(atlas, t.stratum, parent, t.j, t.k)
-                t2 = PureTerm(parent, t.j + 2, t.k - 1, p, res=rest, simp=ckey)
+                block = _map_term_block(atlas.gysin_map(t.stratum, tkey), t.j, t.k)
             if block:
-                blocks[(t, t2)] = scale_block(block, sign)
-    return terms, blocks
+                t2 = PureTerm(tkey, t.j + 2, t.k - 1, p, simp=ckey, res=rest)
+                blocks[(t, t2)] = scale_block(block, -1 if (r + p) % 2 else 1)
+    return tuple(terms), blocks
+
+
+def rows_log(atlas: StrataAtlas) -> RowFamily:
+    """Weight rows of the open complement: the punctured neighborhood of the
+    ambient stratum, with residues along every deeper stratum."""
+    return RowFamily(atlas, "log", *_stratum_log_data(atlas, atlas.x_key, 0))
 
 
 def rows_stratum_log(atlas: StrataAtlas, ckey: StratumKey) -> RowFamily:
     """Weight rows of a punctured neighborhood of one closed stratum."""
     if ckey not in atlas.strata:
         raise UnknownStratum(f"no stratum {ckey} in atlas")
-    terms, blocks = _stratum_log_data(atlas, ckey, p=0, koszul=False)
     from .atlas import key_to_string
 
-    return RowFamily(atlas, f"nbhd:{key_to_string(ckey)}", tuple(terms), blocks)
+    label = f"nbhd:{key_to_string(ckey)}"
+    return RowFamily(atlas, label, *_stratum_log_data(atlas, ckey, 0))
 
 
 def rows_semisimplicial_log(atlas: StrataAtlas) -> RowFamily:
     """Log rows over the semisimplicial divisor: Cech levels of the
     components, each carrying its own stratum-log family (no terms for an
     empty divisor)."""
-    all_terms: list[PureTerm] = []
+    terms: list[PureTerm] = []
     blocks: dict[tuple[PureTerm, PureTerm], TermBlock] = {}
     for ckey in atlas.keys_sorted():
-        depth = len(ckey[0])
-        if depth == 0:
-            continue
-        terms, residue_blocks = _stratum_log_data(atlas, ckey, depth - 1, koszul=True)
-        all_terms.extend(terms)
-        blocks.update(residue_blocks)
-    for t in all_terms:
-        ckey = t.simp
-        carried = set(ckey[0])
-        for b in range(len(atlas.components)):
-            if b in carried:
-                continue
-            pos = sum(1 for i in carried if i < b)
-            sign = -1 if pos % 2 else 1
-            for c2 in atlas.children.get((ckey, b), ()):
-                for wkey in atlas.intersection_components(
-                    set(t.stratum[0]) | {b}, [c2, t.stratum]
-                ):
-                    block = _map_term_block(atlas.rho(t.stratum, wkey), t.j, t.k)
-                    if block:
-                        t2 = PureTerm(wkey, t.j, t.k, t.p + 1, res=t.res, simp=c2)
-                        blocks[(t, t2)] = scale_block(block, sign)
-    return RowFamily(atlas, "sslog", tuple(all_terms), blocks)
+        if ckey[0]:
+            more, residue_blocks = _stratum_log_data(atlas, ckey, len(ckey[0]) - 1)
+            terms.extend(more)
+            blocks.update(residue_blocks)
+    blocks.update(_cech_blocks(atlas, terms))
+    return RowFamily(atlas, "sslog", tuple(terms), blocks)
 
 
 def _truncate_positive_twist(family: RowFamily, label: str) -> RowFamily:
@@ -565,48 +541,32 @@ def coker_v_rows(atlas: StrataAtlas) -> RowFamily:
 
 def morphism_i_star(atlas: StrataAtlas, fx: RowFamily, fd: RowFamily) -> RowMorphism:
     """Restriction from the ambient space to the divisor components."""
-    blocks: dict[tuple[PureTerm, PureTerm], TermBlock] = {}
-    for t in fx.terms:
-        for a in range(len(atlas.components)):
-            for child in atlas.children.get((atlas.x_key, a), ()):
-                block = _restrict_block(atlas, atlas.x_key, child, t.j, 0)
-                if block:
-                    blocks[(t, PureTerm(child, t.j, 0, 0))] = block
-    return RowMorphism(fx, fd, blocks, label="i*")
+    return RowMorphism(fx, fd, _cech_blocks(atlas, fx.terms), label="i*")
+
+
+def _inclusion(
+    atlas: StrataAtlas, source: RowFamily, target: RowFamily, label: str
+) -> RowMorphism:
+    """Each source term maps by the identity onto the same term of the target."""
+    blocks = {(t, t): identity_term_block(atlas, t) for t in source.terms}
+    return RowMorphism(source, target, blocks, label=label)
 
 
 def morphism_u(atlas: StrataAtlas, fx: RowFamily, flog: RowFamily) -> RowMorphism:
     """The constant rows sit inside the log rows as the twist-zero column."""
-    blocks = {
-        (t, t): identity_term_block(atlas, t) for t in fx.terms
-    }
-    return RowMorphism(fx, flog, blocks, label="u")
+    return _inclusion(atlas, fx, flog, "u")
 
 
 def morphism_v(atlas: StrataAtlas, fd: RowFamily, fss: RowFamily) -> RowMorphism:
     """The divisor rows sit inside the semisimplicial log rows at twist zero."""
-    blocks: dict[tuple[PureTerm, PureTerm], TermBlock] = {}
-    for t in fd.terms:
-        t2 = PureTerm(t.stratum, t.j, 0, t.p, res=(), simp=t.stratum)
-        blocks[(t, t2)] = identity_term_block(atlas, t)
-    return RowMorphism(fd, fss, blocks, label="v")
+    return _inclusion(atlas, fd, fss, "v")
 
 
 def morphism_log_restriction(
     atlas: StrataAtlas, flog: RowFamily, fss: RowFamily
 ) -> RowMorphism:
     """Restrict log rows to the level-zero semisimplicial pieces."""
-    blocks: dict[tuple[PureTerm, PureTerm], TermBlock] = {}
-    for t in flog.terms:
-        for a in range(len(atlas.components)):
-            for ckey in atlas.components_of((a,)):
-                for wkey in atlas.intersection_components(
-                    set(t.res) | {a}, [ckey, t.stratum]
-                ):
-                    block = _map_term_block(atlas.rho(t.stratum, wkey), t.j, t.k)
-                    if block:
-                        t2 = PureTerm(wkey, t.j, t.k, 0, res=t.res, simp=ckey)
-                        blocks[(t, t2)] = block
+    blocks = _cech_blocks(atlas, flog.terms)
     return RowMorphism(flog, fss, blocks, label="restriction")
 
 
@@ -633,7 +593,13 @@ CONES = {
 
 def cone_morphism(atlas: StrataAtlas, selector: str) -> RowMorphism:
     """The morphism whose cone is the named relative or local theory."""
-    _, source, target, morphism = CONES[selector.strip().lower()]
+    low = selector.strip().lower()
+    if low not in CONES:
+        raise BadParams(
+            f"unknown cone selector {selector!r}; expected one of "
+            f"{', '.join(label for label, *_ in CONES.values())}"
+        )
+    _, source, target, morphism = CONES[low]
     return morphism(atlas, source(atlas), target(atlas))
 
 

@@ -81,6 +81,21 @@ class TestConeConventions:
         assert fd.weights() == (0, 2)
 
 
+class TestDescribe:
+    def test_x_d_log_terms_name_no_simplex(self, triangle):
+        got = {
+            t.describe()
+            for builder in (rows_constant, rows_sum_strata, rows_log)
+            for t in builder(triangle).terms
+        }
+        assert "H^0(X)" in got and "H^0(0)" in got and "H^0(0)(-1)" in got
+        assert not any("@" in text for text in got)
+
+    def test_sslog_residue_terms_name_their_simplex(self, triangle):
+        got = {t.describe() for t in rows_semisimplicial_log(triangle).terms}
+        assert "H^0(0,1)(-1)@0[p=0]" in got
+
+
 class TestSelectorErrors:
     def test_unknown_selector(self, p1_1pt):
         with pytest.raises(BadParams):
@@ -94,6 +109,11 @@ class TestSelectorErrors:
     def test_nbhd_unknown_stratum(self, p1_1pt):
         with pytest.raises(UnknownStratum):
             build(p1_1pt, "nbhd:7")
+
+    @pytest.mark.parametrize("selector", ["log", "X", "bogus"])
+    def test_unknown_cone_selector(self, p1_1pt, selector):
+        with pytest.raises(BadParams, match="XD, XD-tilde, locD, locD-tilde"):
+            cone_morphism(p1_1pt, selector)
 
 
 class TestP1Fixtures:
