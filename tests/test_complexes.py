@@ -7,6 +7,7 @@ import pytest
 from nchodge.atlas import generic_arrangement, key_to_string
 from nchodge.complexes import (
     SELECTORS,
+    PureTerm,
     build,
     coker_v_rows,
     cone_morphism,
@@ -17,8 +18,9 @@ from nchodge.complexes import (
     rows_semisimplicial_log,
     rows_stratum_log,
     rows_sum_strata,
+    term_slices,
 )
-from nchodge.errors import BadParams, EmptyDivisor, UnknownStratum
+from nchodge.errors import BadParams, DimensionMismatch, EmptyDivisor, UnknownStratum
 from nchodge.fixtures import BUILTIN_NAMES, builtin_atlas
 from nchodge.tables import compute_table, euler_check
 
@@ -334,3 +336,68 @@ class TestSharedCombinatorics:
             if pair[0].k == 0 and pair[1].k == 0
         }
         assert _sans_simp(fd.terms, fd.blocks) == _sans_simp(zero_terms, zero_blocks)
+
+
+LAYOUT_ATLASES = [
+    pytest.param(functools.partial(builtin_atlas, name), id=name)
+    for name in BUILTIN_NAMES
+] + [pytest.param(functools.partial(generic_arrangement, 2, 4), id="generic(2,4)")]
+
+
+def _every_family(atlas):
+    """Every selector, sslog and every nbhd: family of the atlas, built."""
+    keys = atlas.keys_sorted()
+    selectors = [*SELECTORS, "sslog", *(f"nbhd:{key_to_string(k)}" for k in keys)]
+    return [(selector, build(atlas, selector)) for selector in selectors]
+
+
+class TestRowLayout:
+    """Each (degree, type) slot of a weight row stacks the slices of its
+    terms contiguously from 0, in PureTerm.sort_key order."""
+
+    @pytest.mark.parametrize("make", LAYOUT_ATLASES)
+    def test_offsets_are_contiguous_in_sort_order(self, make):
+        atlas = make()
+        for selector, family in _every_family(atlas):
+            for q in family.weights():
+                row = family.rows[q]
+                for m in row.degrees():
+                    terms = row.terms_at[m]
+                    assert list(terms) == sorted(terms, key=PureTerm.sort_key)
+                    filled = {}
+                    for t in terms:
+                        for ab, d in term_slices(atlas, t):
+                            here = filled.get(ab, 0)
+                            assert row.offset(m, t, ab) == (here, d), selector
+                            filled[ab] = here + d
+                    dims = {ab: row.dim(m, ab) for ab in row.types_at(m)}
+                    assert filled == dims, (selector, q, m)
+
+    @pytest.mark.parametrize("make", LAYOUT_ATLASES)
+    def test_term_of_another_row_has_no_slot(self, make):
+        atlas = make()
+        for selector, family in _every_family(atlas):
+            for q, row in family.rows.items():
+                for other in family.rows.values():
+                    if other is row:
+                        continue
+                    for m, terms in other.terms_at.items():
+                        for t in terms:
+                            for ab, _ in term_slices(atlas, t):
+                                with pytest.raises(DimensionMismatch):
+                                    row.offset(m, t, ab)
+
+
+class TestCechStep:
+    @pytest.mark.parametrize("make", IDENTITY_ATLASES)
+    def test_own_simplex_meet_is_the_child(self, make):
+        """Out of a stratum's own simplex, the meet with one more component
+        under both the child simplex and the stratum is that child alone."""
+        atlas = make()
+        for key in atlas.keys_sorted():
+            for b in range(len(atlas.components)):
+                if b in key[0]:
+                    continue
+                for c2 in atlas.children.get((key, b), ()):
+                    meet = atlas.intersection_components(set(key[0]) | {b}, [c2, key])
+                    assert meet == (c2,)

@@ -1,9 +1,10 @@
 import json
 import pathlib
+from fractions import Fraction
 
 import pytest
 
-from nchodge.atlas import generic_arrangement, validate_atlas
+from nchodge.atlas import generic_arrangement, key_from_string, validate_atlas
 from nchodge.errors import DimensionMismatch, SchemaError
 from nchodge.fixtures import BUILTIN_NAMES, builtin_atlas
 from nchodge.schema import (
@@ -99,3 +100,58 @@ class TestSchemaErrors:
 
     def test_format_constant(self):
         assert self.good()["format"] == FORMAT
+
+
+def _triangle_with(place: str, entry):
+    """The triangle document with one rational entry replaced."""
+    data = atlas_to_json(builtin_atlas("triangle"))
+    if place == "mult":
+        data["strata"][0]["mult"]["0,0,0|0,0,0"][0][0][0] = entry
+    elif place == "restriction":
+        data["restrictions"][0]["blocks"]["0,0,0"][0][0] = entry
+    else:
+        data["strata"][0]["unit"][0] = entry
+    return data
+
+
+WHERE = {
+    "mult": "strata[0].mult[0,0,0|0,0,0]",
+    "restriction": "restrictions[0][0,0,0]",
+    "unit": "strata[0].unit",
+}
+BAD_ENTRIES = {
+    "abc": "Invalid literal for Fraction: 'abc'",
+    "1/0": "Fraction(1, 0)",
+    1.5: "cannot coerce 1.5 to an exact rational",
+    None: "cannot coerce None to an exact rational",
+}
+
+
+class TestRationalEntries:
+    @pytest.mark.parametrize("place", sorted(WHERE))
+    @pytest.mark.parametrize("entry", list(BAD_ENTRIES), ids=repr)
+    def test_bad_entry_names_its_place(self, place, entry):
+        with pytest.raises(SchemaError) as info:
+            atlas_from_json(_triangle_with(place, entry))
+        assert str(info.value) == f"{WHERE[place]}: {BAD_ENTRIES[entry]}"
+
+    def test_fractions_load_reduced(self):
+        data = _triangle_with("mult", "-3/2")
+        data["restrictions"][0]["blocks"]["0,0,0"][0][0] = "2/4"
+        data["strata"][0]["fundamental"][0] = "-3/2"
+        atlas = atlas_from_json(data)
+        ring = atlas.strata[atlas.x_key].ring
+        sheet = ring.mult[((0, 0, 0), (0, 0, 0))][0]
+        first = data["restrictions"][0]
+        pair = (key_from_string(first["from"]), key_from_string(first["to"]))
+        block = atlas.restrictions[pair][(0, (0, 0))]
+        for value, want in (
+            (sheet.rows[0][0], Fraction(-3, 2)),
+            (block.rows[0][0], Fraction(1, 2)),
+            (ring.fundamental[0], Fraction(-3, 2)),
+        ):
+            assert type(value) is Fraction and value == want
+        again = atlas_to_json(atlas)
+        assert again["strata"][0]["mult"]["0,0,0|0,0,0"][0][0][0] == "-3/2"
+        assert again["restrictions"][0]["blocks"]["0,0,0"][0][0] == "1/2"
+        assert again["strata"][0]["fundamental"][0] == "-3/2"

@@ -12,7 +12,11 @@ arrangements, plus the `fujiki`, `les` and `cup` suites on the arrangement
 with an empty divisor (each exits 2), and one `gen`.  Five commands run the
 atlas-free log-forms suite: `verify --suite logforms --seed S` for S in 0, 1
 and 23, and `verify --suite logforms --seed 0 --degree-bound B` for B in 1
-and 3.
+and 3.  The commands above build their atlas from `--family`; so that the
+document reader is covered too, `compute --config fixtures/<name>.json` runs
+every selector in json on the four committed fixture documents, and one
+larger `compute --family generic --dim 3 --hyperplanes 5 --complex XD-tilde`
+closes the corpus.  Every command runs from the repository root.
 tests/test_golden_outputs.py reruns them and compares.
 """
 
@@ -20,6 +24,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import pathlib
 
 from nchodge import (
@@ -64,6 +69,16 @@ def commands() -> list[str]:
         out.append(f"verify --suite logforms --seed {seed}")
     for bound in (1, 3):
         out.append(f"verify --suite logforms --seed 0 --degree-bound {bound}")
+    for name in BUILTIN_NAMES:
+        for selector in SELECTORS:
+            out.append(
+                f"compute --config fixtures/{name}.json --complex {selector} "
+                "--format json"
+            )
+    out.append(
+        "compute --family generic --dim 3 --hyperplanes 5 --complex XD-tilde "
+        "--format json"
+    )
     return out
 
 
@@ -74,8 +89,13 @@ def _sha256(text: str) -> str:
 def run_command(command: str) -> dict:
     """Exit code and output digests of one in-process `nc-hodge` call."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(command.split(" "))
+    here = os.getcwd()
+    os.chdir(HERE)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(command.split(" "))
+    finally:
+        os.chdir(here)
     return {
         "exit": code,
         "stdout_sha256": _sha256(out.getvalue()),
