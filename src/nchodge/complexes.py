@@ -147,7 +147,8 @@ class WeightRow:
     def __init__(self, q: int):
         self.q = q
         self.terms_at: dict[int, tuple[PureTerm, ...]] = {}
-        self.layout: dict[tuple[int, Bidegree], tuple[tuple[PureTerm, int, int], ...]] = {}
+        # (m, ab) -> {term: (offset, dim)}, terms in sort_key order
+        self.layout: dict[tuple[int, Bidegree], dict[PureTerm, tuple[int, int]]] = {}
         self.dims: dict[tuple[int, Bidegree], int] = {}
         self.diff: dict[tuple[int, Bidegree], RationalMatrix] = {}
 
@@ -167,10 +168,10 @@ class WeightRow:
         return mat
 
     def offset(self, m: int, term: PureTerm, ab: Bidegree) -> tuple[int, int]:
-        for t, off, d in self.layout.get((m, ab), ()):
-            if t == term:
-                return off, d
-        raise DimensionMismatch(f"term {term} has no ({m}, {ab}) slice")
+        slot = self.layout.get((m, ab), {}).get(term)
+        if slot is None:
+            raise DimensionMismatch(f"term {term} has no ({m}, {ab}) slice")
+        return slot
 
 
 def _place_blocks(
@@ -224,29 +225,19 @@ class RowFamily:
         self._build()
 
     def _build(self) -> None:
-        for term in self.terms:
-            row = self.rows.setdefault(term.q, WeightRow(term.q))
-            row.terms_at.setdefault(term.m, [])
         grouped: dict[int, dict[int, list[PureTerm]]] = {}
         for term in self.terms:
             grouped.setdefault(term.q, {}).setdefault(term.m, []).append(term)
         for q, per_degree in grouped.items():
-            row = self.rows[q]
+            row = self.rows[q] = WeightRow(q)
             for m, terms in per_degree.items():
                 ordered = tuple(sorted(terms, key=PureTerm.sort_key))
                 row.terms_at[m] = ordered
-                per_ab: dict[Bidegree, list[tuple[PureTerm, int]]] = {}
                 for t in ordered:
                     for ab, d in term_slices(self.atlas, t):
-                        per_ab.setdefault(ab, []).append((t, d))
-                for ab, pieces in per_ab.items():
-                    offset = 0
-                    lay = []
-                    for t, d in pieces:
-                        lay.append((t, offset, d))
-                        offset += d
-                    row.layout[(m, ab)] = tuple(lay)
-                    row.dims[(m, ab)] = offset
+                        offset = row.dims.get((m, ab), 0)
+                        row.layout.setdefault((m, ab), {})[t] = (offset, d)
+                        row.dims[(m, ab)] = offset + d
         for t1, t2 in self.blocks:
             if t1.q != t2.q:
                 raise DimensionMismatch("differential block changes the weight")
@@ -274,7 +265,7 @@ class RowFamily:
     def flatten(self, q: int, m: int, ab: Bidegree, elem: Element) -> Vector:
         row = self.row(q)
         out = [Fraction(0)] * row.dim(m, ab)
-        for t, off, d in row.layout.get((m, ab), ()):
+        for t, (off, d) in row.layout.get((m, ab), {}).items():
             vec = elem.get((t, ab))
             if vec is not None:
                 if len(vec) != d:
@@ -286,7 +277,7 @@ class RowFamily:
     def unflatten(self, q: int, m: int, ab: Bidegree, vec: Vector) -> Element:
         row = self.row(q)
         out: Element = {}
-        for t, off, d in row.layout.get((m, ab), ()):
+        for t, (off, d) in row.layout.get((m, ab), {}).items():
             piece = tuple(vec[off + i] for i in range(d))
             if any(x != 0 for x in piece):
                 out[(t, ab)] = piece
@@ -306,7 +297,7 @@ class RowFamily:
             row = self.rows[q]
             for m in row.degrees():
                 for ab in row.types_at(m):
-                    for t, off, d in row.layout[(m, ab)]:
+                    for t, (off, d) in row.layout[(m, ab)].items():
                         for i in range(d):
                             yield q, m, ab, {(t, ab): unit_vector(d, i)}
 
@@ -387,22 +378,22 @@ def cone_rows(morphism: RowMorphism) -> RowFamily:
     if not morphism.is_chain_map():
         raise NotChainMap(f"cone of {morphism.label or 'morphism'}: not a chain map")
 
-    def as_src(t: PureTerm) -> PureTerm:
-        return dataclasses.replace(t, side="s")
-
-    def as_tgt(t: PureTerm) -> PureTerm:
-        return dataclasses.replace(t, side="t", shift=t.shift + 1)
-
-    terms = tuple(as_src(t) for t in morphism.source.terms) + tuple(
-        as_tgt(t) for t in morphism.target.terms
+    # each term is relabelled once; blocks look their endpoints up
+    as_src = {t: dataclasses.replace(t, side="s") for t in morphism.source.terms}
+    as_tgt = {
+        t: dataclasses.replace(t, side="t", shift=t.shift + 1)
+        for t in morphism.target.terms
+    }
+    terms = tuple(as_src[t] for t in morphism.source.terms) + tuple(
+        as_tgt[t] for t in morphism.target.terms
     )
     blocks: dict[tuple[PureTerm, PureTerm], TermBlock] = {}
     for (t1, t2), block in morphism.source.blocks.items():
-        blocks[(as_src(t1), as_src(t2))] = dict(block)
+        blocks[(as_src[t1], as_src[t2])] = dict(block)
     for (t1, t2), block in morphism.target.blocks.items():
-        blocks[(as_tgt(t1), as_tgt(t2))] = scale_block(block, -1)
+        blocks[(as_tgt[t1], as_tgt[t2])] = scale_block(block, -1)
     for (t1, t2), block in morphism.blocks.items():
-        blocks[(as_src(t1), as_tgt(t2))] = dict(block)
+        blocks[(as_src[t1], as_tgt[t2])] = dict(block)
     label = f"cone({morphism.label})" if morphism.label else "cone"
     return RowFamily(morphism.source.atlas, label, terms, blocks)
 
@@ -425,14 +416,20 @@ def _cech_blocks(atlas: StrataAtlas, terms):
     blocks: dict[tuple[PureTerm, PureTerm], TermBlock] = {}
     for t in terms:
         carried = set(t.simp[0])
+        # out of its own simplex a term's meet is the child simplex itself
+        own = t.stratum == t.simp
         for b in range(len(atlas.components)):
             if b in carried:
                 continue
             sign = -1 if sum(1 for i in carried if i < b) % 2 else 1
             for c2 in atlas.children.get((t.simp, b), ()):
-                for wkey in atlas.intersection_components(
-                    set(t.stratum[0]) | {b}, [c2, t.stratum]
-                ):
+                if own:
+                    meet = (c2,)
+                else:
+                    meet = atlas.intersection_components(
+                        set(t.stratum[0]) | {b}, [c2, t.stratum]
+                    )
+                for wkey in meet:
                     block = _map_term_block(atlas.rho(t.stratum, wkey), t.j, t.k)
                     if block:
                         level = len(c2[0]) - 1

@@ -4,14 +4,16 @@ The layout mirrors the in-memory atlas: a list of component names, one object
 per stratum (indices, label, dimension, Hodge slice dimensions, the
 multiplication tensors, unit and fundamental class), restriction and Gysin
 blocks per covering pair, and the divisor classes.  All rationals are
-strings ("-3/2"), so files round-trip exactly.  Stratum references use the
-printable key form from atlas.key_to_string: "0,2" or "0,2|East", with the
-ambient space as "".
+strings ("-3/2"), so files round-trip exactly; one load parses each distinct
+string once, through a table owned by that load alone.  Stratum references
+use the printable key form from atlas.key_to_string: "0,2" or "0,2|East",
+with the ambient space as "".
 """
 
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 from .atlas import (
@@ -22,7 +24,7 @@ from .atlas import (
     key_to_string,
 )
 from .errors import BadParams, NCHodgeError, SchemaError
-from .linalg import RationalMatrix, Vector, vector
+from .linalg import RationalMatrix, Vector, _frac
 from .rings import PureHodgeRing
 
 FORMAT = "nc-hodge/1"
@@ -41,7 +43,20 @@ def _matrix_to_json(mat: RationalMatrix) -> list[list[str]]:
     return [[str(x) for x in row] for row in mat.rows]
 
 
-def _matrix_from_json(value, where: str) -> RationalMatrix:
+Parsed = dict[str, Fraction]  # rational string -> its value, for one load
+
+
+def _rational(entry, parsed: Parsed) -> Fraction:
+    """One matrix or vector entry; a string is parsed once per load."""
+    if type(entry) is not str:
+        return _frac(entry)
+    value = parsed.get(entry)
+    if value is None:
+        value = parsed[entry] = Fraction(entry)
+    return value
+
+
+def _matrix_from_json(value, where: str, parsed: Parsed) -> RationalMatrix:
     if (
         not isinstance(value, list)
         or not value
@@ -49,16 +64,16 @@ def _matrix_from_json(value, where: str) -> RationalMatrix:
     ):
         raise SchemaError(f"{where}: matrices must be nonempty lists of rows")
     try:
-        return RationalMatrix(value)
+        return RationalMatrix([[_rational(x, parsed) for x in row] for row in value])
     except (ValueError, ZeroDivisionError, TypeError, NCHodgeError) as exc:
         raise SchemaError(f"{where}: {exc}") from None
 
 
-def _vector_from_json(value, where: str) -> Vector:
+def _vector_from_json(value, where: str, parsed: Parsed) -> Vector:
     if not isinstance(value, list):
         raise SchemaError(f"{where}: vectors must be lists")
     try:
-        return vector(value)
+        return tuple(_rational(x, parsed) for x in value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise SchemaError(f"{where}: {exc}") from None
 
@@ -86,13 +101,13 @@ def _blocks_to_json(blocks: BlockMap) -> dict:
     }
 
 
-def _blocks_from_json(value, where: str) -> BlockMap:
+def _blocks_from_json(value, where: str, parsed: Parsed) -> BlockMap:
     if not isinstance(value, dict):
         raise SchemaError(f"{where}: blocks must be an object")
     out: BlockMap = {}
     for key, mat in value.items():
         j, ab = _slice_key_from_string(key, where)
-        out[(j, ab)] = _matrix_from_json(mat, f"{where}[{key}]")
+        out[(j, ab)] = _matrix_from_json(mat, f"{where}[{key}]", parsed)
     return out
 
 
@@ -118,7 +133,7 @@ def _stratum_to_json(stratum: Stratum) -> dict:
     }
 
 
-def _ring_from_json(data: dict, where: str) -> PureHodgeRing:
+def _ring_from_json(data: dict, where: str, parsed: Parsed) -> PureHodgeRing:
     dim = _require(data, "dimension", int, where)
     hodge_raw = _require(data, "hodge", dict, where)
     hodge: dict[int, dict[tuple[int, int], int]] = {}
@@ -152,10 +167,15 @@ def _ring_from_json(data: dict, where: str) -> PureHodgeRing:
             raise SchemaError(f"{where}: mult[{key}] must be a list")
         mult[
             ((left[0], left[1][0], left[1][1]), (right[0], right[1][0], right[1][1]))
-        ] = [_matrix_from_json(sheet, f"{where}.mult[{key}]") for sheet in sheets]
-    unit = _vector_from_json(_require(data, "unit", list, where), f"{where}.unit")
+        ] = [
+            _matrix_from_json(sheet, f"{where}.mult[{key}]", parsed)
+            for sheet in sheets
+        ]
+    unit = _vector_from_json(
+        _require(data, "unit", list, where), f"{where}.unit", parsed
+    )
     fundamental = _vector_from_json(
-        _require(data, "fundamental", list, where), f"{where}.fundamental"
+        _require(data, "fundamental", list, where), f"{where}.fundamental", parsed
     )
     return PureHodgeRing(
         dim=dim, hodge=hodge, mult=mult, unit=unit, fundamental=fundamental
@@ -217,6 +237,7 @@ def atlas_from_json(data) -> StrataAtlas:
     if len(set(components)) != len(components):
         raise SchemaError("component names must be distinct")
     strata_raw = _require(data, "strata", list, "top level")
+    parsed: Parsed = {}
     strata: list[Stratum] = []
     for i, entry in enumerate(strata_raw):
         where = f"strata[{i}]"
@@ -228,7 +249,7 @@ def atlas_from_json(data) -> StrataAtlas:
         label = entry.get("label", "")
         if not isinstance(label, str):
             raise SchemaError(f"{where}: label must be a string")
-        ring = _ring_from_json(entry, where)
+        ring = _ring_from_json(entry, where, parsed)
         strata.append(Stratum(indices=tuple(indices_raw), label=label, ring=ring))
 
     def read_maps(field: str):
@@ -243,7 +264,7 @@ def atlas_from_json(data) -> StrataAtlas:
                 to_key = key_from_string(_require(entry, "to", str, where))
             except BadParams as exc:
                 raise SchemaError(f"{where}: {exc}") from None
-            blocks = _blocks_from_json(entry.get("blocks", {}), where)
+            blocks = _blocks_from_json(entry.get("blocks", {}), where, parsed)
             pair = (from_key, to_key)
             if pair in out:
                 raise SchemaError(f"{where}: duplicate map {pair}")
@@ -269,7 +290,7 @@ def atlas_from_json(data) -> StrataAtlas:
             skey = key_from_string(_require(entry, "stratum", str, where))
         except BadParams as exc:
             raise SchemaError(f"{where}: {exc}") from None
-        cls = _vector_from_json(_require(entry, "class", list, where), where)
+        cls = _vector_from_json(_require(entry, "class", list, where), where, parsed)
         key = (name_to_index[name], skey)
         if key in divisor_classes:
             raise SchemaError(f"{where}: duplicate divisor class {key}")
