@@ -19,6 +19,10 @@ its simplex with one more component and lands on that meet's level; it is
 the Cech differential, and out of the ambient simplex the restriction to
 level 0.
 
+Layout: in each weight row the (degree, type) slot (m, ab) is keyed by term,
+term -> (offset, dim), with the terms in sort_key order and their slices
+stacked from offset 0; placing a block reads both endpoints by lookup.
+
 Sign conventions: removing the r-th element (1-based, ascending order) of a
 residue set carries (-1)^(r-1) times a Koszul factor (-1)^p, and the same
 rule without the Koszul factor drives the Cech direction.  Cones are
