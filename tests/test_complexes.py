@@ -11,6 +11,7 @@ from nchodge.complexes import (
     build,
     coker_v_rows,
     cone_morphism,
+    cone_rows,
     morphism_i_star,
     morphism_u,
     rows_constant,
@@ -351,6 +352,11 @@ def _every_family(atlas):
     return [(selector, build(atlas, selector)) for selector in selectors]
 
 
+CONE_ATLASES = LAYOUT_ATLASES + [
+    pytest.param(functools.partial(generic_arrangement, 3, 4), id="generic(3,4)")
+]
+
+
 class TestRowLayout:
     """Each (degree, type) slot of a weight row stacks the slices of its
     terms contiguously from 0, in PureTerm.sort_key order."""
@@ -386,6 +392,32 @@ class TestRowLayout:
                             for ab, _ in term_slices(atlas, t):
                                 with pytest.raises(DimensionMismatch):
                                     row.offset(m, t, ab)
+
+    @pytest.mark.parametrize("make", CONE_ATLASES)
+    def test_cone_slot_is_source_then_target(self, make):
+        """Slot (m, ab) of a cone is the source slot (m, ab) followed by the
+        target slot (m-1, ab), so a slice of a cone vector is a vector of
+        either end."""
+        atlas = make()
+        for selector in ("XD", "XD-tilde", "locD", "locD-tilde"):
+            morphism = cone_morphism(atlas, selector)
+            cone = cone_rows(morphism)
+            for q, row in cone.rows.items():
+                src = morphism.source.row(q)
+                tgt = morphism.target.row(q)
+                for (m, ab), slot in row.layout.items():
+                    n_src = src.dim(m, ab)
+                    expected = [
+                        (dataclasses.replace(t, side="s"), place)
+                        for t, place in src.layout.get((m, ab), {}).items()
+                    ] + [
+                        (
+                            dataclasses.replace(t, side="t", shift=t.shift + 1),
+                            (off + n_src, d),
+                        )
+                        for t, (off, d) in tgt.layout.get((m - 1, ab), {}).items()
+                    ]
+                    assert list(slot.items()) == expected, (selector, q, m, ab)
 
 
 class TestCechStep:

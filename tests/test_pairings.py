@@ -4,10 +4,12 @@ import pytest
 
 from nchodge.atlas import generic_arrangement
 from nchodge.complexes import build, morphism_u, morphism_v, rows_constant, rows_log, rows_semisimplicial_log, rows_sum_strata
-from nchodge.errors import EmptyDivisor
+from nchodge.errors import DimensionMismatch, EmptyDivisor
 from nchodge.linalg import RationalMatrix, rank
 from nchodge.pairings import (
     GradedPairing,
+    _block_matrix,
+    _class_map,
     chain_map_check,
     cup_extraordinary,
     cup_log_XD,
@@ -171,6 +173,46 @@ class TestFrozenRanks:
         tcv = compute_table(ext.target)
         m = induced_pairing(ext, tcu, td, 1, 1, tcv)
         assert m.is_zero()
+
+
+class TestNotACycleClass:
+    """A vector that is not a cycle has no class: both class maps say so."""
+
+    # In the triangle's local rows, H^1_D in block (w=2, (1,1)) times
+    # H^0(D) in block (w=0, (0,0)) lands in a slot whose differential is
+    # nonzero.
+    LEFT, RIGHT = (1, 2, (1, 1)), (0, 0, (0, 0))
+
+    @staticmethod
+    def _non_cycle(family, q, m, ab):
+        return next(
+            e
+            for qq, mm, aabb, e in family.iter_basis()
+            if (qq, mm, aabb) == (q, m, ab) and family.apply_d(q, m, e)
+        )
+
+    def test_class_map_image_not_a_cycle(self, triangle):
+        ext = cup_extraordinary(triangle)
+        tcu = compute_table(ext.left)
+        tcv = compute_table(ext.target)
+        bad_elem = self._non_cycle(ext.target, 2, 1, (1, 1))
+        bad = ext.target.flatten(2, 1, (1, 1), bad_elem)
+        with pytest.raises(DimensionMismatch) as info:
+            _class_map(tcu, tcv, 1, 1, 2, (1, 1), lambda rep: bad)
+        assert str(info.value) == "map into coker(v): image is not a cycle class"
+
+    def test_block_matrix_product_not_a_cycle(self, triangle, monkeypatch):
+        ext = cup_extraordinary(triangle)
+        tcu = compute_table(ext.left)
+        td = compute_table(ext.right)
+        tcv = compute_table(ext.target)
+        bad = self._non_cycle(ext.target, 2, 1, (1, 1))
+        monkeypatch.setattr(ext, "evaluate", lambda left, right: bad)
+        with pytest.raises(DimensionMismatch) as info:
+            _block_matrix(ext, tcu, td, tcv, self.LEFT, self.RIGHT)
+        assert str(info.value) == (
+            "locD x D -> locD: product of classes is not a cycle class"
+        )
 
 
 class TestFujiki:
