@@ -22,6 +22,8 @@ level 0.
 Layout: in each weight row the (degree, type) slot (m, ab) is keyed by term,
 term -> (offset, dim), with the terms in sort_key order and their slices
 stacked from offset 0; placing a block reads both endpoints by lookup.
+Cone terms sort by side, so a cone slot (m, ab) is the source slot (m, ab)
+followed by the target slot (m-1, ab).
 
 Sign conventions: removing the r-th element (1-based, ascending order) of a
 residue set carries (-1)^(r-1) times a Koszul factor (-1)^p, and the same
@@ -378,6 +380,10 @@ def cone_rows(morphism: RowMorphism) -> RowFamily:
 
     Degree m consists of the source in degree m and the target in degree
     m-1, so the cone fits before the source in the long exact sequence.
+    Source terms sort first (side "s" before "t"), so slot (m, ab) is the
+    source slot (m, ab) followed by the target slot (m-1, ab), its offsets
+    moved up by the source slot's dim: a slice or a zero pad carries a cone
+    vector to or from either end.
     """
     if not morphism.is_chain_map():
         raise NotChainMap(f"cone of {morphism.label or 'morphism'}: not a chain map")
@@ -388,9 +394,7 @@ def cone_rows(morphism: RowMorphism) -> RowFamily:
         t: dataclasses.replace(t, side="t", shift=t.shift + 1)
         for t in morphism.target.terms
     }
-    terms = tuple(as_src[t] for t in morphism.source.terms) + tuple(
-        as_tgt[t] for t in morphism.target.terms
-    )
+    terms = (*as_src.values(), *as_tgt.values())
     blocks: dict[tuple[PureTerm, PureTerm], TermBlock] = {}
     for (t1, t2), block in morphism.source.blocks.items():
         blocks[(as_src[t1], as_src[t2])] = dict(block)

@@ -13,7 +13,6 @@ chain_map_check verifies the Leibniz identity on every basis vector.
 
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 
 from .atlas import StrataAtlas, restrict
@@ -35,7 +34,6 @@ from .linalg import (
     CohomologySpace,
     RationalMatrix,
     Vector,
-    pairing_perfect,
     rank,
     solve,
 )
@@ -229,9 +227,7 @@ def chain_map_check(pairing: GradedPairing) -> bool:
 
 def express_in_space(space: CohomologySpace | None, vec: Vector) -> Vector | None:
     """Coordinates of a cycle's class in the representative basis."""
-    if space is None:
-        return () if all(x == 0 for x in vec) else None
-    columns = list(space.representatives) + list(space.boundaries)
+    columns = () if space is None else (*space.representatives, *space.boundaries)
     if not columns:
         return () if all(x == 0 for x in vec) else None
     matrix = RationalMatrix.from_columns(columns, len(vec))
@@ -239,6 +235,14 @@ def express_in_space(space: CohomologySpace | None, vec: Vector) -> Vector | Non
     if sol is None:
         return None
     return sol[: len(space.representatives)]
+
+
+def _classes(space: CohomologySpace | None, cycles, failure: str) -> list[Vector]:
+    """Class coordinates of each cycle; a non-cycle raises DimensionMismatch."""
+    out = [express_in_space(space, vec) for vec in cycles]
+    if any(coords is None for coords in out):
+        raise DimensionMismatch(failure)
+    return out
 
 
 def _perfect_into_top(
@@ -249,13 +253,10 @@ def _perfect_into_top(
     left_block: tuple[int, int, Bidegree],
     right_block: tuple[int, int, Bidegree],
 ) -> tuple[bool, str]:
-    """Perfectness of one block pairing valued in the top block.
-
-    A line-valued pairing is perfect iff its Gram matrix is; when the top
-    block has several dimensions (a divisor with several connected
-    components) the pairing is perfect iff both induced maps into the
-    top-valued dual are injective.
-    """
+    """Perfectness of one block pairing valued in the top block: both
+    induced maps into the top-valued dual are injective.  The blocks have
+    equal positive dimension, so into a one-dimensional top block this is
+    the Gram matrix having full rank."""
     block = _block_matrix(
         pairing, left_table, right_table, target_table, left_block, right_block
     )
@@ -264,27 +265,20 @@ def _perfect_into_top(
     dl = left_table.dim(mi, q1, ab1)
     dr = right_table.dim(mj, q2, ab2)
     top = block.ncols
-    if top == 1:
-        gram = RationalMatrix(
-            [[block.rows[i * dr + j][0] for j in range(dr)] for i in range(dl)],
-            ncols=dr,
-        )
-        return pairing_perfect(gram), f"rank {rank(gram)} of {dl}"
+    # row (i, j) of the block is the product of left class i and right class j
+    pairs = block.rows
     left_flat = RationalMatrix(
-        [
-            [block.rows[i * dr + j][s] for j in range(dr) for s in range(top)]
-            for i in range(dl)
-        ],
+        [[x for j in range(dr) for x in pairs[i * dr + j]] for i in range(dl)],
         ncols=dr * top,
     )
     right_flat = RationalMatrix(
-        [
-            [block.rows[i * dr + j][s] for i in range(dl) for s in range(top)]
-            for j in range(dr)
-        ],
+        [[x for i in range(dl) for x in pairs[i * dr + j]] for j in range(dr)],
         ncols=dl * top,
     )
-    ok = rank(left_flat) == dl and rank(right_flat) == dr
+    r_left = rank(left_flat)
+    ok = r_left == dl and rank(right_flat) == dr
+    if top == 1:
+        return ok, f"rank {r_left} of {dl}"
     return ok, f"two-sided injectivity into a {top} dimensional top block"
 
 
@@ -302,23 +296,20 @@ def _block_matrix(
     mj, q2, ab2 = right_block
     mt, qt, abt = mi + mj, q1 + q2, (ab1[0] + ab2[0], ab1[1] + ab2[1])
     space = target_table.space(mt, qt, abt)
-    left_reps = left_table.representatives(mi, q1, ab1)
-    right_reps = right_table.representatives(mj, q2, ab2)
-    target_dim = 0 if space is None else space.dim
-    rows = []
-    for lrep in left_reps:
-        le = pairing.left.unflatten(q1, mi, ab1, lrep)
-        for rrep in right_reps:
-            re = pairing.right.unflatten(q2, mj, ab2, rrep)
-            product = pairing.evaluate(le, re)
-            vec = pairing.target.flatten(qt, mt, abt, product)
-            coords = express_in_space(space, vec)
-            if coords is None:
-                raise DimensionMismatch(
-                    f"{pairing.label}: product of classes is not a cycle class"
-                )
-            rows.append(coords)
-    return RationalMatrix(rows, ncols=target_dim)
+    products = (
+        pairing.evaluate(
+            pairing.left.unflatten(q1, mi, ab1, lrep),
+            pairing.right.unflatten(q2, mj, ab2, rrep),
+        )
+        for lrep in left_table.representatives(mi, q1, ab1)
+        for rrep in right_table.representatives(mj, q2, ab2)
+    )
+    rows = _classes(
+        space,
+        (pairing.target.flatten(qt, mt, abt, product) for product in products),
+        f"{pairing.label}: product of classes is not a cycle class",
+    )
+    return RationalMatrix(rows, ncols=0 if space is None else space.dim)
 
 
 def induced_pairing(
@@ -337,30 +328,24 @@ def induced_pairing(
     """
     if target_table is None:
         target_table = compute_table(pairing.target)
-    target_order: list[tuple[int, Bidegree, int]] = []
+    offsets: dict[tuple[int, Bidegree], int] = {}
+    width = 0
     for q, ab, d in target_table.entries(i + j):
-        for idx in range(d):
-            target_order.append((q, ab, idx))
+        offsets[(q, ab)] = width
+        width += d
     rows: list[list[Fraction]] = []
-    for q1, ab1, d1 in left_table.entries(i):
-        for q2, ab2, d2 in right_table.entries(j):
+    for q1, ab1, _ in left_table.entries(i):
+        for q2, ab2, _ in right_table.entries(j):
             block = _block_matrix(
                 pairing, left_table, right_table, target_table,
                 (i, q1, ab1), (j, q2, ab2),
             )
-            qt, abt = q1 + q2, (ab1[0] + ab2[0], ab1[1] + ab2[1])
-            base = 0
-            spread = {}
-            for q, ab, idx in target_order:
-                if (q, ab) == (qt, abt):
-                    spread[idx] = base
-                base += 1
+            base = offsets.get((q1 + q2, (ab1[0] + ab2[0], ab1[1] + ab2[1])), 0)
             for row in block.rows:
-                expanded = [Fraction(0)] * len(target_order)
-                for idx, value in enumerate(row):
-                    expanded[spread[idx]] = value
+                expanded = [Fraction(0)] * width
+                expanded[base : base + len(row)] = row
                 rows.append(expanded)
-    return RationalMatrix(rows, ncols=len(target_order))
+    return RationalMatrix(rows, ncols=width)
 
 
 # -- reports ------------------------------------------------------------------
@@ -469,21 +454,6 @@ def fujiki_duality_report(atlas: StrataAtlas) -> CheckReport:
 # -- long exact sequences ------------------------------------------------------
 
 
-def _strip_cone_source(elem: Element) -> Element:
-    out: Element = {}
-    for (t, ab), vec in elem.items():
-        if t.side == "s":
-            out[(dataclasses.replace(t, side=""), ab)] = vec
-    return out
-
-
-def _inject_cone_target(elem: Element) -> Element:
-    return {
-        (dataclasses.replace(t, side="t", shift=t.shift + 1), ab): vec
-        for (t, ab), vec in elem.items()
-    }
-
-
 def _class_map(
     src_table: MixedHodgeTable,
     dst_table: MixedHodgeTable,
@@ -496,16 +466,12 @@ def _class_map(
     """Matrix of the map H^m_src(src) -> H^m_dst(dst) in block (q, ab) that
     sends the class of a cycle vector c to the class of transform(c)."""
     space = dst_table.space(m_dst, q, ab)
-    target_dim = 0 if space is None else space.dim
-    cols = []
-    for rep in src_table.representatives(m_src, q, ab):
-        coords = express_in_space(space, transform(rep))
-        if coords is None:
-            raise DimensionMismatch(
-                f"map into {dst_table.label}: image is not a cycle class"
-            )
-        cols.append(coords)
-    return RationalMatrix.from_columns(cols, target_dim)
+    cols = _classes(
+        space,
+        map(transform, src_table.representatives(m_src, q, ab)),
+        f"map into {dst_table.label}: image is not a cycle class",
+    )
+    return RationalMatrix.from_columns(cols, 0 if space is None else space.dim)
 
 
 def _exact_at(
@@ -539,23 +505,21 @@ def _sequence_checks(
 ) -> tuple[MixedHodgeTable, MixedHodgeTable, MixedHodgeTable]:
     """Exactness of ... -> H^i(cone) -> H^i(src) -> H^i(dst) -> H^{i+1}(cone) -> ...
 
+    By the slot rule of cone_rows both maps at the cone are a slice or a pad.
     Returns the tables of the cone, the source and the target.
     """
     cone_name, src_name, dst_name = names
     cone_table = compute_table(cone_rows(morphism))
     src_table = compute_table(morphism.source)
     dst_table = compute_table(morphism.target)
-    cone, src, dst = cone_table.family, src_table.family, dst_table.family
     connecting: dict[tuple[int, int, Bidegree], RationalMatrix] = {}
 
     def delta(m: int, q: int, ab: Bidegree) -> RationalMatrix:
         """H^m(dst) -> H^{m+1}(cone), y |-> class of (0, y)."""
         if (m, q, ab) not in connecting:
+            pad = (0,) * morphism.source.row(q).dim(m + 1, ab)
             connecting[(m, q, ab)] = _class_map(
-                dst_table, cone_table, m, m + 1, q, ab,
-                lambda y: cone.flatten(
-                    q, m + 1, ab, _inject_cone_target(dst.unflatten(q, m, ab, y))
-                ),
+                dst_table, cone_table, m, m + 1, q, ab, lambda y: pad + y
             )
         return connecting[(m, q, ab)]
 
@@ -578,11 +542,9 @@ def _sequence_checks(
         for q, ab in sorted(blocks):
             where = f"[w={q},({ab[0]},{ab[1]})] ({tag})"
             # (x, y) |-> x
+            n_src = morphism.source.row(q).dim(i, ab)
             proj_here = _class_map(
-                cone_table, src_table, i, i, q, ab,
-                lambda v: src.flatten(
-                    q, i, ab, _strip_cone_source(cone.unflatten(q, i, ab, v))
-                ),
+                cone_table, src_table, i, i, q, ab, lambda v: v[:n_src]
             )
             _exact_at(
                 lines, f"{cone_name}^{i}{where}", delta(i - 1, q, ab), proj_here,
