@@ -100,17 +100,11 @@ class PureHodgeRing:
         """Matrix of `x * -` from slice (j2, ab2) to the target slice."""
         target_dim = self.slice_dim(j1 + j2, (ab1[0] + ab2[0], ab1[1] + ab2[1]))
         right_dim = self.slice_dim(j2, ab2)
-        rows = [[Fraction(0)] * right_dim for _ in range(target_dim)]
-        key = ((j1, ab1[0], ab1[1]), (j2, ab2[0], ab2[1]))
-        tensors = self.mult.get(key)
-        if tensors is not None and target_dim > 0:
-            for u, coeff in enumerate(x):
-                if coeff == 0:
-                    continue
-                for i in range(target_dim):
-                    for m in range(right_dim):
-                        rows[i][m] += coeff * tensors[u].rows[i][m]
-        return RationalMatrix(rows, ncols=right_dim)
+        columns = [
+            self.mult_apply(j1, ab1, x, j2, ab2, unit_vector(right_dim, m))
+            for m in range(right_dim)
+        ]
+        return RationalMatrix.from_columns(columns, target_dim)
 
     def product(self, x: GradedVector, y: GradedVector) -> GradedVector:
         """x*y in the slice it lands in (zeros if that slice is absent)."""
