@@ -143,7 +143,7 @@ def _run_verify(args) -> int:
     if args.config or args.family:
         atlas = _load(args)
     suite = args.suite.strip().lower()
-    if suite != "logforms" and atlas is None:
+    if suite in SUITES and suite != "logforms" and atlas is None:
         raise BadParams(f"suite {suite!r} needs --config or --family")
     report = run_suite(
         suite, atlas=atlas, seed=args.seed, degree_bound=args.degree_bound

@@ -131,6 +131,12 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--family", "p1_1pt", "--suite", "wat")
         assert code == 2
 
+    def test_unknown_suite_without_atlas(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "bogus")
+        assert code == 2
+        assert out == ""
+        assert "unknown suite 'bogus'" in err
+
     @pytest.mark.parametrize("suite", ["logforms", "all"])
     @pytest.mark.parametrize("bound", ["0", "-1"])
     def test_vacuous_degree_bound_rejected(self, capsys, suite, bound):
