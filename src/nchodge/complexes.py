@@ -380,10 +380,8 @@ def cone_rows(morphism: RowMorphism) -> RowFamily:
 
     Degree m consists of the source in degree m and the target in degree
     m-1, so the cone fits before the source in the long exact sequence.
-    Source terms sort first (side "s" before "t"), so slot (m, ab) is the
-    source slot (m, ab) followed by the target slot (m-1, ab), its offsets
-    moved up by the source slot's dim: a slice or a zero pad carries a cone
-    vector to or from either end.
+    Source terms sort first: slot (m, ab) is the source slot (m, ab), then
+    the target slot (m-1, ab) at offsets moved up by the source slot's dim.
     """
     if not morphism.is_chain_map():
         raise NotChainMap(f"cone of {morphism.label or 'morphism'}: not a chain map")
@@ -394,7 +392,9 @@ def cone_rows(morphism: RowMorphism) -> RowFamily:
         t: dataclasses.replace(t, side="t", shift=t.shift + 1)
         for t in morphism.target.terms
     }
-    terms = (*as_src.values(), *as_tgt.values())
+    terms = tuple(as_src[t] for t in morphism.source.terms) + tuple(
+        as_tgt[t] for t in morphism.target.terms
+    )
     blocks: dict[tuple[PureTerm, PureTerm], TermBlock] = {}
     for (t1, t2), block in morphism.source.blocks.items():
         blocks[(as_src[t1], as_src[t2])] = dict(block)
