@@ -8,6 +8,8 @@ from nchodge.atlas import generic_arrangement, key_to_string
 from nchodge.complexes import (
     SELECTORS,
     PureTerm,
+    RowFamily,
+    RowMorphism,
     build,
     coker_v_rows,
     cone_morphism,
@@ -19,6 +21,7 @@ from nchodge.complexes import (
     rows_semisimplicial_log,
     rows_stratum_log,
     rows_sum_strata,
+    scale_block,
     term_slices,
 )
 from nchodge.errors import BadParams, DimensionMismatch, EmptyDivisor, UnknownStratum
@@ -52,6 +55,55 @@ class TestDifferentials:
         for selector in SELECTORS:
             fam = build(triangle, selector)
             assert euler_check(fam, compute_table(fam))
+
+
+def _scaled(blocks, pair, factor):
+    """The block dict with the one block at `pair` scaled by `factor`."""
+    return {**blocks, pair: scale_block(blocks[pair], factor)}
+
+
+def _failures_under_doubling(family):
+    """How many of the family's term blocks break d² = 0 when doubled alone."""
+    return sum(
+        not RowFamily(
+            family.atlas, family.label, family.terms, _scaled(family.blocks, pair, 2)
+        ).differentials_square_to_zero()
+        for pair in family.blocks
+    )
+
+
+class TestChecksCanFail:
+    """Each check returns False once one block of its input is corrupted."""
+
+    def test_doubled_block_breaks_d_squared_on_triangle_xd(self, triangle):
+        family = build(triangle, "XD")
+        assert len(family.blocks) == 12
+        assert _failures_under_doubling(family) == 9
+
+    def test_doubled_block_breaks_d_squared_on_generic_divisor(self):
+        family = rows_sum_strata(generic_arrangement(3, 4))
+        assert len(family.blocks) == 36
+        assert _failures_under_doubling(family) == 24
+
+    def test_doubled_block_breaks_chain_map(self, triangle):
+        mor = morphism_i_star(
+            triangle, rows_constant(triangle), rows_sum_strata(triangle)
+        )
+        assert len(mor.blocks) == 6
+        broken = [
+            not RowMorphism(
+                mor.source, mor.target, _scaled(mor.blocks, pair, 2)
+            ).is_chain_map()
+            for pair in mor.blocks
+        ]
+        assert sum(broken) == 3
+
+    def test_zeroed_block_breaks_injectivity(self, triangle):
+        mor = morphism_u(triangle, rows_constant(triangle), rows_log(triangle))
+        assert len(mor.blocks) == 3
+        for pair in mor.blocks:
+            zeroed = RowMorphism(mor.source, mor.target, _scaled(mor.blocks, pair, 0))
+            assert not zeroed.blockwise_injective()
 
 
 class TestConeConventions:

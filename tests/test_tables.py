@@ -1,6 +1,8 @@
+import dataclasses
+
 from nchodge.atlas import generic_arrangement
 from nchodge.complexes import build
-from nchodge.tables import compare_tables, compute_table, euler_check
+from nchodge.tables import MixedHodgeTable, compare_tables, compute_table, euler_check
 
 
 def table_of(atlas, selector):
@@ -57,6 +59,13 @@ class TestCompare:
         assert d.differences
         assert any("degree" in line for line in str(d).splitlines())
 
+    def test_unequal_names_every_differing_block(self, triangle, p1_2pts):
+        d = compare_tables(table_of(triangle, "log"), table_of(p1_2pts, "log"))
+        assert d.differences == (
+            "degree 1, weight 2, type (1, 1): log has 2, log has 1",
+            "degree 2, weight 4, type (2, 2): log has 1, log has 0",
+        )
+
 
 class TestEuler:
     def test_all_selectors(self, p1_2pts):
@@ -67,3 +76,12 @@ class TestEuler:
     def test_empty_family(self):
         fam = build(generic_arrangement(1, 0), "locD")
         assert euler_check(fam, compute_table(fam))
+
+    def test_one_wrong_dim_fails(self, triangle):
+        fam = build(triangle, "log")
+        table = compute_table(fam)
+        assert len(table.spaces) == 6
+        for key, space in table.spaces.items():
+            raised = dataclasses.replace(space, dim=space.dim + 1)
+            spaces = {**table.spaces, key: raised}
+            assert not euler_check(fam, MixedHodgeTable(fam, spaces))

@@ -16,10 +16,10 @@ and 3.  The commands above build their atlas from `--family`; so that the
 document reader is covered too, `compute --config fixtures/<name>.json` runs
 every selector in json on the four committed fixture documents, and one
 larger `compute --family generic --dim 3 --hyperplanes 5 --complex XD-tilde`
-follows.  Two commands close the corpus: `verify --family generic --dim 3
+follows.  Four commands close the corpus: `verify --family generic --dim 3
 --hyperplanes 4 --suite les --format json` and the same with `--suite
-fujiki`, an arrangement whose cone slots hold many terms.  Every command
-runs from the repository root.
+fujiki`, `--suite cup` and `--suite consistency`, an arrangement whose cone
+slots hold many terms.  Every command runs from the repository root.
 tests/test_golden_outputs.py reruns them and compares.
 """
 
@@ -82,7 +82,7 @@ def commands() -> list[str]:
         "compute --family generic --dim 3 --hyperplanes 5 --complex XD-tilde "
         "--format json"
     )
-    for suite in ("les", "fujiki"):
+    for suite in ("les", "fujiki", "cup", "consistency"):
         out.append(
             f"verify --family generic --dim 3 --hyperplanes 4 --suite {suite} "
             "--format json"
