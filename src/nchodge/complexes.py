@@ -19,9 +19,10 @@ its simplex with one more component and lands on that meet's level; it is
 the Cech differential, and out of the ambient simplex the restriction to
 level 0.
 
-Layout: in each weight row the (degree, type) slot (m, ab) is keyed by term,
-term -> (offset, dim), with the terms in sort_key order and their slices
-stacked from offset 0; placing a block reads both endpoints by lookup.
+Layout: a weight row's slots are the keys (m, ab) of its dims, each with a
+positive dim, and every walk reads them through RowFamily.slots().  A slot
+maps each term to (offset, dim), terms in sort_key order and their slices
+stacked from offset 0, so placing a block reads both endpoints by lookup.
 Cone terms sort by side, so a cone slot (m, ab) is the source slot (m, ab)
 followed by the target slot (m-1, ab).
 
@@ -262,11 +263,11 @@ class RowFamily:
         row = self.rows.get(q)
         return WeightRow(q) if row is None else row
 
-    def degrees(self) -> tuple[int, ...]:
-        out = set()
-        for row in self.rows.values():
-            out.update(row.degrees())
-        return tuple(sorted(out))
+    def slots(self):
+        """Yield (q, m, ab) for every slot, by weight and then sorted (m, ab)."""
+        for q in self.weights():
+            for m, ab in sorted(self.rows[q].dims):
+                yield q, m, ab
 
     def flatten(self, q: int, m: int, ab: Bidegree, elem: Element) -> Vector:
         row = self.row(q)
@@ -292,31 +293,26 @@ class RowFamily:
     def apply_d(self, q: int, m: int, elem: Element) -> Element:
         row = self.row(q)
         out: Element = {}
-        for ab in row.types_at(m):
+        # d keeps the type, so a type the element lacks contributes nothing
+        for ab in sorted({ab for _, ab in elem}):
             image = row.d(m, ab).apply(self.flatten(q, m, ab, elem))
             out.update(self.unflatten(q, m + 1, ab, image))
         return out
 
     def iter_basis(self):
         """Yield (q, m, ab, elem) for every basis vector of every slot."""
-        for q in self.weights():
-            row = self.rows[q]
-            for m in row.degrees():
-                for ab in row.types_at(m):
-                    for t, (off, d) in row.layout[(m, ab)].items():
-                        for i in range(d):
-                            yield q, m, ab, {(t, ab): unit_vector(d, i)}
+        for q, m, ab in self.slots():
+            for t, (off, d) in self.rows[q].layout[(m, ab)].items():
+                for i in range(d):
+                    yield q, m, ab, {(t, ab): unit_vector(d, i)}
 
     def differentials_square_to_zero(self) -> bool:
-        for q in self.weights():
+        for q, m, ab in self.slots():
             row = self.rows[q]
-            for m in row.degrees():
-                for ab in row.types_at(m):
-                    d_here = row.d(m, ab)
-                    d_next = row.d(m + 1, ab)
-                    if d_here.nrows and d_here.ncols and d_next.nrows:
-                        if not (d_next @ d_here).is_zero():
-                            return False
+            d_here = row.d(m, ab)
+            d_next = row.d(m + 1, ab)
+            if d_here.nrows and d_next.nrows and not (d_next @ d_here).is_zero():
+                return False
         return True
 
 
@@ -347,31 +343,21 @@ class RowMorphism:
         return mat
 
     def is_chain_map(self) -> bool:
-        weights = set(self.source.weights()) | set(self.target.weights())
-        for q in weights:
-            src_row = self.source.row(q)
-            dst_row = self.target.row(q)
-            degrees = set(src_row.degrees()) | set(dst_row.degrees())
-            for m in degrees:
-                abs_here = set(src_row.types_at(m)) | set(dst_row.types_at(m))
-                abs_next = set(src_row.types_at(m + 1)) | set(dst_row.types_at(m + 1))
-                for ab in abs_here | abs_next:
-                    left = dst_row.d(m, ab) @ self.matrix(q, m, ab)
-                    right = self.matrix(q, m + 1, ab) @ src_row.d(m, ab)
-                    if left != right:
-                        return False
+        # out of a slot the source lacks both sides have no columns
+        for q, m, ab in self.source.slots():
+            left = self.target.row(q).d(m, ab) @ self.matrix(q, m, ab)
+            right = self.matrix(q, m + 1, ab) @ self.source.rows[q].d(m, ab)
+            if left != right:
+                return False
         return True
 
     def blockwise_injective(self) -> bool:
         from .linalg import reduce as _reduce
 
-        for q in self.source.weights():
-            src_row = self.source.row(q)
-            for m in src_row.degrees():
-                for ab in src_row.types_at(m):
-                    mat = self.matrix(q, m, ab)
-                    if _reduce(mat).rank < mat.ncols:
-                        return False
+        for q, m, ab in self.source.slots():
+            mat = self.matrix(q, m, ab)
+            if _reduce(mat).rank < mat.ncols:
+                return False
         return True
 
 

@@ -336,7 +336,6 @@ class CohomologySpace:
 
     dim: int
     representatives: tuple[Vector, ...]
-    cycles: tuple[Vector, ...]
     boundaries: tuple[Vector, ...]
 
 
@@ -361,7 +360,6 @@ def cohomology_at(d_in: RationalMatrix, d_out: RationalMatrix) -> CohomologySpac
     return CohomologySpace(
         dim=len(representatives),
         representatives=representatives,
-        cycles=cycles,
         boundaries=boundaries,
     )
 

@@ -523,44 +523,37 @@ def _sequence_checks(
             )
         return connecting[(m, q, ab)]
 
-    degrees = sorted(
-        set(cone_table.degrees()) | set(src_table.degrees()) | set(dst_table.degrees())
-    )
-    if not degrees:
-        return cone_table, src_table, dst_table
-    for i in range(min(degrees), max(degrees) + 2):
-        blocks = {
-            (q, ab)
-            for table, m in (
-                (cone_table, i),
-                (src_table, i),
-                (dst_table, i),
-                (dst_table, i - 1),
-            )
-            for q, ab, _ in table.entries(m)
-        }
-        for q, ab in sorted(blocks):
-            where = f"[w={q},({ab[0]},{ab[1]})] ({tag})"
-            # (x, y) |-> x
-            n_src = morphism.source.row(q).dim(i, ab)
-            proj_here = _class_map(
-                cone_table, src_table, i, i, q, ab, lambda v: v[:n_src]
-            )
-            _exact_at(
-                lines, f"{cone_name}^{i}{where}", delta(i - 1, q, ab), proj_here,
-                cone_table.dim(i, q, ab),
-            )
-            f_here = _class_map(
-                src_table, dst_table, i, i, q, ab, morphism.matrix(q, i, ab).apply
-            )
-            _exact_at(
-                lines, f"{src_name}^{i}{where}", proj_here, f_here,
-                src_table.dim(i, q, ab),
-            )
-            _exact_at(
-                lines, f"{dst_name}^{i}{where}", f_here, delta(i, q, ab),
-                dst_table.dim(i, q, ab),
-            )
+    # every nonzero block at its degree, and the target's also one up,
+    # where its connecting map starts
+    blocks = {
+        (m + up, q, ab)
+        for table, ups in ((cone_table, (0,)), (src_table, (0,)), (dst_table, (0, 1)))
+        for (m, q, ab), space in table.spaces.items()
+        if space.dim
+        for up in ups
+    }
+    for i, q, ab in sorted(blocks):
+        where = f"[w={q},({ab[0]},{ab[1]})] ({tag})"
+        # (x, y) |-> x
+        n_src = morphism.source.row(q).dim(i, ab)
+        proj_here = _class_map(
+            cone_table, src_table, i, i, q, ab, lambda v: v[:n_src]
+        )
+        _exact_at(
+            lines, f"{cone_name}^{i}{where}", delta(i - 1, q, ab), proj_here,
+            cone_table.dim(i, q, ab),
+        )
+        f_here = _class_map(
+            src_table, dst_table, i, i, q, ab, morphism.matrix(q, i, ab).apply
+        )
+        _exact_at(
+            lines, f"{src_name}^{i}{where}", proj_here, f_here,
+            src_table.dim(i, q, ab),
+        )
+        _exact_at(
+            lines, f"{dst_name}^{i}{where}", f_here, delta(i, q, ab),
+            dst_table.dim(i, q, ab),
+        )
     return cone_table, src_table, dst_table
 
 

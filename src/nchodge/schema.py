@@ -310,15 +310,20 @@ def dumps_atlas(atlas: StrataAtlas) -> str:
 
 
 def save_atlas(atlas: StrataAtlas, path) -> None:
-    Path(path).write_text(dumps_atlas(atlas))
+    Path(path).write_text(dumps_atlas(atlas), encoding="utf-8")
 
 
 def load_atlas(path) -> StrataAtlas:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"atlas document is not UTF-8: {exc}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise SchemaError("invalid JSON: nested too deeply") from None
     return atlas_from_json(data)
 
 

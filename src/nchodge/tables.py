@@ -88,16 +88,9 @@ class MixedHodgeTable:
 def compute_table(family: RowFamily) -> MixedHodgeTable:
     """Blockwise cohomology of every weight row of the family."""
     spaces: dict[BlockKey, CohomologySpace] = {}
-    for q in family.weights():
+    for q, m, ab in family.slots():
         row = family.rows[q]
-        degrees = row.degrees()
-        if not degrees:
-            continue
-        for m in range(min(degrees), max(degrees) + 1):
-            for ab in row.types_at(m):
-                if row.dim(m, ab) == 0:
-                    continue
-                spaces[(m, q, ab)] = cohomology_at(row.d(m - 1, ab), row.d(m, ab))
+        spaces[(m, q, ab)] = cohomology_at(row.d(m - 1, ab), row.d(m, ab))
     return MixedHodgeTable(family=family, spaces=spaces)
 
 
@@ -115,37 +108,22 @@ class TableDiff:
 def compare_tables(left: MixedHodgeTable, right: MixedHodgeTable) -> TableDiff:
     """Blockwise comparison of dimensions (representatives may differ)."""
     diffs = []
-    degrees = sorted(set(left.degrees()) | set(right.degrees()))
-    for m in degrees:
-        blocks = sorted(
-            {(q, ab) for q, ab, _ in left.entries(m)}
-            | {(q, ab) for q, ab, _ in right.entries(m)}
-        )
-        for q, ab in blocks:
-            dl = left.dim(m, q, ab)
-            dr = right.dim(m, q, ab)
-            if dl != dr:
-                diffs.append(
-                    f"degree {m}, weight {q}, type {ab}: "
-                    f"{left.label} has {dl}, {right.label} has {dr}"
-                )
+    for m, q, ab in sorted(set(left.spaces) | set(right.spaces)):
+        dl = left.dim(m, q, ab)
+        dr = right.dim(m, q, ab)
+        if dl != dr:
+            diffs.append(
+                f"degree {m}, weight {q}, type {ab}: "
+                f"{left.label} has {dl}, {right.label} has {dr}"
+            )
     return TableDiff(equal=not diffs, differences=tuple(diffs))
 
 
 def euler_check(family: RowFamily, table: MixedHodgeTable) -> bool:
     """Alternating sums of term dimensions must match those of cohomology,
     separately in every (weight, type) block."""
-    for q in family.weights():
-        row = family.rows[q]
-        blocks = {ab for (m, ab) in row.dims}
-        for ab in blocks:
-            chi_terms = sum(
-                (-1) ** m * row.dim(m, ab) for m in row.degrees()
-            )
-            chi_cohomology = sum(
-                (-1) ** m * table.dim(m, q, ab)
-                for m in range(min(row.degrees()) - 1, max(row.degrees()) + 2)
-            )
-            if chi_terms != chi_cohomology:
-                return False
-    return True
+    chi: dict[tuple[int, Bidegree], int] = {}
+    for q, m, ab in family.slots():
+        excess = family.rows[q].dim(m, ab) - table.dim(m, q, ab)
+        chi[(q, ab)] = chi.get((q, ab), 0) + (-1) ** m * excess
+    return not any(chi.values())

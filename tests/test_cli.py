@@ -88,6 +88,20 @@ class TestCompute:
                          "--complex", "X")
         assert code == 2
 
+    def test_undecodable_config_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{")
+        code, _, err = run(capsys, "compute", "--config", str(path), "--complex", "X")
+        assert code == 2
+        assert err.startswith("error: ")
+
+    def test_deeply_nested_config_file(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        code, _, err = run(capsys, "compute", "--config", str(path), "--complex", "X")
+        assert code == 2
+        assert err.startswith("error: ")
+
     def test_nbhd_selector(self, capsys):
         code, out, _ = run(capsys, "compute", "--family", "p1_1pt",
                            "--complex", "nbhd:0")
