@@ -73,7 +73,7 @@ def _failures_under_doubling(family):
 
 
 class TestChecksCanFail:
-    """Each check returns False once one block of its input is corrupted."""
+    """How many one-block corruptions of its input each check catches."""
 
     def test_doubled_block_breaks_d_squared_on_triangle_xd(self, triangle):
         family = build(triangle, "XD")
