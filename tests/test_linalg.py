@@ -51,6 +51,32 @@ class TestRationalMatrix:
         with pytest.raises(AttributeError):
             m.rows = ()
 
+    def test_value_semantics(self):
+        same = [M([[2]]), M([[Fraction(4, 2)]]), M([["2"]])]
+        assert same[0] == same[1] == same[2]
+        assert len({hash(m) for m in same}) == 1
+        assert M([[1, 0], [0, "1/2"]]) != M([[1, 0], [0, Fraction(1, 3)]])
+        assert M([], ncols=2) != M([], ncols=3)
+
+    def test_zeros_and_identity_equal_their_literals(self):
+        assert RationalMatrix.zeros(2, 3) == M([[0, 0, 0], [0, 0, 0]])
+        assert RationalMatrix.zeros(0, 3) == M([], ncols=3)
+        assert RationalMatrix.identity(2) == M([[1, 0], [0, 1]])
+        assert hash(RationalMatrix.identity(2)) == hash(M([[1, 0], [0, 1]]))
+
+    def test_views_hand_out_fractions(self):
+        m = M([[2, 0], ["1/2", Fraction(6, 3)]])
+        assert all(type(x) is Fraction for row in m.rows for x in row)
+        assert all(type(x) is Fraction for x in m.column(0) + m.column(1))
+        assert all(type(x) is Fraction for x in m.apply([1, 0]))
+        assert m.rows == ((2, 0), (Fraction(1, 2), 2))
+
+    def test_rows_cannot_be_assigned(self):
+        m = M([[1, 2]])
+        with pytest.raises(AttributeError):
+            m.rows = ((Fraction(3), Fraction(4)),)
+        assert m == M([[1, 2]])
+
     def test_matmul_shapes(self):
         a = M([[1, 2], [3, 4], [5, 6]])
         b = M([[1, 0, 0], [0, 1, 0]])

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import reference_linalg as ref
 from nchodge.errors import CompositionNonzero
-from nchodge.linalg import EchelonSpan, RationalMatrix, cohomology_at, reduce
+from nchodge.linalg import EchelonSpan, RationalMatrix, cohomology_at, reduce, solve
 
 # Nonzero entries: unit and non-unit ints, and proper rationals.
 VALUES = (1, -1, 2, -3, Fraction(1, 2), 3, -2, Fraction(-2, 3), Fraction(3, 4))
@@ -48,6 +48,15 @@ def matrices(draw):
 def matrix_and_vector(draw):
     m = draw(matrices())
     return m, draw_entries(draw, 1, m.ncols).rows[0]
+
+
+@st.composite
+def systems(draw):
+    """A matrix and a right-hand side: half the time one it reaches."""
+    m, x = draw(matrix_and_vector())
+    if draw(st.booleans()):
+        return m, m.apply(x)
+    return m, draw_entries(draw, 1, m.nrows).rows[0]
 
 
 @st.composite
@@ -90,6 +99,22 @@ def test_apply_matches_reference(pair):
     m, v = pair
     got = m.apply(v)
     assert got == ref.apply(m, v)
+    assert all_fractions([got])
+
+
+@given(systems())
+def test_solve_answers_match_reference(system):
+    m, rhs = system
+    got = solve(m, rhs)
+    if got is None:
+        augmented = RationalMatrix(
+            [(*row, b) for row, b in zip(m.rows, rhs)], ncols=m.ncols + 1
+        )
+        assert ref.reduce(augmented).rank > ref.reduce(m).rank
+        return
+    assert m.apply(got) == tuple(rhs)
+    pivots = set(ref.reduce(m).pivots)
+    assert all(x == 0 for j, x in enumerate(got) if j not in pivots)
     assert all_fractions([got])
 
 
