@@ -188,7 +188,7 @@ def _place_blocks(
 ) -> dict[tuple[int, int, Bidegree], RationalMatrix]:
     """Sum term-to-term blocks into one matrix per (q, source degree, type),
     placing each block at its terms' offsets in the source and target rows."""
-    scratch: dict[tuple[int, int, Bidegree], list[list[Fraction]]] = {}
+    placed: dict[tuple[int, int, Bidegree], tuple[tuple[int, int], list]] = {}
     for (t1, t2), block in blocks.items():
         src_row = source.row(t1.q)
         dst_row = target.row(t2.q)
@@ -200,18 +200,13 @@ def _place_blocks(
                     f"block {t1.describe()} -> {t2.describe()} at {ab}: "
                     f"shape {mat.shape}, expected {(d2, d1)}"
                 )
-            key = (t1.q, t1.m, ab)
-            work = scratch.get(key)
-            if work is None:
-                work = [
-                    [Fraction(0)] * src_row.dims[(t1.m, ab)]
-                    for _ in range(dst_row.dims[(t2.m, ab)])
-                ]
-                scratch[key] = work
-            for i in range(d2):
-                for jj in range(d1):
-                    work[off2 + i][off1 + jj] += mat.rows[i][jj]
-    return {key: RationalMatrix(work) for key, work in scratch.items()}
+            shape = (dst_row.dims[(t2.m, ab)], src_row.dims[(t1.m, ab)])
+            _, parts = placed.setdefault((t1.q, t1.m, ab), (shape, []))
+            parts.append((off2, off1, mat))
+    return {
+        key: RationalMatrix.from_blocks(*shape, parts)
+        for key, (shape, parts) in placed.items()
+    }
 
 
 class RowFamily:

@@ -1,13 +1,14 @@
 """Exact linear algebra over the rationals.
 
 Everything downstream reduces to kernels, images and quotients of matrices
-with Fraction entries.  Storage is dense: matrices are immutable row-major
-tuples of Fractions, vectors are tuples of Fractions, and every result this
-module hands out has that form.  The work is sparse: products skip zero
-entries, and elimination runs on sparse rows `{column: value}` whose values
-stay Python ints until a division forces a Fraction (an integral Fraction
-becomes an int again).  The first-pivot rule is unchanged: rows are taken
-top to bottom and each residual is pivoted at its leftmost nonzero column.
+with rational entries.  A matrix stores one tuple of sparse rows
+`{column: value}` whose values stay Python ints until a division forces a
+Fraction (an integral Fraction becomes an int again); products, sums, block
+placement and elimination all read and build these rows.  What the module
+hands out is dense: vectors are tuples of Fractions, and `rows` is a dense
+view of Fractions built on each access.  The first-pivot rule is unchanged:
+rows are taken top to bottom and each residual is pivoted at its leftmost
+nonzero column.
 Reduced row echelon form is unique, so pivots, RREF and every basis derived
 from them are those of the leftmost-column, topmost-row elimination, and are
 deterministic for a given input.
@@ -54,15 +55,22 @@ def _int_first(x):
     return x if type(x) is int or x.denominator != 1 else x.numerator
 
 
-def _nonzeros(entries: Iterable) -> list[tuple[int, object]]:
-    return [(j, _int_first(x)) for j, x in enumerate(entries) if x]
+def _sparse(entries: Sequence) -> SparseRow:
+    """The nonzero entries of a dense row; every entry is checked."""
+    out: SparseRow = {}
+    for j, x in enumerate(entries):
+        if type(x) is not int:
+            x = _int_first(x if type(x) is Fraction else _frac(x))
+        if x:
+            out[j] = x
+    return out
 
 
-def _dense(row: SparseRow, length: int) -> list[Fraction]:
+def _dense(row: SparseRow, length: int) -> Vector:
     out = [_ZERO] * length
     for j, x in row.items():
         out[j] = _frac(x)
-    return out
+    return tuple(out)
 
 
 def _residual(basis: dict[int, SparseRow], row: SparseRow) -> SparseRow:
@@ -102,141 +110,144 @@ def _subtract(row: SparseRow, factor, other: SparseRow) -> None:
 
 
 class RationalMatrix:
-    """Immutable dense matrix over Fraction.
+    """Immutable matrix over the rationals, stored as sparse rows that are
+    never changed after construction; `rows` is a dense view of Fractions.
 
     `ncols` must be passed explicitly when there are no rows; otherwise it is
     inferred and checked against every row.
     """
 
-    __slots__ = ("rows", "nrows", "ncols")
+    __slots__ = ("_rows", "nrows", "ncols")
 
     def __init__(self, rows: Iterable[Iterable], ncols: int | None = None):
-        data = tuple(tuple(_frac(x) for x in row) for row in rows)
-        if data:
-            width = len(data[0])
-            for row in data:
-                if len(row) != width:
-                    raise DimensionMismatch("ragged rows in matrix literal")
-            if ncols is not None and ncols != width:
-                raise DimensionMismatch(
-                    f"declared {ncols} columns, rows have {width}"
-                )
-            ncols = width
-        elif ncols is None:
-            ncols = 0
-        object.__setattr__(self, "rows", data)
-        object.__setattr__(self, "nrows", len(data))
+        data = [tuple(row) for row in rows]
+        sparse = tuple(map(_sparse, data))
+        width = len(data[0]) if data else ncols or 0
+        if any(len(row) != width for row in data):
+            raise DimensionMismatch("ragged rows in matrix literal")
+        if ncols is not None and ncols != width:
+            raise DimensionMismatch(f"declared {ncols} columns, rows have {width}")
+        self._init(sparse, width)
+
+    def _init(self, rows: tuple[SparseRow, ...], ncols: int) -> None:
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "nrows", len(rows))
         object.__setattr__(self, "ncols", ncols)
+
+    @classmethod
+    def _from_sparse(cls, rows: Sequence[SparseRow], ncols: int) -> "RationalMatrix":
+        """A matrix that takes ownership of integer-first sparse rows."""
+        out = cls.__new__(cls)
+        out._init(tuple(rows), ncols)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalMatrix is immutable")
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "RationalMatrix":
-        return cls([[0] * ncols for _ in range(nrows)], ncols=ncols)
+        return cls._from_sparse([{}] * nrows, ncols)
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._from_sparse([{i: 1} for i in range(n)], n)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Vector], nrows: int) -> "RationalMatrix":
-        for col in columns:
+        rows: list[SparseRow] = [{} for _ in range(nrows)]
+        for j, col in enumerate(columns):
             if len(col) != nrows:
                 raise DimensionMismatch("column length disagrees with nrows")
-        return cls(
-            [[col[i] for col in columns] for i in range(nrows)],
-            ncols=len(columns),
-        )
+            for i, x in _sparse(col).items():
+                rows[i][j] = x
+        return cls._from_sparse(rows, len(columns))
+
+    @classmethod
+    def from_blocks(
+        cls, nrows: int, ncols: int, blocks: Iterable[tuple[int, int, "RationalMatrix"]]
+    ) -> "RationalMatrix":
+        """The nrows x ncols sum of blocks, each `(row_off, col_off, matrix)`
+        placed with its top left entry at (row_off, col_off)."""
+        rows: list[SparseRow] = [{} for _ in range(nrows)]
+        for r, c, mat in blocks:
+            if min(r, c) < 0 or r + mat.nrows > nrows or c + mat.ncols > ncols:
+                raise DimensionMismatch(
+                    f"block {mat.shape} at {(r, c)} leaves a {(nrows, ncols)} matrix"
+                )
+            for i, row in enumerate(mat._rows, r):
+                _subtract(rows[i], -1, {j + c: x for j, x in row.items()})
+        return cls._from_sparse(rows, ncols)
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
 
+    @property
+    def rows(self) -> tuple[Vector, ...]:
+        """The entries as dense rows of Fractions."""
+        return tuple(_dense(row, self.ncols) for row in self._rows)
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RationalMatrix)
             and self.shape == other.shape
-            and self.rows == other.rows
+            and self._rows == other._rows
         )
 
     def __hash__(self) -> int:
-        return hash((self.shape, self.rows))
+        return hash((self.shape, tuple(frozenset(r.items()) for r in self._rows)))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
         return f"RationalMatrix({self.nrows}x{self.ncols}: {body})"
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.rows for x in row)
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            ncols=self.nrows,
-        )
+        return not any(self._rows)
 
     def column(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.rows)
-
-    def columns(self) -> tuple[Vector, ...]:
-        return tuple(self.column(j) for j in range(self.ncols))
+        return tuple(_frac(row[j]) if j in row else _ZERO for row in self._rows)
 
     def apply(self, v: Sequence) -> Vector:
         if len(v) != self.ncols:
             raise DimensionMismatch(
                 f"matrix has {self.ncols} columns, vector has {len(v)}"
             )
-        right = _nonzeros(vector(v))
-        return tuple(
-            _frac(sum(_int_first(row[i]) * x for i, x in right if row[i]))
-            for row in self.rows
-        )
+        right = _sparse(v).items()
+        out = []
+        for row in self._rows:
+            total = sum(row[i] * x for i, x in right if i in row)
+            out.append(_frac(total) if total else _ZERO)
+        return tuple(out)
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.ncols != other.nrows:
             raise DimensionMismatch(
                 f"cannot compose {self.shape} with {other.shape}"
             )
-        right = [_nonzeros(row) for row in other.rows]
+        right = other._rows
         out = []
-        for row in self.rows:
+        for row in self._rows:
             acc: SparseRow = {}
-            for k, a in _nonzeros(row):
-                for j, b in right[k]:
+            for k, a in row.items():
+                for j, b in right[k].items():
                     acc[j] = acc.get(j, 0) + a * b
-            out.append(_dense(acc, other.ncols))
-        return RationalMatrix(out, ncols=other.ncols)
+            out.append({j: _int_first(x) for j, x in acc.items() if x})
+        return RationalMatrix._from_sparse(out, other.ncols)
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.shape != other.shape:
             raise DimensionMismatch(f"cannot add {self.shape} and {other.shape}")
-        return RationalMatrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ],
-            ncols=self.ncols,
+        return RationalMatrix.from_blocks(
+            self.nrows, self.ncols, [(0, 0, self), (0, 0, other)]
         )
-
-    def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return self + other.scale(-1)
-
-    def __neg__(self) -> "RationalMatrix":
-        return self.scale(-1)
 
     def scale(self, c) -> "RationalMatrix":
-        c = _frac(c)
-        return RationalMatrix(
-            [[c * x for x in row] for row in self.rows], ncols=self.ncols
-        )
-
-    def hstack(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.nrows != other.nrows:
-            raise DimensionMismatch("hstack needs equal row counts")
-        return RationalMatrix(
-            [r1 + r2 for r1, r2 in zip(self.rows, other.rows)],
-            ncols=self.ncols + other.ncols,
+        c = _int_first(_frac(c))
+        if not c:
+            return RationalMatrix.zeros(self.nrows, self.ncols)
+        return RationalMatrix._from_sparse(
+            [{j: _int_first(c * x) for j, x in row.items()} for row in self._rows],
+            self.ncols,
         )
 
 
@@ -260,26 +271,21 @@ class ReducedMatrix:
 def reduce(matrix: RationalMatrix) -> ReducedMatrix:
     ncols = matrix.ncols
     basis: dict[int, SparseRow] = {}
-    for row in matrix.rows:
-        _absorb(basis, dict(_nonzeros(row)))
+    for row in matrix._rows:
+        _absorb(basis, dict(row))
     pivots = sorted(basis)
-    rows = [_dense(basis[p], ncols) for p in pivots]
-    rows += [[_ZERO] * ncols] * (matrix.nrows - len(pivots))
-    kernel = []
-    for free in range(ncols):
-        if free in basis:
-            continue
-        vec = [_ZERO] * ncols
-        vec[free] = Fraction(1)
-        for p in pivots:
-            vec[p] = _frac(-basis[p].get(free, 0))
-        kernel.append(tuple(vec))
+    kernel = tuple(
+        _dense({free: 1, **{p: -r[free] for p, r in basis.items() if free in r}}, ncols)
+        for free in range(ncols)
+        if free not in basis
+    )
+    rows = [basis[p] for p in pivots] + [{}] * (matrix.nrows - len(pivots))
     return ReducedMatrix(
         matrix=matrix,
-        rref=RationalMatrix(rows, ncols=ncols),
+        rref=RationalMatrix._from_sparse(rows, ncols),
         rank=len(pivots),
         pivots=tuple(pivots),
-        kernel=tuple(kernel),
+        kernel=kernel,
         image=tuple(matrix.column(p) for p in pivots),
     )
 
@@ -298,7 +304,7 @@ class EchelonSpan:
     def _row(self, v: Sequence) -> SparseRow:
         if len(v) != self.length:
             raise DimensionMismatch("vector length disagrees with span arity")
-        return dict(_nonzeros(vector(v)))
+        return _sparse(v)
 
     def add(self, v: Sequence) -> bool:
         """Add `v` to the span; True iff it was independent of the span."""
@@ -313,17 +319,18 @@ class EchelonSpan:
 
 
 def solve(matrix: RationalMatrix, rhs: Sequence) -> Vector | None:
-    """One solution of `matrix @ x = rhs` (free variables zero), or None."""
+    """One solution of `matrix @ x = rhs` (free variables zero), or None:
+    None iff eliminating `[matrix | rhs]` makes the last column a pivot."""
     if len(rhs) != matrix.nrows:
         raise DimensionMismatch("right-hand side length disagrees with matrix")
-    augmented = matrix.hstack(RationalMatrix.from_columns([vector(rhs)], matrix.nrows))
-    red = reduce(augmented)
-    if matrix.ncols in red.pivots:
+    n = matrix.ncols
+    right = _sparse(rhs)
+    basis: dict[int, SparseRow] = {}
+    for i, row in enumerate(matrix._rows):
+        _absorb(basis, {**row, n: right[i]} if i in right else dict(row))
+    if n in basis:
         return None
-    x = [Fraction(0)] * matrix.ncols
-    for i, p in enumerate(red.pivots):
-        x[p] = red.rref.rows[i][matrix.ncols]
-    return tuple(x)
+    return _dense({p: row[n] for p, row in basis.items() if n in row}, n)
 
 
 @dataclass(frozen=True)
@@ -345,15 +352,11 @@ def cohomology_at(d_in: RationalMatrix, d_out: RationalMatrix) -> CohomologySpac
         raise DimensionMismatch(
             f"incoming target {d_in.nrows} disagrees with outgoing source {d_out.ncols}"
         )
-    if d_in.ncols > 0 and d_out.nrows > 0:
-        if not (d_out @ d_in).is_zero():
-            raise CompositionNonzero(
-                "consecutive differentials do not compose to zero"
-            )
+    if d_in.ncols > 0 and d_out.nrows > 0 and not (d_out @ d_in).is_zero():
+        raise CompositionNonzero("consecutive differentials do not compose to zero")
     cycles = reduce(d_out).kernel
     boundaries = reduce(d_in).image
-    n = d_in.nrows
-    span = EchelonSpan(n)
+    span = EchelonSpan(d_in.nrows)
     for b in boundaries:
         span.add(b)
     representatives = tuple(c for c in cycles if span.add(c))

@@ -13,8 +13,6 @@ chain_map_check verifies the Leibniz identity on every basis vector.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .atlas import StrataAtlas, restrict
 from .complexes import (
     Element,
@@ -333,7 +331,8 @@ def induced_pairing(
     for q, ab, d in target_table.entries(i + j):
         offsets[(q, ab)] = width
         width += d
-    rows: list[list[Fraction]] = []
+    blocks = []
+    nrows = 0
     for q1, ab1, _ in left_table.entries(i):
         for q2, ab2, _ in right_table.entries(j):
             block = _block_matrix(
@@ -341,11 +340,9 @@ def induced_pairing(
                 (i, q1, ab1), (j, q2, ab2),
             )
             base = offsets.get((q1 + q2, (ab1[0] + ab2[0], ab1[1] + ab2[1])), 0)
-            for row in block.rows:
-                expanded = [Fraction(0)] * width
-                expanded[base : base + len(row)] = row
-                rows.append(expanded)
-    return RationalMatrix(rows, ncols=width)
+            blocks.append((nrows, base, block))
+            nrows += block.nrows
+    return RationalMatrix.from_blocks(nrows, width, blocks)
 
 
 # -- reports ------------------------------------------------------------------

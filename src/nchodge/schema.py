@@ -34,7 +34,8 @@ def _require(data: dict, key: str, kind, where: str):
     if key not in data:
         raise SchemaError(f"{where}: missing field {key!r}")
     value = data[key]
-    if not isinstance(value, kind):
+    # a JSON boolean loads as a bool, which Python counts as an int
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise SchemaError(f"{where}: field {key!r} has the wrong type")
     return value
 
@@ -49,6 +50,8 @@ Parsed = dict[str, Fraction]  # rational string -> its value, for one load
 def _rational(entry, parsed: Parsed) -> Fraction:
     """One matrix or vector entry; a string is parsed once per load."""
     if type(entry) is not str:
+        if type(entry) is bool:
+            raise TypeError(f"cannot coerce {entry!r} to an exact rational")
         return _frac(entry)
     value = parsed.get(entry)
     if value is None:
@@ -148,7 +151,7 @@ def _ring_from_json(data: dict, where: str, parsed: Parsed) -> PureHodgeRing:
             if not (
                 isinstance(entry, list)
                 and len(entry) == 3
-                and all(isinstance(x, int) for x in entry)
+                and all(type(x) is int for x in entry)
             ):
                 raise SchemaError(f"{where}: bad hodge entry {entry!r}")
             a, b, d = entry
@@ -244,7 +247,7 @@ def atlas_from_json(data) -> StrataAtlas:
         if not isinstance(entry, dict):
             raise SchemaError(f"{where}: must be an object")
         indices_raw = _require(entry, "indices", list, where)
-        if not all(isinstance(x, int) for x in indices_raw):
+        if not all(type(x) is int for x in indices_raw):
             raise SchemaError(f"{where}: indices must be integers")
         label = entry.get("label", "")
         if not isinstance(label, str):

@@ -97,18 +97,32 @@ class TestRationalMatrix:
     def test_from_columns_round_trip(self):
         cols = (vector([1, 2]), vector([3, 4]))
         m = RationalMatrix.from_columns(cols, 2)
-        assert m.columns() == cols
-        assert m.transpose().rows == ((Fraction(1), Fraction(2)), (Fraction(3), Fraction(4)))
+        assert tuple(m.column(j) for j in range(m.ncols)) == cols
+        transpose = RationalMatrix.from_columns(m.rows, m.ncols)
+        assert transpose.rows == ((Fraction(1), Fraction(2)), (Fraction(3), Fraction(4)))
 
-    def test_hstack(self):
+    def test_from_blocks_side_by_side(self):
         a = M([[1], [2]])
         b = M([[3], [4]])
-        assert a.hstack(b) == M([[1, 3], [2, 4]])
+        placed = RationalMatrix.from_blocks(2, 2, [(0, 0, a), (0, 1, b)])
+        assert placed == M([[1, 3], [2, 4]])
+
+    def test_from_blocks_sums_overlaps(self):
+        a = M([[1, "1/2"], [2, 0]])
+        blocks = [(1, 1, a), (1, 1, a.scale(-1)), (0, 1, a)]
+        placed = RationalMatrix.from_blocks(3, 3, blocks)
+        assert placed == M([[0, 1, "1/2"], [0, 2, 0], [0, 0, 0]])
+        assert RationalMatrix.from_blocks(2, 0, []) == RationalMatrix.zeros(2, 0)
+
+    @pytest.mark.parametrize("offsets", [(2, 0), (0, 2), (-1, 0), (0, -1)])
+    def test_from_blocks_rejects_a_block_that_leaves_the_matrix(self, offsets):
+        with pytest.raises(DimensionMismatch):
+            RationalMatrix.from_blocks(2, 2, [(*offsets, M([[1]]))])
 
     def test_arithmetic(self):
         a = M([[1, 2], [3, 4]])
-        assert a + (-a) == RationalMatrix.zeros(2, 2)
-        assert a - a == RationalMatrix.zeros(2, 2)
+        assert a + a.scale(-1) == RationalMatrix.zeros(2, 2)
+        assert a + a == a.scale(2)
         assert a.scale(Fraction(1, 2)).rows[1][1] == Fraction(2)
 
 
@@ -147,7 +161,8 @@ class TestReduce:
         rng = random.Random(5)
         for _ in range(20):
             m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-            assert rank(m) == rank(m.transpose())
+            transpose = RationalMatrix.from_columns(m.rows, m.ncols)
+            assert rank(m) == rank(transpose)
 
 
 class TestSolve:
@@ -233,7 +248,7 @@ class TestCohomology:
             mid = rng.randint(1, 4)
             d_in = random_matrix(rng, mid, rng.randint(0, 3))
             # build d_out vanishing on the image of d_in: rows from the left kernel
-            left = reduce(d_in.transpose()).kernel
+            left = reduce(RationalMatrix.from_columns(d_in.rows, d_in.ncols)).kernel
             d_out = RationalMatrix([list(v) for v in left], ncols=mid)
             h = cohomology_at(d_in, d_out)
             assert h.dim == mid - rank(d_in) - rank(d_out)

@@ -118,6 +118,22 @@ def test_solve_answers_match_reference(system):
     assert all_fractions([got])
 
 
+@given(SIDES, SIDES, st.data())
+def test_from_blocks_matches_dense_placement(nrows, ncols, data):
+    dense = [[Fraction(0)] * ncols for _ in range(nrows)]
+    blocks = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        r, c = data.draw(st.integers(0, nrows)), data.draw(st.integers(0, ncols))
+        block = draw_matrix(data.draw, nrows - r, ncols - c)
+        blocks.append((r, c, block))
+        for i, row in enumerate(block.rows):
+            for j, x in enumerate(row):
+                dense[r + i][c + j] += x
+    got = RationalMatrix.from_blocks(nrows, ncols, blocks)
+    assert got == RationalMatrix(dense, ncols=ncols)
+    assert got.rows == tuple(map(tuple, dense))
+
+
 @given(composable_pairs())
 def test_matmul_matches_reference(pair):
     a, b = pair

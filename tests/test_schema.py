@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from nchodge.atlas import generic_arrangement, key_from_string, validate_atlas
+from nchodge.cli import main
 from nchodge.errors import DimensionMismatch, SchemaError
 from nchodge.fixtures import BUILTIN_NAMES, builtin_atlas
 from nchodge.schema import (
@@ -124,6 +125,7 @@ BAD_ENTRIES = {
     "1/0": "Fraction(1, 0)",
     1.5: "cannot coerce 1.5 to an exact rational",
     None: "cannot coerce None to an exact rational",
+    True: "cannot coerce True to an exact rational",
 }
 
 
@@ -155,3 +157,45 @@ class TestRationalEntries:
         assert again["strata"][0]["mult"]["0,0,0|0,0,0"][0][0][0] == "-3/2"
         assert again["restrictions"][0]["blocks"]["0,0,0"][0][0] == "1/2"
         assert again["strata"][0]["fundamental"][0] == "-3/2"
+
+
+def _set_dimension(data):
+    data["strata"][0]["dimension"] = True
+
+
+def _set_indices(data):
+    data["strata"][1]["indices"] = [False]
+
+
+def _set_hodge(data):
+    data["strata"][0]["hodge"]["0"][0] = [0, 0, True]
+
+
+BOOLEAN_FIELDS = {
+    "dimension": (_set_dimension, "strata[0]: field 'dimension' has the wrong type"),
+    "indices": (_set_indices, "strata[1]: indices must be integers"),
+    "hodge": (_set_hodge, "strata[0]: bad hodge entry [0, 0, True]"),
+}
+
+
+class TestBooleanFields:
+    """A JSON boolean is no integer, though Python's bool is an int."""
+
+    @pytest.mark.parametrize("field", sorted(BOOLEAN_FIELDS))
+    def test_boolean_names_its_field(self, field):
+        corrupt, message = BOOLEAN_FIELDS[field]
+        data = atlas_to_json(builtin_atlas("p1_1pt"))
+        corrupt(data)
+        with pytest.raises(SchemaError) as info:
+            atlas_from_json(data)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("field", sorted(BOOLEAN_FIELDS))
+    def test_cli_exits_two(self, field, tmp_path, capsys):
+        corrupt, message = BOOLEAN_FIELDS[field]
+        data = atlas_to_json(builtin_atlas("p1_1pt"))
+        corrupt(data)
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(data))
+        assert main(["compute", "--config", str(path), "--complex", "log"]) == 2
+        assert message in capsys.readouterr().err
