@@ -56,7 +56,7 @@ def _int_first(x):
 
 
 def _sparse(entries: Sequence) -> SparseRow:
-    """The nonzero entries of a dense row; every entry is checked."""
+    """The nonzero entries of a dense row; `_frac` checks each non-int."""
     out: SparseRow = {}
     for j, x in enumerate(entries):
         if type(x) is not int:
@@ -166,8 +166,8 @@ class RationalMatrix:
     def from_blocks(
         cls, nrows: int, ncols: int, blocks: Iterable[tuple[int, int, "RationalMatrix"]]
     ) -> "RationalMatrix":
-        """The nrows x ncols sum of blocks, each `(row_off, col_off, matrix)`
-        placed with its top left entry at (row_off, col_off)."""
+        """The nrows x ncols sum of blocks, each `(r, c, matrix)` placed with
+        its top left entry at row r, column c."""
         rows: list[SparseRow] = [{} for _ in range(nrows)]
         for r, c, mat in blocks:
             if min(r, c) < 0 or r + mat.nrows > nrows or c + mat.ncols > ncols:
