@@ -18,6 +18,7 @@ from nchodge.linalg import EchelonSpan, RationalMatrix, cohomology_at, reduce, s
 # Nonzero entries: unit and non-unit ints, and proper rationals.
 VALUES = (1, -1, 2, -3, Fraction(1, 2), 3, -2, Fraction(-2, 3), Fraction(3, 4))
 SIDES = st.integers(0, 6)
+NONEMPTY = st.integers(1, 6)
 RANKS = st.integers(0, 3)
 DENSITIES = st.sampled_from([0, 10, 50, 100])  # percent of nonzero cells
 CELLS = st.integers(0, 99)
@@ -63,6 +64,24 @@ def systems(draw):
 def composable_pairs(draw):
     a = draw(matrices())
     return a, draw_matrix(draw, a.ncols, draw(SIDES))
+
+
+@st.composite
+def complexes(draw):
+    """`(d_in, d_out)` with `d_out @ d_in == 0`: each column of `d_in` is a
+    drawn combination of the reference kernel basis of `d_out`."""
+    d_out = draw_matrix(draw, draw(SIDES), draw(NONEMPTY))
+    kernel = ref.reduce(d_out).kernel
+    cycles = RationalMatrix.from_columns(kernel, d_out.ncols)
+    return ref.matmul(cycles, draw_matrix(draw, len(kernel), draw(NONEMPTY))), d_out
+
+
+def permuted_rows(m: RationalMatrix, order) -> RationalMatrix:
+    return RationalMatrix([m.rows[i] for i in order], ncols=m.ncols)
+
+
+def permuted_columns(m: RationalMatrix, order) -> RationalMatrix:
+    return RationalMatrix([[row[j] for j in order] for row in m.rows], ncols=len(order))
 
 
 def all_fractions(vectors) -> bool:
@@ -160,3 +179,41 @@ def test_single_nonzero_composition_raises(n_src, n_mid, n_dst, data, a, b):
     assert sum(1 for row in product.rows for x in row if x) == 1
     with pytest.raises(CompositionNonzero):
         cohomology_at(d_in, d_out)
+
+
+@given(complexes())
+def test_cohomology_at_matches_reference(pair):
+    d_in, d_out = pair
+    boundaries = ref.reduce(d_in).image
+    span = ref.EchelonSpan(d_in.nrows)
+    for b in boundaries:
+        span.add(b)
+    # representatives: the kernel vectors of d_out, in kernel order, that are
+    # independent of the boundaries and of the representatives before them
+    representatives = tuple(c for c in ref.reduce(d_out).kernel if span.add(c))
+    got = cohomology_at(d_in, d_out)
+    assert got.boundaries == boundaries
+    assert got.representatives == representatives
+    assert got.dim == len(representatives)
+    assert all_fractions(got.representatives + got.boundaries)
+
+
+@given(complexes(), st.data())
+def test_cohomology_at_ignores_stored_row_order(pair, data):
+    d_in, d_out = pair
+    want = cohomology_at(d_in, d_out)
+    out_order = data.draw(st.permutations(range(d_out.nrows)))
+    got = cohomology_at(d_in, permuted_rows(d_out, out_order))
+    assert got.representatives == want.representatives
+    assert got.boundaries == want.boundaries
+    # Permuting the rows of d_in relabels the middle space, so the columns of
+    # d_out move with them: the boundaries are the same vectors, relabelled.
+    mid_order = data.draw(st.permutations(range(d_in.nrows)))
+    got = cohomology_at(
+        permuted_rows(d_in, mid_order),
+        permuted_columns(permuted_rows(d_out, out_order), mid_order),
+    )
+    assert got.boundaries == tuple(
+        tuple(b[i] for i in mid_order) for b in want.boundaries
+    )
+    assert got.dim == want.dim

@@ -8,6 +8,7 @@ from nchodge.atlas import generic_arrangement, key_from_string, validate_atlas
 from nchodge.cli import main
 from nchodge.errors import DimensionMismatch, SchemaError
 from nchodge.fixtures import BUILTIN_NAMES, builtin_atlas
+from nchodge.linalg import RationalMatrix
 from nchodge.schema import (
     FORMAT,
     atlas_from_json,
@@ -199,3 +200,59 @@ class TestBooleanFields:
         path.write_text(json.dumps(data))
         assert main(["compute", "--config", str(path), "--complex", "log"]) == 2
         assert message in capsys.readouterr().err
+
+
+def _documents():
+    for name in BUILTIN_NAMES:
+        yield name, json.loads((FIXTURES / f"{name}.json").read_text())
+    yield "generic_3_5", atlas_to_json(generic_arrangement(3, 5))
+
+
+def _document_matrices(data, atlas):
+    """Each matrix literal of `data` beside the matrix `atlas` loaded for it."""
+    for entry in data["strata"]:
+        ring = atlas.strata[(tuple(entry["indices"]), entry["label"])].ring
+        for key, sheets in entry["mult"].items():
+            left, right = (tuple(map(int, half.split(","))) for half in key.split("|"))
+            for literal, loaded in zip(sheets, ring.mult[(left, right)], strict=True):
+                yield literal, loaded
+    for field in ("restrictions", "gysin"):
+        maps = getattr(atlas, field)
+        for entry in data[field]:
+            pair = (key_from_string(entry["from"]), key_from_string(entry["to"]))
+            for key, literal in entry["blocks"].items():
+                j, a, b = map(int, key.split(","))
+                yield literal, maps[pair][(j, (a, b))]
+
+
+class TestLoadPath:
+    @pytest.mark.parametrize("name, data", list(_documents()), ids=lambda x: x)
+    def test_matrices_load_as_their_dense_entries(self, name, data):
+        matrices = list(_document_matrices(data, atlas_from_json(data)))
+        assert matrices
+        for literal, loaded in matrices:
+            dense = [[Fraction(x) for x in row] for row in literal]
+            assert loaded == RationalMatrix(dense), name
+            assert loaded.rows == tuple(map(tuple, dense)), name
+
+    def test_ragged_matrix_names_its_place(self, tmp_path, capsys):
+        data = atlas_to_json(builtin_atlas("triangle"))
+        data["restrictions"][0]["blocks"]["0,0,0"] = [["1"], ["1", "2"]]
+        message = "restrictions[0][0,0,0]: ragged rows in matrix literal"
+        with pytest.raises(SchemaError) as info:
+            atlas_from_json(data)
+        assert str(info.value) == message
+        path = tmp_path / "ragged.json"
+        path.write_text(json.dumps(data))
+        assert main(["compute", "--config", str(path), "--complex", "log"]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_repeated_bad_stratum_key_is_reported_at_its_first_place(self):
+        data = atlas_to_json(builtin_atlas("triangle"))
+        data["restrictions"][1]["to"] = "2,1"
+        data["gysin"][0]["from"] = "2,1"
+        with pytest.raises(SchemaError) as info:
+            atlas_from_json(data)
+        assert str(info.value) == (
+            "restrictions[1]: bad stratum key '2,1': indices must be sorted and unique"
+        )
