@@ -6,12 +6,13 @@ with rational entries.  A matrix stores one tuple of sparse rows
 Fraction (an integral Fraction becomes an int again); products, sums, block
 placement and elimination all read and build these rows.  What the module
 hands out is dense: vectors are tuples of Fractions, and `rows` is a dense
-view of Fractions built on each access.  The first-pivot rule is unchanged:
-rows are taken top to bottom and each residual is pivoted at its leftmost
-nonzero column.
-Reduced row echelon form is unique, so pivots, RREF and every basis derived
-from them are those of the leftmost-column, topmost-row elimination, and are
-deterministic for a given input.
+view of Fractions built on each access.  `reduce`, `solve` and `cohomology_at`
+take a matrix's stored rows in increasing order of their number of nonzeros
+(a stable sort) and pivot each residual at its leftmost nonzero column.  Any
+row order is safe: reduced row echelon form depends only on the row space,
+so pivots, RREF and every basis derived from them are those of the
+leftmost-column, topmost-row elimination, and are deterministic for a given
+input.
 """
 
 from __future__ import annotations
@@ -205,7 +206,7 @@ class RationalMatrix:
         return not any(self._rows)
 
     def column(self, j: int) -> Vector:
-        return tuple(_frac(row[j]) if j in row else _ZERO for row in self._rows)
+        return _dense(_columns(self._rows, [j])[0], self.nrows)
 
     def apply(self, v: Sequence) -> Vector:
         if len(v) != self.ncols:
@@ -234,13 +235,6 @@ class RationalMatrix:
             out.append({j: _int_first(x) for j, x in acc.items() if x})
         return RationalMatrix._from_sparse(out, other.ncols)
 
-    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.shape != other.shape:
-            raise DimensionMismatch(f"cannot add {self.shape} and {other.shape}")
-        return RationalMatrix.from_blocks(
-            self.nrows, self.ncols, [(0, 0, self), (0, 0, other)]
-        )
-
     def scale(self, c) -> "RationalMatrix":
         c = _int_first(_frac(c))
         if not c:
@@ -268,25 +262,49 @@ class ReducedMatrix:
     image: tuple[Vector, ...]
 
 
-def reduce(matrix: RationalMatrix) -> ReducedMatrix:
-    ncols = matrix.ncols
+def _eliminate(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
+    """The RREF of `rows` (left unchanged) as pivot column -> row, taking the
+    shortest rows first; RREF is unique, so the order changes no entry."""
     basis: dict[int, SparseRow] = {}
-    for row in matrix._rows:
+    for row in sorted(rows, key=len):
         _absorb(basis, dict(row))
+    return basis
+
+
+def _kernel(basis: dict[int, SparseRow], ncols: int) -> list[SparseRow]:
+    """The free-variable kernel basis of an RREF, in free column order."""
+    kernel = {free: {free: 1} for free in range(ncols) if free not in basis}
+    for p, row in basis.items():
+        for j, x in row.items():
+            if j != p:
+                kernel[j][p] = -x
+    return list(kernel.values())
+
+
+def _columns(rows: Sequence[SparseRow], cols: Sequence[int]) -> list[SparseRow]:
+    """Columns `cols` of the matrix with stored `rows`, read in one pass."""
+    out: dict[int, SparseRow] = {c: {} for c in cols}
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            if j in out:
+                out[j][i] = x
+    return list(out.values())
+
+
+def reduce(matrix: RationalMatrix) -> ReducedMatrix:
+    """RREF, kernel and image; rows are eliminated shortest first, which the
+    uniqueness of RREF makes immaterial."""
+    ncols = matrix.ncols
+    basis = _eliminate(matrix._rows)
     pivots = sorted(basis)
-    kernel = tuple(
-        _dense({free: 1, **{p: -r[free] for p, r in basis.items() if free in r}}, ncols)
-        for free in range(ncols)
-        if free not in basis
-    )
     rows = [basis[p] for p in pivots] + [{}] * (matrix.nrows - len(pivots))
     return ReducedMatrix(
         matrix=matrix,
         rref=RationalMatrix._from_sparse(rows, ncols),
         rank=len(pivots),
         pivots=tuple(pivots),
-        kernel=kernel,
-        image=tuple(matrix.column(p) for p in pivots),
+        kernel=tuple(_dense(v, ncols) for v in _kernel(basis, ncols)),
+        image=tuple(_dense(c, matrix.nrows) for c in _columns(matrix._rows, pivots)),
     )
 
 
@@ -325,9 +343,9 @@ def solve(matrix: RationalMatrix, rhs: Sequence) -> Vector | None:
         raise DimensionMismatch("right-hand side length disagrees with matrix")
     n = matrix.ncols
     right = _sparse(rhs)
-    basis: dict[int, SparseRow] = {}
-    for i, row in enumerate(matrix._rows):
-        _absorb(basis, {**row, n: right[i]} if i in right else dict(row))
+    basis = _eliminate(
+        {**r, n: right[i]} if i in right else r for i, r in enumerate(matrix._rows)
+    )
     if n in basis:
         return None
     return _dense({p: row[n] for p, row in basis.items() if n in row}, n)
@@ -347,23 +365,30 @@ class CohomologySpace:
 
 
 def cohomology_at(d_in: RationalMatrix, d_out: RationalMatrix) -> CohomologySpace:
-    """Cohomology at the middle of  src --d_in--> here --d_out--> dst."""
+    """Cohomology at the middle of  src --d_in--> here --d_out--> dst.
+
+    Cycles (`d_out`'s kernel) and boundaries (`d_in`'s image) are `reduce`'s,
+    from rows eliminated shortest first, which RREF's uniqueness makes safe;
+    cycles are tested in kernel order against the boundaries as sparse rows.
+    """
     if d_in.nrows != d_out.ncols:
         raise DimensionMismatch(
             f"incoming target {d_in.nrows} disagrees with outgoing source {d_out.ncols}"
         )
     if d_in.ncols > 0 and d_out.nrows > 0 and not (d_out @ d_in).is_zero():
         raise CompositionNonzero("consecutive differentials do not compose to zero")
-    cycles = reduce(d_out).kernel
-    boundaries = reduce(d_in).image
-    span = EchelonSpan(d_in.nrows)
-    for b in boundaries:
-        span.add(b)
-    representatives = tuple(c for c in cycles if span.add(c))
+    here = d_in.nrows
+    boundaries = _columns(d_in._rows, sorted(_eliminate(d_in._rows)))
+    span = _eliminate(boundaries)
+    representatives = tuple(
+        _dense(c, here)
+        for c in _kernel(_eliminate(d_out._rows), here)
+        if _absorb(span, dict(c))
+    )
     return CohomologySpace(
         dim=len(representatives),
         representatives=representatives,
-        boundaries=boundaries,
+        boundaries=tuple(_dense(b, here) for b in boundaries),
     )
 
 

@@ -4,10 +4,12 @@ The layout mirrors the in-memory atlas: a list of component names, one object
 per stratum (indices, label, dimension, Hodge slice dimensions, the
 multiplication tensors, unit and fundamental class), restriction and Gysin
 blocks per covering pair, and the divisor classes.  All rationals are
-strings ("-3/2"), so files round-trip exactly; one load parses each distinct
-string once, through a table owned by that load alone.  Stratum references
-use the printable key form from atlas.key_to_string: "0,2" or "0,2|East",
-with the ambient space as "".
+strings ("-3/2"), so files round-trip exactly.  Stratum references use the
+printable key form from atlas.key_to_string: "0,2" or "0,2|East", with the
+ambient space as "".  One load parses each distinct string once, through
+tables that load alone owns (`_Parsed`): rational string -> value, an int
+when integral (matrices take it as is, vectors as a Fraction); stratum key
+string -> StratumKey; slice key string "j,a,b" -> (j, a, b).
 """
 
 from __future__ import annotations
@@ -20,12 +22,13 @@ from .atlas import (
     BlockMap,
     StrataAtlas,
     Stratum,
+    StratumKey,
     key_from_string,
     key_to_string,
 )
 from .errors import BadParams, NCHodgeError, SchemaError
-from .linalg import RationalMatrix, Vector, _frac
-from .rings import PureHodgeRing
+from .linalg import RationalMatrix, Vector, _frac, _int_first
+from .rings import PureHodgeRing, SliceKey
 
 FORMAT = "nc-hodge/1"
 
@@ -44,22 +47,28 @@ def _matrix_to_json(mat: RationalMatrix) -> list[list[str]]:
     return [[str(x) for x in row] for row in mat.rows]
 
 
-Parsed = dict[str, Fraction]  # rational string -> its value, for one load
+class _Parsed:
+    """The tables of one load; the module docstring says what each holds."""
+
+    def __init__(self):
+        self.rationals: dict[str, int | Fraction] = {}
+        self.strata: dict[str, StratumKey] = {}
+        self.slices: dict[str, SliceKey] = {}
 
 
-def _rational(entry, parsed: Parsed) -> Fraction:
-    """One matrix or vector entry; a string is parsed once per load."""
+def _rational(entry, parsed: _Parsed) -> int | Fraction:
+    """One matrix or vector entry, integer-first, parsed once per load."""
     if type(entry) is not str:
         if type(entry) is bool:
             raise TypeError(f"cannot coerce {entry!r} to an exact rational")
-        return _frac(entry)
-    value = parsed.get(entry)
+        return _int_first(_frac(entry))
+    value = parsed.rationals.get(entry)
     if value is None:
-        value = parsed[entry] = Fraction(entry)
+        value = parsed.rationals[entry] = _int_first(Fraction(entry))
     return value
 
 
-def _matrix_from_json(value, where: str, parsed: Parsed) -> RationalMatrix:
+def _matrix_from_json(value, where: str, parsed: _Parsed) -> RationalMatrix:
     if (
         not isinstance(value, list)
         or not value
@@ -72,45 +81,58 @@ def _matrix_from_json(value, where: str, parsed: Parsed) -> RationalMatrix:
         raise SchemaError(f"{where}: {exc}") from None
 
 
-def _vector_from_json(value, where: str, parsed: Parsed) -> Vector:
+def _vector_from_json(value, where: str, parsed: _Parsed) -> Vector:
     if not isinstance(value, list):
         raise SchemaError(f"{where}: vectors must be lists")
     try:
-        return tuple(_rational(x, parsed) for x in value)
+        return tuple(_frac(_rational(x, parsed)) for x in value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise SchemaError(f"{where}: {exc}") from None
 
 
-def _slice_key_to_string(j: int, ab) -> str:
-    return f"{j},{ab[0]},{ab[1]}"
+def _slice_key_from_string(text: str, where: str, parsed: _Parsed) -> SliceKey:
+    key = parsed.slices.get(text)
+    if key is None:
+        try:  # a wrong number of parts fails to unpack, also a ValueError
+            j, a, b = map(int, text.split(","))
+        except ValueError:
+            raise SchemaError(f"{where}: bad slice key {text!r}") from None
+        key = parsed.slices[text] = (j, a, b)
+    return key
 
 
-def _slice_key_from_string(text: str, where: str):
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise SchemaError(f"{where}: bad slice key {text!r}")
-    try:
-        j, a, b = (int(p) for p in parts)
-    except ValueError:
-        raise SchemaError(f"{where}: bad slice key {text!r}") from None
-    return j, (a, b)
+def _stratum_key(text: str, where: str, parsed: _Parsed) -> StratumKey:
+    key = parsed.strata.get(text)
+    if key is None:
+        try:
+            key = parsed.strata[text] = key_from_string(text)
+        except BadParams as exc:
+            raise SchemaError(f"{where}: {exc}") from None
+    return key
 
 
 def _blocks_to_json(blocks: BlockMap) -> dict:
     return {
-        _slice_key_to_string(j, ab): _matrix_to_json(mat)
-        for (j, ab), mat in sorted(blocks.items())
+        f"{j},{a},{b}": _matrix_to_json(mat)
+        for (j, (a, b)), mat in sorted(blocks.items())
         if mat.nrows > 0 and mat.ncols > 0
     }
 
 
-def _blocks_from_json(value, where: str, parsed: Parsed) -> BlockMap:
+def _maps_to_json(maps: dict[tuple[StratumKey, StratumKey], BlockMap]) -> list:
+    return [
+        {"from": key_to_string(a), "to": key_to_string(b), "blocks": _blocks_to_json(m)}
+        for (a, b), m in sorted(maps.items(), key=lambda item: item[0])
+    ]
+
+
+def _blocks_from_json(value, where: str, parsed: _Parsed) -> BlockMap:
     if not isinstance(value, dict):
         raise SchemaError(f"{where}: blocks must be an object")
     out: BlockMap = {}
     for key, mat in value.items():
-        j, ab = _slice_key_from_string(key, where)
-        out[(j, ab)] = _matrix_from_json(mat, f"{where}[{key}]", parsed)
+        j, a, b = _slice_key_from_string(key, where, parsed)
+        out[(j, (a, b))] = _matrix_from_json(mat, f"{where}[{key}]", parsed)
     return out
 
 
@@ -136,7 +158,7 @@ def _stratum_to_json(stratum: Stratum) -> dict:
     }
 
 
-def _ring_from_json(data: dict, where: str, parsed: Parsed) -> PureHodgeRing:
+def _ring_from_json(data: dict, where: str, parsed: _Parsed) -> PureHodgeRing:
     dim = _require(data, "dimension", int, where)
     hodge_raw = _require(data, "hodge", dict, where)
     hodge: dict[int, dict[tuple[int, int], int]] = {}
@@ -164,21 +186,17 @@ def _ring_from_json(data: dict, where: str, parsed: Parsed) -> PureHodgeRing:
         halves = key.split("|")
         if len(halves) != 2:
             raise SchemaError(f"{where}: bad mult key {key!r}")
-        left = _slice_key_from_string(halves[0], where)
-        right = _slice_key_from_string(halves[1], where)
+        left = _slice_key_from_string(halves[0], where, parsed)
+        right = _slice_key_from_string(halves[1], where, parsed)
         if not isinstance(sheets, list):
             raise SchemaError(f"{where}: mult[{key}] must be a list")
-        mult[
-            ((left[0], left[1][0], left[1][1]), (right[0], right[1][0], right[1][1]))
-        ] = [
+        mult[(left, right)] = [
             _matrix_from_json(sheet, f"{where}.mult[{key}]", parsed)
             for sheet in sheets
         ]
-    unit = _vector_from_json(
-        _require(data, "unit", list, where), f"{where}.unit", parsed
-    )
-    fundamental = _vector_from_json(
-        _require(data, "fundamental", list, where), f"{where}.fundamental", parsed
+    unit, fundamental = (
+        _vector_from_json(_require(data, name, list, where), f"{where}.{name}", parsed)
+        for name in ("unit", "fundamental")
     )
     return PureHodgeRing(
         dim=dim, hodge=hodge, mult=mult, unit=unit, fundamental=fundamental
@@ -186,29 +204,7 @@ def _ring_from_json(data: dict, where: str, parsed: Parsed) -> PureHodgeRing:
 
 
 def atlas_to_json(atlas: StrataAtlas) -> dict:
-    strata = [
-        _stratum_to_json(atlas.strata[key]) for key in atlas.keys_sorted()
-    ]
-    restrictions = [
-        {
-            "from": key_to_string(skey),
-            "to": key_to_string(tkey),
-            "blocks": _blocks_to_json(blocks),
-        }
-        for (skey, tkey), blocks in sorted(
-            atlas.restrictions.items(), key=lambda item: item[0]
-        )
-    ]
-    gysin = [
-        {
-            "from": key_to_string(tkey),
-            "to": key_to_string(skey),
-            "blocks": _blocks_to_json(blocks),
-        }
-        for (tkey, skey), blocks in sorted(
-            atlas.gysin.items(), key=lambda item: item[0]
-        )
-    ]
+    strata = [_stratum_to_json(atlas.strata[key]) for key in atlas.keys_sorted()]
     classes = [
         {
             "component": atlas.components[a],
@@ -222,8 +218,8 @@ def atlas_to_json(atlas: StrataAtlas) -> dict:
         "format": FORMAT,
         "components": list(atlas.components),
         "strata": strata,
-        "restrictions": restrictions,
-        "gysin": gysin,
+        "restrictions": _maps_to_json(atlas.restrictions),
+        "gysin": _maps_to_json(atlas.gysin),
         "divisor_classes": classes,
     }
 
@@ -240,7 +236,7 @@ def atlas_from_json(data) -> StrataAtlas:
     if len(set(components)) != len(components):
         raise SchemaError("component names must be distinct")
     strata_raw = _require(data, "strata", list, "top level")
-    parsed: Parsed = {}
+    parsed = _Parsed()
     strata: list[Stratum] = []
     for i, entry in enumerate(strata_raw):
         where = f"strata[{i}]"
@@ -262,11 +258,8 @@ def atlas_from_json(data) -> StrataAtlas:
             where = f"{field}[{i}]"
             if not isinstance(entry, dict):
                 raise SchemaError(f"{where}: must be an object")
-            try:
-                from_key = key_from_string(_require(entry, "from", str, where))
-                to_key = key_from_string(_require(entry, "to", str, where))
-            except BadParams as exc:
-                raise SchemaError(f"{where}: {exc}") from None
+            from_key = _stratum_key(_require(entry, "from", str, where), where, parsed)
+            to_key = _stratum_key(_require(entry, "to", str, where), where, parsed)
             blocks = _blocks_from_json(entry.get("blocks", {}), where, parsed)
             pair = (from_key, to_key)
             if pair in out:
@@ -289,10 +282,7 @@ def atlas_from_json(data) -> StrataAtlas:
         name = _require(entry, "component", str, where)
         if name not in name_to_index:
             raise SchemaError(f"{where}: unknown component {name!r}")
-        try:
-            skey = key_from_string(_require(entry, "stratum", str, where))
-        except BadParams as exc:
-            raise SchemaError(f"{where}: {exc}") from None
+        skey = _stratum_key(_require(entry, "stratum", str, where), where, parsed)
         cls = _vector_from_json(_require(entry, "class", list, where), where, parsed)
         key = (name_to_index[name], skey)
         if key in divisor_classes:
