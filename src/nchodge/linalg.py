@@ -206,7 +206,7 @@ class RationalMatrix:
         return not any(self._rows)
 
     def column(self, j: int) -> Vector:
-        return _dense(_columns(self._rows, [j])[0], self.nrows)
+        return tuple(_frac(row[j]) if j in row else _ZERO for row in self._rows)
 
     def apply(self, v: Sequence) -> Vector:
         if len(v) != self.ncols:
