@@ -1,6 +1,9 @@
 import dataclasses
+import random
+from fractions import Fraction
 
 import pytest
+import reference_atlas as ref
 
 from nchodge.atlas import (
     Stratum,
@@ -122,15 +125,16 @@ class TestConnectedComponents:
         assert generic_arrangement(3, 5).divisor_connected_components() == 1
 
 
-def _two_lines(cross_class):
-    """Two lines meeting in a point, with a tunable divisor class on line 1."""
+def _two_lines(cross_class, point_label=""):
+    """Two lines meeting in a point, with a tunable divisor class on line 1
+    and a free-text label on the point."""
     ring1 = truncated_polynomial_ring(1)
     ring0 = truncated_polynomial_ring(0)
     strata = [
         Stratum(indices=(), label="", ring=truncated_polynomial_ring(2)),
         Stratum(indices=(0,), label="", ring=ring1),
         Stratum(indices=(1,), label="", ring=ring1),
-        Stratum(indices=(0, 1), label="", ring=ring0),
+        Stratum(indices=(0, 1), label=point_label, ring=ring0),
     ]
     one = RationalMatrix([[1]])
     blocks2 = {(0, (0, 0)): one, (2, (1, 1)): one}
@@ -140,8 +144,8 @@ def _two_lines(cross_class):
     for a in (0, 1):
         restrictions[(((), ""), ((a,), ""))] = dict(blocks2)
         gysin[(((a,), ""), ((), ""))] = dict(blocks2)
-        restrictions[((((a,), "")), ((0, 1), ""))] = dict(blocks1)
-        gysin[(((0, 1), ""), ((a,), ""))] = dict(blocks1)
+        restrictions[((((a,), "")), ((0, 1), point_label))] = dict(blocks1)
+        gysin[(((0, 1), point_label), ((a,), ""))] = dict(blocks1)
     classes = {
         (0, ((), "")): vector([1]),
         (1, ((), "")): vector([1]),
@@ -366,3 +370,193 @@ class TestViolationPins:
         assert str(report) == "consistency\n  [FAIL] atlas invariants (" + (
             report.lines[0].detail
         ) + ")"
+
+
+# -- the validator against its frozen per-instance reference -----------------
+
+ORACLE_GENERIC = [(1, 3), (2, 4), (3, 4), (3, 5), (4, 7)]
+
+
+def _same_as_reference(atlas):
+    report = validate_atlas(atlas)
+    assert report == ref.validate_atlas(atlas)
+    return report
+
+
+def _scaled_copy(atlas, rng):
+    """A copy of atlas with one restriction block, Gysin block, mult sheet
+    or divisor class scaled by a drawn factor other than 1."""
+    factor = rng.choice([0, -1, 2, Fraction(1, 3)])
+    kind = rng.choice(["restrictions", "gysin", "sheet", "class"])
+    if kind in ("restrictions", "gysin"):
+        maps = getattr(atlas, kind)
+        pair = rng.choice(sorted(maps))
+        block = rng.choice(sorted(maps[pair]))
+        change = {(pair, block): maps[pair][block].scale(factor)}
+        return _corrupted(atlas, **{kind: change})
+    if kind == "sheet":
+        key = rng.choice(sorted(atlas.strata))
+        ring = atlas.ring(key)
+        at = rng.choice(sorted(ring.mult))
+        sheets = list(ring.mult[at])
+        u = rng.randrange(len(sheets))
+        sheets[u] = sheets[u].scale(factor)
+        new = dataclasses.replace(ring, mult={**ring.mult, at: sheets})
+        return _corrupted(atlas, rings={key: new})
+    at = rng.choice(sorted(atlas.divisor_classes))
+    cls = tuple(factor * x for x in atlas.divisor_classes[at])
+    return _corrupted(atlas, classes={at: cls})
+
+
+SEEDED = [("generic_3_4", seed) for seed in range(15)] + [
+    ("triangle", seed) for seed in range(15)
+]
+
+
+def _seeded(name, seed):
+    atlas = generic_arrangement(3, 4) if name == "generic_3_4" else builtin_atlas(name)
+    return _scaled_copy(atlas, random.Random(seed))
+
+
+class TestValidatorMatchesReference:
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_builtins(self, name):
+        assert _same_as_reference(builtin_atlas(name)).ok
+
+    @pytest.mark.parametrize("n, m", ORACLE_GENERIC)
+    def test_generic(self, n, m):
+        assert _same_as_reference(generic_arrangement(n, m)).ok
+
+    @pytest.mark.parametrize("kind", sorted(VIOLATIONS))
+    def test_pinned_corruptions(self, kind):
+        assert not _same_as_reference(_corruption(kind)).ok
+
+    @pytest.mark.parametrize("name, seed", SEEDED)
+    def test_seeded_corruption(self, name, seed):
+        _same_as_reference(_seeded(name, seed))
+
+    def test_seeded_corruptions_are_caught(self):
+        # agreement on a seeded case only tests the checks if the case fails
+        assert not any(ref.validate_atlas(_seeded(*case)).ok for case in SEEDED)
+
+
+# -- one corrupted instance among many equal ones ----------------------------
+
+G34 = generic_arrangement(3, 4)
+A0, A02, A1 = ((0,), ""), ((0, 2), ""), ((1,), "")
+
+# generic(3,4) with the h block of the cover ((0,),'') -> ((0,2),'') doubled;
+# every other cover carries the same [[1]] blocks between the same rings.
+ONE_COVER = (
+    "restriction to ((0, 2), '') from ((), '') depends on the path",
+    "((0, 2), '')->((0,), ''): projection formula"
+    " fails at (0, (0, 0), 0)x(2, (1, 1), 0)",
+    "((0,), '')->((0, 2), ''): gysin-after-restriction fails at (2, (1, 1), 0)",
+    "((0, 2), '')->((0,), ''): restriction-after-gysin fails at (0, (0, 0), 0)",
+    "((0,), '')->((0, 2), ''): divisor class of component 0"
+    " does not restrict correctly",
+    "((0,), '')->((0, 2), ''): divisor class of component 1"
+    " does not restrict correctly",
+    "((0,), '')->((0, 2), ''): divisor class of component 2"
+    " does not restrict correctly",
+    "((0,), '')->((0, 2), ''): divisor class of component 3"
+    " does not restrict correctly",
+    "base change fails on square ((), '')/((0,), '')/((2,), '') at (2, (1, 1), 0)",
+    "base change fails on square ((0,), '')/((0, 1), '')/((0, 2), '')"
+    " at (0, (0, 0), 0)",
+    "base change fails on square ((0,), '')/((0, 3), '')/((0, 2), '')"
+    " at (0, (0, 0), 0)",
+)
+
+# generic(3,4) with a left unit sheet doubled in the ring of ((1,),''); the
+# other three planes hold equal rings as separate objects.
+ONE_RING = (
+    "((1,), ''): unit fails on the left at (2, (1, 1), 0)",
+    "((1,), ''): graded commutativity fails at (0, (0, 0), 0)x(2, (1, 1), 0)",
+    "((1,), ''): graded commutativity fails at (2, (1, 1), 0)x(0, (0, 0), 0)",
+    "((), '')->((1,), ''): restriction not multiplicative"
+    " at (0, (0, 0), 0)x(2, (1, 1), 0)",
+    "((1,), '')->((), ''): projection formula"
+    " fails at (0, (0, 0), 0)x(2, (1, 1), 0)",
+    "((1,), '')->((0, 1), ''): restriction not multiplicative"
+    " at (0, (0, 0), 0)x(2, (1, 1), 0)",
+    "((1,), '')->((1, 2), ''): restriction not multiplicative"
+    " at (0, (0, 0), 0)x(2, (1, 1), 0)",
+    "((1,), '')->((1, 3), ''): restriction not multiplicative"
+    " at (0, (0, 0), 0)x(2, (1, 1), 0)",
+)
+
+
+def _one_cover():
+    return _corrupted(G34, restrictions={((A0, A02), (2, (1, 1))): TWO})
+
+
+def _one_ring():
+    unit_h = ((0, 0, 0), (2, 1, 1))
+    return _corrupted(G34, rings={A1: _with_sheet(G34.ring(A1), unit_h, 2)})
+
+
+class TestOneAmongEqualInstances:
+    def test_one_cover(self):
+        assert validate_atlas(_one_cover()).violations == ONE_COVER
+
+    def test_one_ring(self):
+        rings = [s.ring for s in G34.strata.values() if len(s.indices) == 1]
+        assert len({id(r) for r in rings}) == len(rings) == 4
+        assert validate_atlas(_one_ring()).violations == ONE_RING
+
+    def test_no_state_between_calls(self):
+        # the corrupted copies share every other ring and matrix with G34
+        assert validate_atlas(G34).ok
+        assert validate_atlas(_one_cover()).violations == ONE_COVER
+        assert validate_atlas(_one_ring()).violations == ONE_RING
+        assert validate_atlas(G34).ok
+
+
+# -- stratum labels are free text --------------------------------------------
+
+LABEL = "{0}%s{}"
+PT = ((0, 1), LABEL)
+
+
+def _braced_two_lines():
+    """Two lines whose labelled point has a doubled unit sheet and a doubled
+    restriction block from the first line."""
+    atlas = _two_lines(1, point_label=LABEL)
+    unit = (0, 0, 0)
+    return _corrupted(
+        atlas,
+        rings={PT: _with_sheet(atlas.ring(PT), (unit, unit), 2)},
+        restrictions={((H0, PT), (0, (0, 0))): TWO},
+    )
+
+
+BRACED = (
+    "((0, 1), '{0}%s{}'): unit fails on the left at (0, (0, 0), 0)",
+    "((0, 1), '{0}%s{}'): unit fails on the right at (0, (0, 0), 0)",
+    "restriction to ((0, 1), '{0}%s{}') from ((), '') depends on the path",
+    "((0,), '')->((0, 1), '{0}%s{}'): restriction does not fix the unit",
+    "((0,), '')->((0, 1), '{0}%s{}'): restriction not multiplicative"
+    " at (0, (0, 0), 0)x(0, (0, 0), 0)",
+    "((0, 1), '{0}%s{}')->((0,), ''): projection formula"
+    " fails at (0, (0, 0), 0)x(0, (0, 0), 0)",
+    "((0,), '')->((0, 1), '{0}%s{}'): gysin-after-restriction"
+    " fails at (0, (0, 0), 0)",
+    "((1,), '')->((0, 1), '{0}%s{}'): restriction not multiplicative"
+    " at (0, (0, 0), 0)x(0, (0, 0), 0)",
+    "((0, 1), '{0}%s{}')->((1,), ''): projection formula"
+    " fails at (0, (0, 0), 0)x(0, (0, 0), 0)",
+    "base change fails on square ((), '')/((0,), '')/((1,), '') at (0, (0, 0), 0)",
+)
+
+
+class TestBraceSafeMessages:
+    def test_clean_labelled_atlas_validates(self):
+        assert validate_atlas(_two_lines(1, point_label=LABEL)).ok
+
+    def test_messages_verbatim(self):
+        report = _same_as_reference(_braced_two_lines())
+        assert report.violations == BRACED
+        assert str(report) == "atlas invalid:\n" + "\n".join(
+            f"  - {v}" for v in BRACED
+        )
