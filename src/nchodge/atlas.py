@@ -292,15 +292,20 @@ class StrataAtlas:
         along covers in ascending component order."""
         cached = self._rho_cache.get((skey, tkey))
         if cached is None:
-            cached = self._rho_walk(skey, tkey, ascending=True)
+            path = self._rho_path(skey, tkey, ascending=True)
+            cached = self._compose_path(skey, path)
             self._rho_cache[(skey, tkey)] = cached
         return cached
 
-    def _rho_walk(self, skey: StratumKey, tkey: StratumKey, ascending: bool) -> BlockMap:
+    def _rho_path(
+        self, skey: StratumKey, tkey: StratumKey, ascending: bool
+    ) -> tuple[tuple[StratumKey, StratumKey], ...]:
+        """The covers from `skey` down to `tkey`, adding the missing
+        components in ascending (or descending) order."""
         if not self.leq(tkey, skey):
             raise MissingStratum(f"{tkey} does not lie inside {skey}")
         current = skey
-        bm = identity_blockmap(self.ring(skey))
+        path = []
         steps = sorted(set(tkey[0]) - set(skey[0]), reverse=not ascending)
         for a in steps:
             options = [
@@ -312,8 +317,17 @@ class StrataAtlas:
                 raise LatticeError(
                     f"no unique step from {current} along {a} toward {tkey}"
                 )
-            bm = compose_blockmaps(self.restrictions[(current, options[0])], bm)
+            path.append((current, options[0]))
             current = options[0]
+        return tuple(path)
+
+    def _compose_path(
+        self, skey: StratumKey, path: tuple[tuple[StratumKey, StratumKey], ...]
+    ) -> BlockMap:
+        """The restrictions along a path of covers out of `skey`, composed."""
+        bm = identity_blockmap(self.ring(skey))
+        for cover in path:
+            bm = compose_blockmaps(self.restrictions[cover], bm)
         return bm
 
 
@@ -331,23 +345,146 @@ class AtlasReport:
         return "atlas invalid:\n" + "\n".join(f"  - {v}" for v in self.violations)
 
 
-def _ring_violations(key: StratumKey, ring: PureHodgeRing) -> list[str]:
-    out = []
+def _ring_failures(ring: PureHodgeRing) -> list[tuple[str, object]]:
+    out: list[tuple[str, object]] = []
     basis = list(ring.basis_vectors())
     unit = (0, (0, 0), ring.unit)
     for at, x in basis:
         if ring.product(unit, x) != x:
-            out.append(f"{key}: unit fails on the left at {at}")
+            out.append(("left", at))
         if ring.product(x, unit) != x:
-            out.append(f"{key}: unit fails on the right at {at}")
+            out.append(("right", at))
     for at1, x in basis:
         for at2, y in basis:
             xy = ring.mult_apply(*x, *y)
             yx = ring.mult_apply(*y, *x)
             sign = -1 if (x[0] % 2 and y[0] % 2) else 1
             if xy != tuple(sign * t for t in yx):
-                out.append(f"{key}: graded commutativity fails at {at1}x{at2}")
+                out.append(("commutativity", (at1, at2)))
     return out
+
+
+def _cover_failures(
+    ring_s: PureHodgeRing,
+    ring_t: PureHodgeRing,
+    rest: BlockMap,
+    gys: BlockMap,
+    c_s: Vector,
+    c_t: Vector,
+    classes: list[tuple[Vector, Vector]],
+) -> list[tuple[str, object]]:
+    """Failed identities of one cover s -> t along component a: `rest` and
+    `gys` are its two maps, c_s and c_t the class of a on both ends, and
+    `classes` every component's class on both ends."""
+    out: list[tuple[str, object]] = []
+    basis_s, basis_t = list(ring_s.basis_vectors()), list(ring_t.basis_vectors())
+    c_s, c_t = (2, (1, 1), c_s), (2, (1, 1), c_t)
+
+    # restriction is a ring map
+    if restrict(rest, ring_t, (0, (0, 0), ring_s.unit))[2] != ring_t.unit:
+        out.append(("unit", None))
+    for at1, x in basis_s:
+        rx = restrict(rest, ring_t, x)
+        for at2, y in basis_s:
+            lhs = restrict(rest, ring_t, ring_s.product(x, y))
+            rhs = ring_t.product(rx, restrict(rest, ring_t, y))
+            if lhs != rhs:
+                out.append(("multiplicative", (at1, at2)))
+
+    # projection formula: gysin(x . rho(y)) = gysin(x) . y
+    for at1, x in basis_t:
+        gx = push_forward(gys, ring_s, x)
+        for at2, y in basis_s:
+            prod_t = ring_t.product(x, restrict(rest, ring_t, y))
+            if push_forward(gys, ring_s, prod_t) != ring_s.product(gx, y):
+                out.append(("projection", (at1, at2)))
+
+    # gysin after restriction = multiplication by the divisor class upstairs
+    for at, y in basis_s:
+        lhs = push_forward(gys, ring_s, restrict(rest, ring_t, y))
+        if lhs != ring_s.product(c_s, y):
+            out.append(("gysin-after-restriction", at))
+
+    # restriction after gysin = multiplication by the divisor class downstairs
+    for at, x in basis_t:
+        lhs = restrict(rest, ring_t, push_forward(gys, ring_s, x))
+        if lhs != ring_t.product(c_t, x):
+            out.append(("restriction-after-gysin", at))
+
+    # divisor classes restrict to divisor classes
+    for other, (up, down) in enumerate(classes):
+        if restrict(rest, ring_t, (2, (1, 1), up))[2] != down:
+            out.append(("class", other))
+    return out
+
+
+def _base_change_failures(
+    ring_s: PureHodgeRing,
+    ring_t: PureHodgeRing,
+    ring_w: PureHodgeRing,
+    gys_ts: BlockMap,
+    rest_sw: BlockMap,
+    legs: list[tuple[PureHodgeRing, BlockMap, BlockMap]],
+) -> list:
+    """Where restricting to w after pushing t into s differs from the sum
+    over the pieces v of t and w of pushing into w after restricting to v;
+    `legs` holds (ring_v, rest t -> v, gysin v -> w) per piece."""
+    out = []
+    for at, x in ring_t.basis_vectors():
+        gx = push_forward(gys_ts, ring_s, x)
+        lhs = restrict(rest_sw, ring_w, gx)[2]
+        rhs = zero_vector(len(lhs))
+        for ring_v, rest_tv, gys_vw in legs:
+            rx = restrict(rest_tv, ring_v, x)
+            piece = push_forward(gys_vw, ring_w, rx)
+            rhs = tuple(p + q for p, q in zip(rhs, piece[2]))
+        if lhs != rhs:
+            out.append(at)
+    return out
+
+
+def _ring_message(key: StratumKey, kind: str, at) -> str:
+    if kind == "commutativity":
+        return f"{key}: graded commutativity fails at {at[0]}x{at[1]}"
+    return f"{key}: unit fails on the {kind} at {at}"
+
+
+def _cover_message(skey: StratumKey, tkey: StratumKey, kind: str, at) -> str:
+    if kind == "unit":
+        return f"{skey}->{tkey}: restriction does not fix the unit"
+    if kind == "multiplicative":
+        return f"{skey}->{tkey}: restriction not multiplicative at {at[0]}x{at[1]}"
+    if kind == "projection":
+        return f"{tkey}->{skey}: projection formula fails at {at[0]}x{at[1]}"
+    if kind == "gysin-after-restriction":
+        return f"{skey}->{tkey}: gysin-after-restriction fails at {at}"
+    if kind == "restriction-after-gysin":
+        return f"{tkey}->{skey}: restriction-after-gysin fails at {at}"
+    return (
+        f"{skey}->{tkey}: divisor class of component {at} "
+        "does not restrict correctly"
+    )
+
+
+def _content_ids(objects, content) -> dict[int, int]:
+    """id(obj) -> a number shared by exactly the objects of equal content;
+    each object's content is built and hashed once."""
+    table: dict = {}
+    out: dict[int, int] = {}
+    for obj in objects:
+        if id(obj) not in out:
+            out[id(obj)] = table.setdefault(content(obj), len(table))
+    return out
+
+
+def _ring_content(ring: PureHodgeRing) -> tuple:
+    return (
+        ring.dim,
+        tuple(sorted((j, tuple(sorted(s.items()))) for j, s in ring.hodge.items())),
+        tuple(sorted((key, tuple(sheets)) for key, sheets in ring.mult.items())),
+        ring.unit,
+        ring.fundamental,
+    )
 
 
 def validate_atlas(atlas: StrataAtlas) -> AtlasReport:
@@ -359,113 +496,139 @@ def validate_atlas(atlas: StrataAtlas) -> AtlasReport:
     certifies restriction-after-gysin, naturality of divisor classes and
     base change across transversal squares; the row builders need all of
     them for their differentials to square to zero.
+
+    Each identity is checked once per distinct content: a ring once per
+    equal ring, a cover once per equal (rings, restriction, Gysin map,
+    divisor classes on both ends), a base-change square once per equal
+    (rings, maps) of its corners and legs, and path independence once per
+    equal (ring, maps along both paths).  Rings, block maps and classes
+    are compared by value, and an identity reads nothing else, so it holds
+    on every instance of a content or on none.  The stratum keys enter only
+    the messages, which each instance formats from the stored failures, in
+    the order of a check per instance.  The lattice walks still run per
+    instance, so a LatticeError or MissingStratum is raised where it was.
+    The tables of contents live for this call only.
     """
     violations: list[str] = []
-    for key, stratum in sorted(atlas.strata.items()):
-        violations.extend(_ring_violations(key, stratum.ring))
-
+    strata = atlas.strata
+    ring_ids = _content_ids([s.ring for s in strata.values()], _ring_content)
+    ring_of = {key: ring_ids[id(s.ring)] for key, s in strata.items()}
+    map_ids = _content_ids(
+        [*atlas.restrictions.values(), *atlas.gysin.values()],
+        lambda bm: frozenset(bm.items()),
+    )
+    rest_of = {pair: map_ids[id(bm)] for pair, bm in atlas.restrictions.items()}
+    gys_of = {pair: map_ids[id(bm)] for pair, bm in atlas.gysin.items()}
     ncomp = len(atlas.components)
-    covers = sorted(atlas.restrictions)
+    classes = {
+        key: tuple(atlas.divisor_class(a, key) for a in range(ncomp))
+        for key in strata
+    }
+    vector_ids: dict[Vector, int] = {}
+    class_of = {
+        key: tuple(vector_ids.setdefault(c, len(vector_ids)) for c in cls)
+        for key, cls in classes.items()
+    }
+
+    ring_failures: dict[int, list] = {}
+    for key, stratum in sorted(strata.items()):
+        rid = ring_of[key]
+        if rid not in ring_failures:
+            ring_failures[rid] = _ring_failures(stratum.ring)
+        violations.extend(_ring_message(key, *f) for f in ring_failures[rid])
 
     # restriction functoriality: both cover orders into a double intersection
+    path_dependent: dict[tuple, bool] = {}
     for skey in atlas.keys_sorted():
         extra = [a for a in range(ncomp) if a not in skey[0]]
         for a, b in itertools.combinations(extra, 2):
             deep = set(skey[0]) | {a, b}
             for tkey in atlas.intersection_components(deep, [skey]):
-                up = atlas._rho_walk(skey, tkey, ascending=True)
-                down = atlas._rho_walk(skey, tkey, ascending=False)
-                if up != down:
+                up = atlas._rho_path(skey, tkey, ascending=True)
+                down = atlas._rho_path(skey, tkey, ascending=False)
+                content = (
+                    ring_of[skey],
+                    tuple(rest_of[cover] for cover in up),
+                    tuple(rest_of[cover] for cover in down),
+                )
+                if content not in path_dependent:
+                    up_bm = atlas._compose_path(skey, up)
+                    path_dependent[content] = up_bm != atlas._compose_path(skey, down)
+                if path_dependent[content]:
                     violations.append(
                         f"restriction to {tkey} from {skey} depends on the path"
                     )
 
-    for skey, tkey in covers:
-        ring_s, ring_t = atlas.ring(skey), atlas.ring(tkey)
-        basis_s, basis_t = list(ring_s.basis_vectors()), list(ring_t.basis_vectors())
-        rest = atlas.restrictions[(skey, tkey)]
-        gys = atlas.gysin[(tkey, skey)]
+    cover_failures: dict[tuple, list] = {}
+    for skey, tkey in sorted(atlas.restrictions):
         a = (set(tkey[0]) - set(skey[0])).pop()
-        c_s = (2, (1, 1), atlas.divisor_class(a, skey))
-        c_t = (2, (1, 1), atlas.divisor_class(a, tkey))
-
-        # restriction is a ring map
-        if restrict(rest, ring_t, (0, (0, 0), ring_s.unit))[2] != ring_t.unit:
-            violations.append(f"{skey}->{tkey}: restriction does not fix the unit")
-        for at1, x in basis_s:
-            rx = restrict(rest, ring_t, x)
-            for at2, y in basis_s:
-                lhs = restrict(rest, ring_t, ring_s.product(x, y))
-                rhs = ring_t.product(rx, restrict(rest, ring_t, y))
-                if lhs != rhs:
-                    violations.append(
-                        f"{skey}->{tkey}: restriction not multiplicative at {at1}x{at2}"
-                    )
-
-        # projection formula: gysin(x . rho(y)) = gysin(x) . y
-        for at1, x in basis_t:
-            gx = push_forward(gys, ring_s, x)
-            for at2, y in basis_s:
-                prod_t = ring_t.product(x, restrict(rest, ring_t, y))
-                if push_forward(gys, ring_s, prod_t) != ring_s.product(gx, y):
-                    violations.append(
-                        f"{tkey}->{skey}: projection formula fails at {at1}x{at2}"
-                    )
-
-        # gysin after restriction = multiplication by the divisor class upstairs
-        for at, y in basis_s:
-            lhs = push_forward(gys, ring_s, restrict(rest, ring_t, y))
-            if lhs != ring_s.product(c_s, y):
-                violations.append(
-                    f"{skey}->{tkey}: gysin-after-restriction fails at {at}"
-                )
-
-        # restriction after gysin = multiplication by the divisor class downstairs
-        for at, x in basis_t:
-            lhs = restrict(rest, ring_t, push_forward(gys, ring_s, x))
-            if lhs != ring_t.product(c_t, x):
-                violations.append(
-                    f"{tkey}->{skey}: restriction-after-gysin fails at {at}"
-                )
-
-        # divisor classes restrict to divisor classes
-        for other in range(ncomp):
-            c_up = (2, (1, 1), atlas.divisor_class(other, skey))
-            if restrict(rest, ring_t, c_up)[2] != atlas.divisor_class(other, tkey):
-                violations.append(
-                    f"{skey}->{tkey}: divisor class of component {other} "
-                    "does not restrict correctly"
-                )
+        content = (
+            ring_of[skey],
+            ring_of[tkey],
+            rest_of[(skey, tkey)],
+            gys_of[(tkey, skey)],
+            class_of[skey][a],
+            class_of[tkey][a],
+            class_of[skey],
+            class_of[tkey],
+        )
+        if content not in cover_failures:
+            cover_failures[content] = _cover_failures(
+                strata[skey].ring,
+                strata[tkey].ring,
+                atlas.restrictions[(skey, tkey)],
+                atlas.gysin[(tkey, skey)],
+                classes[skey][a],
+                classes[tkey][a],
+                list(zip(classes[skey], classes[tkey])),
+            )
+        violations.extend(
+            _cover_message(skey, tkey, *f) for f in cover_failures[content]
+        )
 
     # base change across transversal squares
+    square_failures: dict[tuple, list] = {}
     for skey in atlas.keys_sorted():
-        ring_s = atlas.ring(skey)
         extra = [a for a in range(ncomp) if a not in skey[0]]
         for a, b in itertools.permutations(extra, 2):
             for tkey in atlas.children.get((skey, a), ()):
-                ring_t = atlas.ring(tkey)
                 for wkey in atlas.children.get((skey, b), ()):
-                    ring_w = atlas.ring(wkey)
                     vs = [
                         v
                         for v in atlas.children.get((tkey, b), ())
                         if atlas.leq(v, wkey)
                     ]
-                    for at, x in ring_t.basis_vectors():
-                        gx = push_forward(atlas.gysin[(tkey, skey)], ring_s, x)
-                        lhs = restrict(atlas.restrictions[(skey, wkey)], ring_w, gx)[2]
-                        rhs = zero_vector(len(lhs))
-                        for vkey in vs:
-                            rx = restrict(
-                                atlas.restrictions[(tkey, vkey)], atlas.ring(vkey), x
-                            )
-                            piece = push_forward(atlas.gysin[(vkey, wkey)], ring_w, rx)
-                            rhs = tuple(p + q for p, q in zip(rhs, piece[2]))
-                        if lhs != rhs:
-                            violations.append(
-                                f"base change fails on square {skey}/{tkey}/{wkey} "
-                                f"at {at}"
-                            )
+                    content = (
+                        ring_of[skey],
+                        ring_of[tkey],
+                        ring_of[wkey],
+                        gys_of[(tkey, skey)],
+                        rest_of[(skey, wkey)],
+                        tuple(
+                            (ring_of[v], rest_of[(tkey, v)], gys_of[(v, wkey)])
+                            for v in vs
+                        ),
+                    )
+                    if content not in square_failures:
+                        square_failures[content] = _base_change_failures(
+                            strata[skey].ring,
+                            strata[tkey].ring,
+                            strata[wkey].ring,
+                            atlas.gysin[(tkey, skey)],
+                            atlas.restrictions[(skey, wkey)],
+                            [
+                                (
+                                    strata[v].ring,
+                                    atlas.restrictions[(tkey, v)],
+                                    atlas.gysin[(v, wkey)],
+                                )
+                                for v in vs
+                            ],
+                        )
+                    violations.extend(
+                        f"base change fails on square {skey}/{tkey}/{wkey} at {at}"
+                        for at in square_failures[content]
+                    )
 
     return AtlasReport(ok=not violations, violations=tuple(violations))
 
