@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import math
 
 import pytest
@@ -485,3 +486,41 @@ class TestCechStep:
                 for c2 in atlas.children.get((key, b), ()):
                     meet = atlas.intersection_components(set(key[0]) | {b}, [c2, key])
                     assert meet == (c2,)
+
+
+class TestTermHash:
+    """A term's hash is the hash of its field tuple, as the dataclass would
+    compute it, so sets and dicts of terms keep their order."""
+
+    @staticmethod
+    def _fields(term):
+        return tuple(getattr(term, f.name) for f in dataclasses.fields(term))
+
+    @staticmethod
+    def _families():
+        for name in BUILTIN_NAMES:
+            atlas = builtin_atlas(name)
+            for selector in SELECTORS + ("sslog",):
+                yield name, selector, build(atlas, selector)
+
+    def test_hash_is_the_field_tuple_hash(self):
+        for name, selector, family in self._families():
+            for t in family.terms:
+                fields = self._fields(t)
+                assert hash(t) == hash(fields), (name, selector, t)
+                apart = PureTerm(*fields)
+                assert apart == t and hash(apart) == hash(t), (name, selector, t)
+                moved = dataclasses.replace(t, side="s")
+                fresh = PureTerm(*self._fields(moved))
+                assert moved == fresh and hash(moved) == hash(fresh)
+                assert hash(moved) == hash(self._fields(fresh))
+
+    def test_term_order_is_pinned(self):
+        digest = hashlib.sha256()
+        for name, selector, family in self._families():
+            digest.update(f"{name} {selector}\n".encode())
+            for t in family.terms:
+                digest.update(f"{t!r}\n".encode())
+        assert digest.hexdigest() == (
+            "f3e3744441c167464ce659cd88c2c6097abfad8ec3e32b674d31a4599929d9ca"
+        )

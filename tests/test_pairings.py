@@ -1,6 +1,7 @@
 import random
 
 import pytest
+import reference_pairings as ref
 
 from nchodge.atlas import generic_arrangement
 from nchodge.complexes import build, morphism_u, morphism_v, rows_constant, rows_log, rows_semisimplicial_log, rows_sum_strata
@@ -104,8 +105,50 @@ class TestChainMaps:
     def test_broken_resolver_is_not_a_chain_map(self, triangle, product, broken):
         pairing = PRODUCTS[product](triangle)
         assert chain_map_check(pairing) is True
-        edit = BROKEN_RESOLVERS[product][broken]
-        assert chain_map_check(_with_resolver(pairing, edit)) is False
+        mutant = _with_resolver(pairing, BROKEN_RESOLVERS[product][broken])
+        assert chain_map_check(mutant) is False
+        assert ref.chain_map_check(mutant) is False
+
+    @pytest.mark.parametrize("product", sorted(PRODUCTS))
+    @pytest.mark.parametrize(
+        "name", FIXTURE_NAMES + ["generic_2_3", "generic_2_4", "generic_3_4"]
+    )
+    def test_check_matches_reference(self, name, product):
+        if name.startswith("generic_"):
+            atlas = generic_arrangement(*map(int, name.split("_")[1:]))
+        else:
+            atlas = atlas_by_name(name)
+        pairing = PRODUCTS[product](atlas)
+        assert chain_map_check(pairing) is ref.chain_map_check(pairing)
+
+    # Term pairs of the triangle with a nonempty target list, and how many
+    # of them break the Leibniz identity when their targets alone are
+    # dropped.  A dropped pair's own products are zero, so a check that
+    # compares only basis pairs with a nonzero product misses the breaks,
+    # which show up through dx.y and x.dy there.
+    SINGLE_DROPS = {"cup_log_XD": (126, 126), "cup_extraordinary": (30, 27)}
+
+    @pytest.mark.parametrize("product", sorted(PRODUCTS))
+    def test_single_pair_drops_match_reference(self, triangle, product):
+        pairing = PRODUCTS[product](triangle)
+        live = [
+            (t1, t2)
+            for t1 in pairing.left.terms
+            for t2 in pairing.right.terms
+            if pairing._targets(t1, t2)
+        ]
+        caught = 0
+        for dropped in live:
+            mutant = _with_resolver(
+                pairing,
+                lambda t1, t2, out, dropped=dropped: (
+                    [] if (t1, t2) == dropped else out
+                ),
+            )
+            verdict = chain_map_check(mutant)
+            assert verdict is ref.chain_map_check(mutant), dropped
+            caught += not verdict
+        assert (len(live), caught) == self.SINGLE_DROPS[product]
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_u_v_blockwise_injective(self, name):
