@@ -75,6 +75,14 @@ class PureTerm:
     side: str = ""
     shift: int = 0
 
+    def __post_init__(self):
+        # hash the generated __hash__'s tuple once; vars() would give each term a dict
+        fields = (self.stratum, self.j, self.k, self.p, self.simp, self.res)
+        object.__setattr__(self, "_hash", hash((*fields, self.side, self.shift)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @property
     def m(self) -> int:
         return self.j + self.k + self.p + self.shift
