@@ -253,6 +253,15 @@ class StrataAtlas:
             if all(self.leq(key, up) for up in under)
         )
 
+    def meet(self, a: StratumKey, b: StratumKey) -> tuple[StratumKey, ...]:
+        """Components of the intersection of two strata; the smaller one
+        alone when one lies in the other."""
+        if self.leq(a, b):
+            return (a,)
+        if self.leq(b, a):
+            return (b,)
+        return self.intersection_components(set(a[0]) | set(b[0]), (a, b))
+
     def divisor_class(self, a: int, key: StratumKey) -> Vector:
         cls = self.divisor_classes.get((a, key))
         if cls is None:

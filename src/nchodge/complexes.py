@@ -14,10 +14,11 @@ Simplex convention: every term names the stratum whose Cech simplex or
 punctured neighborhood it sits on.  Constant and log terms sit on the
 ambient stratum, a divisor term on its own stratum, and a term of the
 semisimplicial log family on the component meet of its Cech level p, one
-less than that meet's depth.  One Cech step restricts a term to the meet of
-its simplex with one more component and lands on that meet's level; it is
-the Cech differential, and out of the ambient simplex the restriction to
-level 0.
+less than that meet's depth.  One Cech step meets a term's simplex with one
+more component, restricts the term to each component of the meet of that
+child simplex with its stratum (StrataAtlas.meet), and lands on the child's
+level; it is the Cech differential, and out of the ambient simplex the
+restriction to level 0.
 
 Layout: a weight row's slots are the keys (m, ab) of its dims, each with a
 positive dim, and every walk reads them through RowFamily.slots().  A slot
@@ -161,17 +162,10 @@ class WeightRow:
 
     def __init__(self, q: int):
         self.q = q
-        self.terms_at: dict[int, tuple[PureTerm, ...]] = {}
         # (m, ab) -> {term: (offset, dim)}, terms in sort_key order
         self.layout: dict[tuple[int, Bidegree], dict[PureTerm, tuple[int, int]]] = {}
         self.dims: dict[tuple[int, Bidegree], int] = {}
         self.diff: dict[tuple[int, Bidegree], RationalMatrix] = {}
-
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(sorted(self.terms_at))
-
-    def types_at(self, m: int) -> tuple[Bidegree, ...]:
-        return tuple(sorted(ab for (mm, ab) in self.dims if mm == m))
 
     def dim(self, m: int, ab: Bidegree) -> int:
         return self.dims.get((m, ab), 0)
@@ -241,9 +235,7 @@ class RowFamily:
         for q, per_degree in grouped.items():
             row = self.rows[q] = WeightRow(q)
             for m, terms in per_degree.items():
-                ordered = tuple(sorted(terms, key=PureTerm.sort_key))
-                row.terms_at[m] = ordered
-                for t in ordered:
+                for t in sorted(terms, key=PureTerm.sort_key):
                     for ab, d in term_slices(self.atlas, t):
                         offset = row.dims.get((m, ab), 0)
                         row.layout.setdefault((m, ab), {})[t] = (offset, d)
@@ -408,25 +400,18 @@ def rows_constant(atlas: StrataAtlas) -> RowFamily:
 
 
 def _cech_blocks(atlas: StrataAtlas, terms):
-    """One Cech step out of each term's simplex: restrict to the meets with
-    one more component, landing on their level (level 0 from the ambient)."""
+    """One Cech step out of each term's simplex: restrict to the meet of each
+    child simplex with the term's stratum, landing on the child's level
+    (level 0 from the ambient)."""
     blocks: dict[tuple[PureTerm, PureTerm], TermBlock] = {}
     for t in terms:
         carried = set(t.simp[0])
-        # out of its own simplex a term's meet is the child simplex itself
-        own = t.stratum == t.simp
         for b in range(len(atlas.components)):
             if b in carried:
                 continue
             sign = -1 if sum(1 for i in carried if i < b) % 2 else 1
             for c2 in atlas.children.get((t.simp, b), ()):
-                if own:
-                    meet = (c2,)
-                else:
-                    meet = atlas.intersection_components(
-                        set(t.stratum[0]) | {b}, [c2, t.stratum]
-                    )
-                for wkey in meet:
+                for wkey in atlas.meet(c2, t.stratum):
                     block = _map_term_block(atlas.rho(t.stratum, wkey), t.j, t.k)
                     if block:
                         level = len(c2[0]) - 1

@@ -101,23 +101,11 @@ def monomial(n: int, powers: dict[int, int], coeff=1) -> Poly:
     return {tuple(exps): coeff}
 
 
-def poly_add(a: Poly, b: Poly) -> Poly:
-    out = dict(a)
-    _add_poly(out, b)
-    return out
-
-
 def poly_scale(c, a: Poly) -> Poly:
     c = _coeff(c)
     if not c:
         return {}
     return {e: _int_first(c * v) for e, v in a.items()}
-
-
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    out: Poly = {}
-    _add_product(out, a, b, 1)
-    return out
 
 
 def poly_restrict(a: Poly, zeroed: frozenset[int]) -> Poly:

@@ -1,20 +1,24 @@
 """Cup products on weight rows, duality reports and exactness checks.
 
-Products are computed term by term: restrict both factors to each component
-of the intersection stratum, multiply in its ring, and place the result in
-the target term, with a combinatorial sign.  The sign has three factors: the
-shuffle sign of the two residue index sets, a Koszul factor (-1)^(j1*k2) for
-moving the internal degree of the left factor past the residue symbols of
-the right one, and (-1)^((j1+k1)*p) for moving it past a level-p piece (on
-mapping cone targets the p+1 exponent absorbs the cone's own sign rule
-a.(x, y) = (a.x, (-1)^deg(a) a.y)).  None of this is taken on faith:
-chain_map_check verifies the Leibniz identity on every pair of basis
-vectors, by bilinearity from each basis product evaluated once.
+Both products follow one rule, product_terms, term by term: restrict both
+factors to each component of the meet of their strata, multiply in its
+ring, and place the result in the target term, which adds the degrees and
+twists, merges the residue sets (overlapping ones give no target) and keeps
+the right factor's level p, simplex and cone slot.  The sign has three
+factors: the shuffle sign of the two residue index sets, a Koszul factor
+(-1)^(j1*k2) for moving the internal degree of the left factor past the
+residue symbols of the right one, and the level sign (-1)^((j1+k1)*(p+shift))
+for moving it past a level-p piece.  A cone target carries shift 1, which
+absorbs the cone's own sign rule a.(x, y) = (a.x, (-1)^deg(a) a.y).  None of
+this is taken on faith: chain_map_check verifies the Leibniz identity on
+every pair of basis vectors, by bilinearity from each basis product
+evaluated once.
 """
 
 from __future__ import annotations
 
 import collections
+import functools
 
 from .atlas import StrataAtlas, restrict
 from .complexes import (
@@ -106,6 +110,21 @@ class GradedPairing:
         return {k: v for k, v in out.items() if any(x != 0 for x in v)}
 
 
+def product_terms(atlas: StrataAtlas, t1: PureTerm, t2: PureTerm) -> list:
+    """The (target term, sign) list of t1.t2, by the rule of the module."""
+    if set(t1.res) & set(t2.res):
+        return []
+    res = tuple(sorted(t1.res + t2.res))
+    sign = sign_shuffle(t1.res, t2.res)
+    if (t1.j * t2.k + (t1.j + t1.k) * (t2.p + t2.shift)) % 2:
+        sign = -sign
+    j, k = t1.j + t2.j, t1.k + t2.k
+    return [
+        (PureTerm(key, j, k, t2.p, t2.simp, res, t2.side, t2.shift), sign)
+        for key in atlas.meet(t1.stratum, t2.stratum)
+    ]
+
+
 def cup_log_XD(atlas: StrataAtlas) -> GradedPairing:
     """Product of open-complement classes with relative classes.
 
@@ -115,40 +134,8 @@ def cup_log_XD(atlas: StrataAtlas) -> GradedPairing:
     """
     flog = rows_log(atlas)
     fxdt = build(atlas, "XD-tilde")
-
-    def resolver(t1: PureTerm, t2: PureTerm):
-        left_set = set(t1.res)
-        if left_set & set(t2.res):
-            return []
-        merged = tuple(sorted(left_set | set(t2.res)))
-        base_sign = sign_shuffle(t1.res, t2.res) * (
-            -1 if (t1.j * t2.k) % 2 else 1
-        )
-        out = []
-        if t2.side == "s":
-            for tkey in atlas.intersection_components(
-                merged, [t1.stratum, t2.stratum]
-            ):
-                t3 = PureTerm(
-                    tkey, t1.j + t2.j, t1.k + t2.k, 0,
-                    simp=atlas.x_key, res=merged, side="s",
-                )
-                out.append((t3, base_sign))
-        elif t2.side == "t":
-            cone_sign = base_sign * (
-                -1 if ((t1.j + t1.k) * (t2.p + 1)) % 2 else 1
-            )
-            for tkey in atlas.intersection_components(
-                set(t2.stratum[0]) | left_set, [t1.stratum, t2.stratum]
-            ):
-                t3 = PureTerm(
-                    tkey, t1.j + t2.j, t1.k + t2.k, t2.p,
-                    res=merged, simp=t2.simp, side="t", shift=1,
-                )
-                out.append((t3, cone_sign))
-        return out
-
-    return GradedPairing(atlas, flog, fxdt, fxdt, resolver, "log x XD -> XD")
+    rule = functools.partial(product_terms, atlas)
+    return GradedPairing(atlas, flog, fxdt, fxdt, rule, "log x XD -> XD")
 
 
 def cup_extraordinary(atlas: StrataAtlas) -> GradedPairing:
@@ -166,19 +153,8 @@ def cup_extraordinary(atlas: StrataAtlas) -> GradedPairing:
     fcu = coker_u_rows(atlas)
     fd = rows_sum_strata(atlas)
     fcv = coker_v_rows(atlas)
-
-    def resolver(t1: PureTerm, t2: PureTerm):
-        sign = -1 if ((t1.j + t1.k) * t2.p) % 2 else 1
-        merged = set(t1.res) | set(t2.stratum[0])
-        out = []
-        for tkey in atlas.intersection_components(merged, [t1.stratum, t2.stratum]):
-            t3 = PureTerm(
-                tkey, t1.j + t2.j, t1.k, t2.p, res=t1.res, simp=t2.stratum
-            )
-            out.append((t3, sign))
-        return out
-
-    return GradedPairing(atlas, fcu, fd, fcv, resolver, "locD x D -> locD")
+    rule = functools.partial(product_terms, atlas)
+    return GradedPairing(atlas, fcu, fd, fcv, rule, "locD x D -> locD")
 
 
 def _transposed_d(family: RowFamily):

@@ -78,6 +78,20 @@ class TestGenericArrangement:
         assert a.intersection_components((0, 1), [line]) == (pt,)
         assert a.intersection_components((2,), [pt]) == ()
 
+    @pytest.mark.parametrize("name", BUILTIN_NAMES + ("generic_3_4",))
+    def test_meet_is_the_intersection_under_both(self, name):
+        """meet answers every ordered pair as the components of the merged
+        index set lying under both strata."""
+        if name == "generic_3_4":
+            a = generic_arrangement(3, 4)
+        else:
+            a = builtin_atlas(name)
+        keys = a.keys_sorted()
+        for s in keys:
+            for t in keys:
+                want = a.intersection_components(set(s[0]) | set(t[0]), [s, t])
+                assert a.meet(s, t) == want, (s, t)
+
     def test_rho_composes_to_point(self):
         a = generic_arrangement(2, 3)
         bm = a.rho(((), ""), ((0, 1), ""))

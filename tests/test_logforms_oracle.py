@@ -164,15 +164,20 @@ def test_residue_matches_reference(case):
 )
 def test_poly_helpers_match_reference(case):
     a, b, c, zeroed = case
+    added, product, negated = dict(a), {}, dict(b)
+    lf._add_poly(added, b)
+    lf._add_product(product, a, b, 1)
+    lf._add_product(negated, a, b, -1)
     for got, want in (
-        (lf.poly_add(a, b), ref.poly_add(a, b)),
+        (added, ref.poly_add(a, b)),
         (lf.poly_scale(c, a), ref.poly_scale(c, a)),
-        (lf.poly_mul(a, b), ref.poly_mul(a, b)),
+        (product, ref.poly_mul(a, b)),
+        (negated, ref.poly_add(b, ref.poly_scale(-1, ref.poly_mul(a, b)))),
         (lf.poly_restrict(a, zeroed), ref.poly_restrict(a, zeroed)),
     ):
         assert got == want
         assert lf.format_poly(got) == ref.format_poly(want)
-    assert int_first(lf.poly_mul(a, b))
+    assert int_first(product)
     assert int_first(lf.poly_scale(c, a))
 
 

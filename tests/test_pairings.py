@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 import reference_pairings as ref
@@ -17,6 +18,7 @@ from nchodge.pairings import (
     fujiki_duality_report,
     induced_pairing,
     les_check,
+    product_terms,
     sign_shuffle,
 )
 from nchodge.tables import compute_table
@@ -27,6 +29,8 @@ FIXTURE_NAMES = ["p1_1pt", "p1_2pts", "triangle", "elliptic_1pt"]
 def atlas_by_name(name):
     from nchodge.fixtures import builtin_atlas
 
+    if name.startswith("generic_"):
+        return generic_arrangement(*map(int, name.split("_")[1:]))
     return builtin_atlas(name)
 
 
@@ -44,6 +48,10 @@ def _with_resolver(pairing, edit):
 
 
 PRODUCTS = {"cup_log_XD": cup_log_XD, "cup_extraordinary": cup_extraordinary}
+REFERENCE_RESOLVERS = {
+    "cup_log_XD": ref.resolve_log_XD,
+    "cup_extraordinary": ref.resolve_extraordinary,
+}
 
 # Each edit breaks the Leibniz identity of its product on the triangle.
 BROKEN_RESOLVERS = {
@@ -114,11 +122,7 @@ class TestChainMaps:
         "name", FIXTURE_NAMES + ["generic_2_3", "generic_2_4", "generic_3_4"]
     )
     def test_check_matches_reference(self, name, product):
-        if name.startswith("generic_"):
-            atlas = generic_arrangement(*map(int, name.split("_")[1:]))
-        else:
-            atlas = atlas_by_name(name)
-        pairing = PRODUCTS[product](atlas)
+        pairing = PRODUCTS[product](atlas_by_name(name))
         assert chain_map_check(pairing) is ref.chain_map_check(pairing)
 
     # Term pairs of the triangle with a nonempty target list, and how many
@@ -159,6 +163,50 @@ class TestChainMaps:
         v = morphism_v(atlas, fd, rows_semisimplicial_log(atlas))
         assert u.blockwise_injective()
         assert v.blockwise_injective()
+
+
+class TestProductRule:
+    @pytest.mark.parametrize("product", sorted(PRODUCTS))
+    @pytest.mark.parametrize(
+        "name", FIXTURE_NAMES + ["generic_2_3", "generic_2_4", "generic_3_4"]
+    )
+    def test_resolver_matches_reference(self, name, product):
+        """Every term pair resolves to the frozen resolver's (target, sign)
+        list, in the same order."""
+        atlas = atlas_by_name(name)
+        pairing = PRODUCTS[product](atlas)
+        frozen = REFERENCE_RESOLVERS[product]
+        for t1 in pairing.left.terms:
+            for t2 in pairing.right.terms:
+                assert pairing._resolver(t1, t2) == frozen(atlas, t1, t2), (t1, t2)
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES + ["generic_2_4", "generic_3_4"])
+    def test_rule_on_log_rows_is_a_chain_map(self, name):
+        """The same rule on rows_log alone, H(U) x H(U) -> H(U), satisfies
+        the Leibniz identity: the rule is not fitted to the two products."""
+        atlas = atlas_by_name(name)
+        flog = rows_log(atlas)
+        pairing = GradedPairing(
+            atlas, flog, flog, flog, partial(product_terms, atlas), "log x log -> log"
+        )
+        assert chain_map_check(pairing)
+        assert ref.chain_map_check(pairing)
+
+    @pytest.mark.parametrize("name", ["triangle", "generic_3_4"])
+    def test_log_rows_without_shuffle_sign_break(self, name):
+        """The log-ring check can fail: without the shuffle sign it does."""
+        atlas = atlas_by_name(name)
+        flog = rows_log(atlas)
+        rule = partial(product_terms, atlas)
+        mutant = GradedPairing(
+            atlas, flog, flog, flog,
+            lambda t1, t2: [
+                (t3, sign * sign_shuffle(t1.res, t2.res)) for t3, sign in rule(t1, t2)
+            ],
+            "log x log -> log",
+        )
+        assert chain_map_check(mutant) is False
+        assert ref.chain_map_check(mutant) is False
 
 
 class TestWeightTypeAdditivity:
