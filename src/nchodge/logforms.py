@@ -18,6 +18,25 @@ int until a division forces a Fraction, and an integral Fraction becomes an
 int again, so the values in `LogPolyForm.terms` may be ints (`str()` prints
 2 and Fraction(2) alike).  Sums and products accumulate in place into one
 output dict through `_add_term`, never copying a polynomial per term.
+
+The public `LogPolyForm(chart, terms)` checks and converts caller data, and
+every function that takes caller data goes through it: `form`, `xi`,
+`dz_form`, the pieces of `from_regular` and `claim_witness`'s cut of `eta`
+and `zeta` to the slice.  Forms the kernel builds out of forms that are
+already valid go through `LogPolyForm._built`, which only drops empty
+polynomials, because each output already meets every check the constructor
+makes:
+- `wedge`, `__add__` (so `__sub__`) and `scale` combine valid polynomials
+  through `_add_term` or `poly_scale`, so every coefficient is nonzero and
+  integer-first; a wedge basis is the union of two disjoint live bases, and
+  exponents add, so a coordinate that is zero on the chart stays zero.
+- `exterior_d` adds a live index missing from the basis, and lowers an
+  exponent only where it is positive.
+- `residue` keeps the monomials that vanish on the sliced indices and
+  strips those indices from the basis, so the output lives on the slice.
+- `random_form`, `ideal_weight_generators` and the monomial coefficients of
+  `_claim_target_span` draw bases from the live indices and exponents from
+  `_exponent_pool`, which skips every omitted coordinate.
 """
 
 from __future__ import annotations
@@ -210,7 +229,7 @@ class LogPolyForm:
                 raise BadParams("basis index outside 1..n")
             poly = {e: k for e, c in dict(poly).items() if (k := _coeff(c)) != 0}
             for e in poly:
-                if len(e) != chart.n or any(x < 0 for x in e):
+                if len(e) != chart.n or any(type(x) is not int or x < 0 for x in e):
                     raise BadParams(f"bad exponent tuple {e} for n={chart.n}")
             dead = b & chart.omitted
             if dead:
@@ -229,6 +248,15 @@ class LogPolyForm:
         object.__setattr__(
             self, "terms", {b: p for b, p in cleaned.items() if p}
         )
+
+    @classmethod
+    def _built(cls, chart: LogChart, terms: dict) -> "LogPolyForm":
+        """A form from terms the kernel built out of valid forms: stored as
+        given, empty polynomials dropped, with no copy, conversion or check."""
+        new = object.__new__(cls)
+        object.__setattr__(new, "chart", chart)
+        object.__setattr__(new, "terms", {b: p for b, p in terms.items() if p})
+        return new
 
     def __setattr__(self, name, value):
         raise AttributeError("LogPolyForm is immutable")
@@ -256,13 +284,13 @@ class LogPolyForm:
         merged = {b: dict(p) for b, p in self.terms.items()}
         for b, p in other.terms.items():
             _add_poly(merged.setdefault(b, {}), p)
-        return LogPolyForm(self.chart, merged)
+        return LogPolyForm._built(self.chart, merged)
 
     def __sub__(self, other: "LogPolyForm") -> "LogPolyForm":
         return self + other.scale(-1)
 
     def scale(self, c) -> "LogPolyForm":
-        return LogPolyForm(
+        return LogPolyForm._built(
             self.chart, {b: poly_scale(c, p) for b, p in self.terms.items()}
         )
 
@@ -363,7 +391,7 @@ def wedge(a: LogPolyForm, b: LogPolyForm) -> LogPolyForm:
             inversions = sum(1 for x in b1 for y in b2 if x > y)
             sign = -1 if inversions % 2 else 1
             _add_product(out.setdefault(b1 | b2, {}), p1, p2, sign)
-    return LogPolyForm(a.chart, out)
+    return LogPolyForm._built(a.chart, out)
 
 
 def exterior_d(a: LogPolyForm) -> LogPolyForm:
@@ -384,7 +412,7 @@ def exterior_d(a: LogPolyForm) -> LogPolyForm:
                 if i > chart.l:
                     e = e[: i - 1] + (power - 1,) + e[i:]
                 _add_term(acc, e, power * sign * c)
-    return LogPolyForm(chart, out)
+    return LogPolyForm._built(chart, out)
 
 
 def weight_level(a: LogPolyForm) -> int:
@@ -437,7 +465,7 @@ def residue(a: LogPolyForm, indices) -> LogPolyForm:
         for e, c in poly.items():
             if all(e[i - 1] == 0 for i in idx):
                 _add_term(acc, e, -c if inversions % 2 else c)
-    return LogPolyForm(target, out)
+    return LogPolyForm._built(target, out)
 
 
 # -- the two inclusions of the residue claim ------------------------------------
@@ -497,7 +525,7 @@ def ideal_weight_generators(chart: LogChart, p: int, degree_bound: int):
         for e in exps:
             poles = sum(1 for i in blogs if e[i - 1] == 0)
             if poles <= chart.k:
-                yield LogPolyForm(chart, {bset: {e: 1}})
+                yield LogPolyForm._built(chart, {bset: {e: 1}})
 
 
 def _claim_target_span(chart: LogChart, p: int, degree_bound: int):
@@ -516,7 +544,7 @@ def _claim_target_span(chart: LogChart, p: int, degree_bound: int):
             for b in itertools.combinations(live, r):
                 base = from_regular(sliced, {frozenset(b): 1})
                 for e in exps:
-                    coeff = LogPolyForm(sliced, {frozenset(): {e: 1}})
+                    coeff = LogPolyForm._built(sliced, {frozenset(): {e: 1}})
                     gen = wedge(lead, wedge(coeff, base))
                     if not gen.is_zero():
                         generators.append(gen)
@@ -671,7 +699,8 @@ def random_poly(rng: random.Random, chart: LogChart, degree: int = 2,
     out: Poly = {}
     for _ in range(terms):
         e = rng.choice(pool)
-        _add_term(out, e, Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+        num, den = rng.randint(-4, 4), rng.randint(1, 3)
+        _add_term(out, e, num // den if num % den == 0 else Fraction(num, den))
     return out
 
 
@@ -684,7 +713,7 @@ def random_form(rng: random.Random, chart: LogChart, p: int, degree: int = 2,
     for _ in range(terms):
         b = frozenset(rng.sample(live, p))
         _add_poly(built.setdefault(b, {}), random_poly(rng, chart, degree, 2))
-    return LogPolyForm(chart, built)
+    return LogPolyForm._built(chart, built)
 
 
 def random_ideal_form(rng: random.Random, chart: LogChart, p: int,

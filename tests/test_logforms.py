@@ -116,6 +116,15 @@ class TestForms:
             a = LogPolyForm(sliced, {(1,): {(0, 0): zero, (1, 0): "1/2"}})
             assert a.terms == {} and a == LogPolyForm(sliced, {})
 
+    @pytest.mark.parametrize("power", [1.5, 1.0, True, Fraction(1), "1"])
+    def test_exponents_must_be_ints(self, power):
+        # exterior_d would otherwise fail on the exponent with a non-NCHodge error
+        chart = LogChart(2, 2, 1, {1})
+        with pytest.raises(BadParams, match="bad exponent tuple"):
+            LogPolyForm(chart, {frozenset(): {(power, 0): 1}})
+        with pytest.raises(BadParams, match="bad exponent tuple"):
+            LogPolyForm(chart, {(1,): {(0, power): 1}})
+
 
 class TestExteriorD:
     def test_d_of_z1_xi2(self):

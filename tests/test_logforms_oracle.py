@@ -6,7 +6,9 @@ equal `str()`, equal degree and weight level, and the same exception type
 when either raises.  The library must also keep every coefficient
 integer-first: an `int` when integral, otherwise a `Fraction`.  Seeded
 random forms must come out of both engines in the same order, so that a
-given seed prints the same report.
+given seed prints the same report, and the forms the logforms suite draws
+must print the reference's bytes.  Every form the kernel builds without the
+constructor's checks must be what the constructor makes of its terms.
 """
 
 import random
@@ -196,3 +198,90 @@ def test_seeded_draws_match_reference(chart, seed):
         got = _random_lift(got_rng, chart, p)
         assert str(got) == str(ref._random_lift(want_rng, chart, p))
     assert got_rng.getstate() == want_rng.getstate()
+
+
+def coefficient_types(f):
+    return {(b, e): type(c) for b, p in f.terms.items() for e, c in p.items()}
+
+
+def assert_rebuilds(f):
+    """`f` is what the public constructor makes of its own terms: equal
+    terms with the same coefficient types, no empty polynomial, same bytes."""
+    again = lf.LogPolyForm(f.chart, f.terms)
+    assert again.terms == f.terms
+    assert coefficient_types(again) == coefficient_types(f)
+    assert all(f.terms.values())
+    assert str(again) == str(f)
+
+
+@given(charts().flatmap(
+    lambda c: st.tuples(
+        form_pairs(c), form_pairs(c), st.sampled_from(EXACT + (0,)),
+        st.frozensets(st.integers(1, c.n), min_size=1, max_size=3),
+        st.integers(0, 2**32 - 1),
+    )
+))
+def test_kernel_outputs_pass_the_constructor_unchanged(case):
+    """Every form the kernel builds without the constructor's checks is one
+    the constructor would build from the same terms."""
+    (a, _), (b, _), c, indices, seed = case
+    chart = a.chart
+    outputs = [lf.wedge(a, b), lf.exterior_d(a), a + b, a - b, a.scale(c)]
+    got, _ = outcome(lambda: lf.residue(a, indices))
+    if got is not None:
+        outputs.append(got)
+    rng = random.Random(seed)
+    for p in range(len(chart.live_indices) + 1):
+        outputs.append(lf.random_form(rng, chart, p))
+        got, _ = outcome(lambda: lf.random_ideal_form(rng, chart, p))
+        if got is not None:
+            outputs.append(got)
+    for f in outputs:
+        assert_rebuilds(f)
+
+
+@pytest.mark.parametrize("chart", CHARTS, ids=chart_id)
+def test_generators_pass_the_constructor_unchanged(chart):
+    for p in range(chart.n + 1):
+        for bound in (0, 1, 2):
+            for g in lf.ideal_weight_generators(chart, p, bound):
+                assert_rebuilds(g)
+                if chart.k:
+                    assert_rebuilds(lf.residue(g, chart.residue_set))
+            for g in lf._claim_target_span(chart, p, bound)[0]:
+                assert_rebuilds(g)
+
+
+def replay_suite_draws(engine, lift, chart, seed, trials=5):
+    """The draws of `verify.suite_logforms` on one chart, through `engine`,
+    as the bytes of every form and weight level they give."""
+    rng = random.Random(f"{seed}:{chart.n}:{chart.l}:{chart.k}:{sorted(chart.ideal)}")
+    seen = []
+    for _ in range(trials):
+        p = rng.randint(0, chart.n - 1)
+        a = engine.random_ideal_form(rng, chart, p)
+        b = engine.random_form(rng, chart, rng.randint(0, chart.n - 1))
+        db = engine.exterior_d(b)
+        c = engine.random_form(rng, chart, rng.randint(0, 1))
+        prod = engine.wedge(b, c)
+        for f in (a, engine.exterior_d(a), b, db, engine.exterior_d(db), c, prod):
+            seen.append(str(f))
+        seen.extend(engine.weight_level(f) for f in (b, c, prod))
+    if chart.k >= 1 and chart.j2:
+        for p in (chart.k + 1, chart.k + 2):
+            if p > chart.n:
+                continue
+            for r in (p - chart.k - 1, p - chart.k):
+                seen.extend(str(lift(rng, chart, r)) for _ in chart.j2)
+    return seen, rng.getstate()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 23])
+@pytest.mark.parametrize("chart", FUZZ_CHARTS, ids=chart_id)
+def test_suite_draws_match_reference(chart, seed):
+    """Values, not only verdicts: the forms the logforms suite draws and
+    computes print the reference's bytes, and the generator ends where the
+    reference's does."""
+    assert replay_suite_draws(lf, _random_lift, chart, seed) == replay_suite_draws(
+        ref, ref._random_lift, chart, seed
+    )
