@@ -37,6 +37,7 @@ with d(x, y) = (dx, f(x) - dy).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,7 +51,7 @@ from .errors import (
     NotChainMap,
     UnknownStratum,
 )
-from .linalg import RationalMatrix, Vector, unit_vector
+from .linalg import RationalMatrix, Vector, rank, unit_vector
 from .rings import Bidegree
 
 TermBlock = dict[Bidegree, RationalMatrix]  # keyed by twisted (a, b)
@@ -347,13 +348,56 @@ class RowMorphism:
         return True
 
     def blockwise_injective(self) -> bool:
-        from .linalg import reduce as _reduce
-
         for q, m, ab in self.source.slots():
             mat = self.matrix(q, m, ab)
-            if _reduce(mat).rank < mat.ncols:
+            if rank(mat) < mat.ncols:
                 return False
         return True
+
+
+class _Cone(RowFamily):
+    """A cone whose ends keep their slot order in it: each slot's differential
+    is one sum of the ends' placed matrices, and the term blocks are built
+    when first read."""
+
+    def __init__(self, morphism: RowMorphism, label: str, terms: tuple[PureTerm, ...]):
+        source, target = morphism.source, morphism.target
+        super().__init__(source.atlas, label, terms, {})
+        del self.blocks  # the cached property below builds them
+        self.morphism = morphism
+        # d(x, y) = (d_src x, f x - d_tgt y), source slot m over target slot m-1
+        for q, row in self.rows.items():
+            src, tgt = source.row(q), target.row(q)
+            for m, ab in row.dims:
+                n_src, n_next = src.dim(m, ab), src.dim(m + 1, ab)
+                parts = [
+                    (0, 0, src.d(m, ab)),
+                    (n_next, 0, morphism.matrix(q, m, ab)),
+                    (n_next, n_src, tgt.d(m - 1, ab).scale(-1)),
+                ]
+                shape = (row.dim(m + 1, ab), row.dim(m, ab))
+                row.diff[(m, ab)] = RationalMatrix.from_blocks(*shape, parts)
+
+    @functools.cached_property
+    def blocks(self) -> dict[tuple[PureTerm, PureTerm], TermBlock]:
+        return _cone_blocks(self.morphism, self.terms)
+
+
+def _cone_blocks(
+    morphism: RowMorphism, terms: tuple[PureTerm, ...]
+) -> dict[tuple[PureTerm, PureTerm], TermBlock]:
+    """The term blocks of the cone on `terms`, the relabelled source terms
+    then target terms: the source's, the target's negated, the morphism's."""
+    split = len(morphism.source.terms)
+    s = dict(zip(morphism.source.terms, terms[:split]))
+    t = dict(zip(morphism.target.terms, terms[split:]))
+    src, tgt, f = morphism.source.blocks, morphism.target.blocks, morphism.blocks
+    ends = ((src, s, s, 1), (tgt, t, t, -1), (f, s, t, 1))
+    return {
+        (left[t1], right[t2]): scale_block(block, sign)
+        for blocks, left, right, sign in ends
+        for (t1, t2), block in blocks.items()
+    }
 
 
 def cone_rows(morphism: RowMorphism) -> RowFamily:
@@ -363,28 +407,20 @@ def cone_rows(morphism: RowMorphism) -> RowFamily:
     m-1, so the cone fits before the source in the long exact sequence.
     Source terms sort first: slot (m, ab) is the source slot (m, ab), then
     the target slot (m-1, ab) at offsets moved up by the source slot's dim.
+    Relabelling keeps the order of an end without cone terms, so its placed
+    matrices are the cone's; a cone of cones is placed term block by block.
     """
     if not morphism.is_chain_map():
         raise NotChainMap(f"cone of {morphism.label or 'morphism'}: not a chain map")
-
-    # each term is relabelled once; blocks look their endpoints up
-    as_src = {t: dataclasses.replace(t, side="s") for t in morphism.source.terms}
-    as_tgt = {
-        t: dataclasses.replace(t, side="t", shift=t.shift + 1)
-        for t in morphism.target.terms
-    }
-    terms = tuple(as_src[t] for t in morphism.source.terms) + tuple(
-        as_tgt[t] for t in morphism.target.terms
+    source, target = morphism.source, morphism.target
+    terms = (
+        *(dataclasses.replace(t, side="s") for t in source.terms),
+        *(dataclasses.replace(t, side="t", shift=t.shift + 1) for t in target.terms),
     )
-    blocks: dict[tuple[PureTerm, PureTerm], TermBlock] = {}
-    for (t1, t2), block in morphism.source.blocks.items():
-        blocks[(as_src[t1], as_src[t2])] = dict(block)
-    for (t1, t2), block in morphism.target.blocks.items():
-        blocks[(as_tgt[t1], as_tgt[t2])] = scale_block(block, -1)
-    for (t1, t2), block in morphism.blocks.items():
-        blocks[(as_src[t1], as_tgt[t2])] = dict(block)
     label = f"cone({morphism.label})" if morphism.label else "cone"
-    return RowFamily(morphism.source.atlas, label, terms, blocks)
+    if any(t.side for t in (*source.terms, *target.terms)):
+        return RowFamily(source.atlas, label, terms, _cone_blocks(morphism, terms))
+    return _Cone(morphism, label, terms)
 
 
 # -- the seven builders -------------------------------------------------------

@@ -17,7 +17,8 @@ input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -247,19 +248,34 @@ class RationalMatrix:
 
 @dataclass(frozen=True)
 class ReducedMatrix:
-    """Reduced row echelon data of a matrix.
+    """Reduced row echelon data of a matrix, from one elimination.
 
-    `image` is the tuple of original matrix columns at the pivot positions,
-    `kernel` the standard free-variable basis; both inherit the first-pivot
-    determinism of the elimination.
+    `rref`, `kernel` and `image` are built on first read.  `image` is the
+    tuple of original matrix columns at the pivot positions, `kernel` the
+    standard free-variable basis; both inherit the first-pivot determinism
+    of the elimination.
     """
 
     matrix: RationalMatrix
-    rref: RationalMatrix
     rank: int
     pivots: tuple[int, ...]
-    kernel: tuple[Vector, ...]
-    image: tuple[Vector, ...]
+    _basis: dict[int, SparseRow] = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def rref(self) -> RationalMatrix:
+        rows = [self._basis[p] for p in self.pivots]
+        rows += [{}] * (self.matrix.nrows - self.rank)
+        return RationalMatrix._from_sparse(rows, self.matrix.ncols)
+
+    @functools.cached_property
+    def kernel(self) -> tuple[Vector, ...]:
+        ncols = self.matrix.ncols
+        return tuple(_dense(v, ncols) for v in _kernel(self._basis, ncols))
+
+    @functools.cached_property
+    def image(self) -> tuple[Vector, ...]:
+        columns = _columns(self.matrix._rows, self.pivots)
+        return tuple(_dense(c, self.matrix.nrows) for c in columns)
 
 
 def _eliminate(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
@@ -294,18 +310,8 @@ def _columns(rows: Sequence[SparseRow], cols: Sequence[int]) -> list[SparseRow]:
 def reduce(matrix: RationalMatrix) -> ReducedMatrix:
     """RREF, kernel and image; rows are eliminated shortest first, which the
     uniqueness of RREF makes immaterial."""
-    ncols = matrix.ncols
     basis = _eliminate(matrix._rows)
-    pivots = sorted(basis)
-    rows = [basis[p] for p in pivots] + [{}] * (matrix.nrows - len(pivots))
-    return ReducedMatrix(
-        matrix=matrix,
-        rref=RationalMatrix._from_sparse(rows, ncols),
-        rank=len(pivots),
-        pivots=tuple(pivots),
-        kernel=tuple(_dense(v, ncols) for v in _kernel(basis, ncols)),
-        image=tuple(_dense(c, matrix.nrows) for c in _columns(matrix._rows, pivots)),
-    )
+    return ReducedMatrix(matrix, len(basis), tuple(sorted(basis)), basis)
 
 
 def rank(matrix: RationalMatrix) -> int:
@@ -364,6 +370,16 @@ class CohomologySpace:
     boundaries: tuple[Vector, ...]
 
 
+def check_complex(d_in: RationalMatrix, d_out: RationalMatrix) -> None:
+    """Raise unless the shapes meet and d_out @ d_in is zero where defined."""
+    if d_in.nrows != d_out.ncols:
+        raise DimensionMismatch(
+            f"incoming target {d_in.nrows} disagrees with outgoing source {d_out.ncols}"
+        )
+    if d_in.ncols > 0 and d_out.nrows > 0 and not (d_out @ d_in).is_zero():
+        raise CompositionNonzero("consecutive differentials do not compose to zero")
+
+
 def cohomology_at(d_in: RationalMatrix, d_out: RationalMatrix) -> CohomologySpace:
     """Cohomology at the middle of  src --d_in--> here --d_out--> dst.
 
@@ -371,12 +387,7 @@ def cohomology_at(d_in: RationalMatrix, d_out: RationalMatrix) -> CohomologySpac
     from rows eliminated shortest first, which RREF's uniqueness makes safe;
     cycles are tested in kernel order against the boundaries as sparse rows.
     """
-    if d_in.nrows != d_out.ncols:
-        raise DimensionMismatch(
-            f"incoming target {d_in.nrows} disagrees with outgoing source {d_out.ncols}"
-        )
-    if d_in.ncols > 0 and d_out.nrows > 0 and not (d_out @ d_in).is_zero():
-        raise CompositionNonzero("consecutive differentials do not compose to zero")
+    check_complex(d_in, d_out)
     here = d_in.nrows
     boundaries = _columns(d_in._rows, sorted(_eliminate(d_in._rows)))
     span = _eliminate(boundaries)
@@ -394,4 +405,4 @@ def cohomology_at(d_in: RationalMatrix, d_out: RationalMatrix) -> CohomologySpac
 
 def pairing_perfect(matrix: RationalMatrix) -> bool:
     """True iff the bilinear pairing encoded by `matrix` is perfect."""
-    return matrix.nrows == matrix.ncols and reduce(matrix).rank == matrix.nrows
+    return matrix.nrows == matrix.ncols and rank(matrix) == matrix.nrows

@@ -712,7 +712,9 @@ def random_form(rng: random.Random, chart: LogChart, p: int, degree: int = 2,
     built: dict[frozenset[int], Poly] = {}
     for _ in range(terms):
         b = frozenset(rng.sample(live, p))
-        _add_poly(built.setdefault(b, {}), random_poly(rng, chart, degree, 2))
+        poly = random_poly(rng, chart, degree, 2)
+        if built.setdefault(b, poly) is not poly:
+            _add_poly(built[b], poly)
     return LogPolyForm._built(chart, built)
 
 

@@ -505,8 +505,8 @@ def _sequence_checks(
     blocks = {
         (m + up, q, ab)
         for table, ups in ((cone_table, (0,)), (src_table, (0,)), (dst_table, (0, 1)))
-        for (m, q, ab), space in table.spaces.items()
-        if space.dim
+        for (m, q, ab), d in table.dims.items()
+        if d
         for up in ups
     }
     for i, q, ab in sorted(blocks):

@@ -3,25 +3,59 @@
 A table records, for every cohomological degree m, the dimensions of the
 weight-q, type-(a, b) pieces together with chosen cycle representatives.
 Since every (q, a, b) block of a row family is a plain complex of rational
-vector spaces, this is nothing but linalg.cohomology_at applied block by
-block, and two tables agree iff the underlying mixed structures do.
+vector spaces, a dimension is the term dimension less the ranks of the two
+differentials at the block, representatives are linalg.cohomology_at's, and
+two tables agree iff the underlying mixed structures do.
 """
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .complexes import RowFamily
-from .linalg import CohomologySpace, Vector, cohomology_at
+from .linalg import CohomologySpace, Vector, check_complex, cohomology_at, rank
 from .rings import Bidegree
 
 BlockKey = tuple[int, int, Bidegree]  # (m, q, (a, b))
 
 
+class _Spaces(Mapping):
+    """Every slot's cohomology_at space, computed on first read and kept."""
+
+    def __init__(self, family: RowFamily, dims: dict[BlockKey, int]):
+        self._family, self._dims, self._read = family, dims, {}
+
+    def __contains__(self, key) -> bool:
+        return key in self._dims
+
+    def __getitem__(self, key: BlockKey) -> CohomologySpace:
+        if key not in self._read:
+            if key not in self._dims:
+                raise KeyError(key)
+            m, q, ab = key
+            row = self._family.rows[q]
+            self._read[key] = cohomology_at(row.d(m - 1, ab), row.d(m, ab))
+        return self._read[key]
+
+    def __iter__(self):
+        return iter(self._dims)
+
+    def __len__(self) -> int:
+        return len(self._dims)
+
+
 @dataclass
 class MixedHodgeTable:
+    """Every slot's cohomology dim, in slot order; `spaces` maps the same
+    slots to their CohomologySpace, each computed when first read."""
+
     family: RowFamily
-    spaces: dict[BlockKey, CohomologySpace]
+    dims: dict[BlockKey, int]
+
+    def __post_init__(self):
+        self.spaces = _Spaces(self.family, self.dims)
 
     @property
     def label(self) -> str:
@@ -29,21 +63,14 @@ class MixedHodgeTable:
 
     def entries(self, m: int) -> tuple[tuple[int, Bidegree, int], ...]:
         """Sorted nonzero blocks (q, (a, b), dim) in degree m."""
-        out = [
-            (q, ab, space.dim)
-            for (mm, q, ab), space in self.spaces.items()
-            if mm == m and space.dim > 0
-        ]
+        out = [(q, ab, d) for (mm, q, ab), d in self.dims.items() if mm == m and d > 0]
         return tuple(sorted(out))
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(
-            sorted({m for (m, _, _), space in self.spaces.items() if space.dim > 0})
-        )
+        return tuple(sorted({m for (m, _, _), d in self.dims.items() if d > 0}))
 
     def dim(self, m: int, q: int, ab: Bidegree) -> int:
-        space = self.spaces.get((m, q, ab))
-        return 0 if space is None else space.dim
+        return self.dims.get((m, q, ab), 0)
 
     def betti(self, m: int) -> int:
         return sum(d for _, _, d in self.entries(m))
@@ -55,8 +82,9 @@ class MixedHodgeTable:
         return self.spaces.get((m, q, ab))
 
     def representatives(self, m: int, q: int, ab: Bidegree) -> tuple[Vector, ...]:
-        space = self.spaces.get((m, q, ab))
-        return () if space is None else space.representatives
+        if not self.dim(m, q, ab):
+            return ()
+        return self.spaces[(m, q, ab)].representatives
 
     def summary(self) -> dict:
         return {
@@ -86,12 +114,15 @@ class MixedHodgeTable:
 
 
 def compute_table(family: RowFamily) -> MixedHodgeTable:
-    """Blockwise cohomology of every weight row of the family."""
-    spaces: dict[BlockKey, CohomologySpace] = {}
+    """Blockwise cohomology of the family: cohomology_at's checks at every
+    slot in order, and one rank per differential."""
+    ranked = functools.cache(lambda q, m, ab: rank(family.rows[q].d(m, ab)))
+    dims: dict[BlockKey, int] = {}
     for q, m, ab in family.slots():
         row = family.rows[q]
-        spaces[(m, q, ab)] = cohomology_at(row.d(m - 1, ab), row.d(m, ab))
-    return MixedHodgeTable(family=family, spaces=spaces)
+        check_complex(row.d(m - 1, ab), row.d(m, ab))
+        dims[(m, q, ab)] = row.dim(m, ab) - ranked(q, m - 1, ab) - ranked(q, m, ab)
+    return MixedHodgeTable(family, dims)
 
 
 @dataclass(frozen=True)
@@ -108,7 +139,7 @@ class TableDiff:
 def compare_tables(left: MixedHodgeTable, right: MixedHodgeTable) -> TableDiff:
     """Blockwise comparison of dimensions (representatives may differ)."""
     diffs = []
-    for m, q, ab in sorted(set(left.spaces) | set(right.spaces)):
+    for m, q, ab in sorted(set(left.dims) | set(right.dims)):
         dl = left.dim(m, q, ab)
         dr = right.dim(m, q, ab)
         if dl != dr:

@@ -10,11 +10,25 @@ the library's entry for entry.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from nchodge.errors import DimensionMismatch
-from nchodge.linalg import RationalMatrix, ReducedMatrix, _frac, vector
+from nchodge.linalg import RationalMatrix, _frac, vector
+
+
+@dataclass(frozen=True)
+class ReducedMatrix:
+    """`reduce`'s result with every field computed at once, as the library's
+    `ReducedMatrix` stood when this reference was frozen."""
+
+    matrix: RationalMatrix
+    rref: RationalMatrix
+    rank: int
+    pivots: tuple[int, ...]
+    kernel: tuple
+    image: tuple
 
 
 def apply(self: RationalMatrix, v: Sequence):

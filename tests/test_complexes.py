@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+import reference_tables as ref
 from nchodge.atlas import generic_arrangement, key_to_string
 from nchodge.complexes import (
     SELECTORS,
@@ -15,6 +16,7 @@ from nchodge.complexes import (
     coker_v_rows,
     cone_morphism,
     cone_rows,
+    identity_term_block,
     morphism_i_star,
     morphism_u,
     rows_constant,
@@ -25,8 +27,15 @@ from nchodge.complexes import (
     scale_block,
     term_slices,
 )
-from nchodge.errors import BadParams, DimensionMismatch, EmptyDivisor, UnknownStratum
+from nchodge.errors import (
+    BadParams,
+    DimensionMismatch,
+    EmptyDivisor,
+    NotChainMap,
+    UnknownStratum,
+)
 from nchodge.fixtures import BUILTIN_NAMES, builtin_atlas
+from nchodge.linalg import RationalMatrix
 from nchodge.tables import compute_table, euler_check
 
 
@@ -414,6 +423,9 @@ def _every_family(atlas):
 CONE_ATLASES = LAYOUT_ATLASES + [
     pytest.param(functools.partial(generic_arrangement, 3, 4), id="generic(3,4)")
 ]
+REFERENCE_ATLASES = CONE_ATLASES + [
+    pytest.param(functools.partial(generic_arrangement, 3, 5), id="generic(3,5)")
+]
 
 
 class TestRowLayout:
@@ -473,6 +485,62 @@ class TestRowLayout:
                         for t, (off, d) in tgt.layout.get((m - 1, ab), {}).items()
                     ]
                     assert list(slot.items()) == expected, (selector, q, m, ab)
+
+
+class TestConeAssembly:
+    """A cone assembled from its ends' placed matrices equals the cone
+    placed term block by term block (tests/reference_tables.py)."""
+
+    @staticmethod
+    def assert_same_cone(cone, expected):
+        assert (cone.label, cone.terms) == (expected.label, expected.terms)
+        assert cone.rows.keys() == expected.rows.keys()
+        for q, row in expected.rows.items():
+            got = cone.rows[q]
+            assert (got.dims, got.layout) == (row.dims, row.layout)
+            for m, ab in row.dims:
+                assert got.d(m, ab) == row.d(m, ab), (cone.label, q, m, ab)
+        assert list(cone.blocks) == list(expected.blocks)
+        assert cone.blocks == expected.blocks
+
+    @pytest.mark.parametrize("make", REFERENCE_ATLASES)
+    def test_matches_term_block_cone(self, make):
+        atlas = make()
+        for selector in ("XD", "XD-tilde", "locD", "locD-tilde"):
+            morphism = cone_morphism(atlas, selector)
+            cone = cone_rows(morphism)
+            assert "blocks" not in vars(cone)
+            self.assert_same_cone(cone, ref.cone_rows(morphism))
+            assert cone.blocks is cone.blocks
+
+    def test_not_a_chain_map_raises_before_assembly(self, triangle, monkeypatch):
+        mor = morphism_i_star(
+            triangle, rows_constant(triangle), rows_sum_strata(triangle)
+        )
+        broken = [
+            RowMorphism(mor.source, mor.target, _scaled(mor.blocks, pair, 2), "i*")
+            for pair in mor.blocks
+        ]
+        broken = [b for b in broken if not b.is_chain_map()]
+        assert len(broken) == 3
+
+        def assembled(*args):
+            raise AssertionError("a cone slot was assembled")
+
+        monkeypatch.setattr(RationalMatrix, "from_blocks", assembled)
+        for morphism in broken:
+            with pytest.raises(NotChainMap, match=r"cone of i\*: not a chain map"):
+                cone_rows(morphism)
+
+    @pytest.mark.parametrize("selector", ["XD", "locD-tilde"])
+    def test_cone_of_cones(self, triangle, selector):
+        # relabelling reorders the slots of an end that holds cone terms
+        cone = build(triangle, selector)
+        blocks = {(t, t): identity_term_block(triangle, t) for t in cone.terms}
+        identity = RowMorphism(cone, cone, blocks, "id")
+        assert identity.is_chain_map()
+        self.assert_same_cone(cone_rows(identity), ref.cone_rows(identity))
+        assert compute_table(cone_rows(identity)).degrees() == ()
 
 
 class TestCechStep:

@@ -1,7 +1,22 @@
+import collections
 import dataclasses
+import functools
 
-from nchodge.atlas import generic_arrangement
-from nchodge.complexes import build
+import pytest
+
+import reference_tables as ref
+from nchodge import tables
+from nchodge.atlas import generic_arrangement, key_to_string
+from nchodge.complexes import (
+    SELECTORS,
+    RowFamily,
+    build,
+    cone_morphism,
+    cone_rows,
+    scale_block,
+)
+from nchodge.errors import NCHodgeError
+from nchodge.fixtures import BUILTIN_NAMES, builtin_atlas
 from nchodge.tables import MixedHodgeTable, compare_tables, compute_table, euler_check
 
 
@@ -80,8 +95,122 @@ class TestEuler:
     def test_one_wrong_dim_fails(self, triangle):
         fam = build(triangle, "log")
         table = compute_table(fam)
-        assert len(table.spaces) == 6
-        for key, space in table.spaces.items():
-            raised = dataclasses.replace(space, dim=space.dim + 1)
-            spaces = {**table.spaces, key: raised}
-            assert not euler_check(fam, MixedHodgeTable(fam, spaces))
+        assert len(table.dims) == 6
+        for key, d in table.dims.items():
+            dims = {**table.dims, key: d + 1}
+            assert not euler_check(fam, MixedHodgeTable(fam, dims))
+
+
+REFERENCE_ATLASES = [
+    pytest.param(functools.partial(builtin_atlas, name), id=name)
+    for name in BUILTIN_NAMES
+] + [
+    pytest.param(functools.partial(generic_arrangement, n, m), id=f"generic({n},{m})")
+    for n, m in ((2, 4), (3, 4), (3, 5))
+]
+
+
+def every_selector(atlas):
+    """Every selector, sslog and every nbhd: key of the atlas."""
+    nbhds = [f"nbhd:{key_to_string(k)}" for k in atlas.keys_sorted()]
+    return [*SELECTORS, "sslog", *nbhds]
+
+
+class TestAgainstEagerTable:
+    """The dimension-first table equals one cohomology_at call per slot."""
+
+    @pytest.mark.parametrize("make", REFERENCE_ATLASES)
+    def test_dims_and_spaces(self, make):
+        atlas = make()
+        for selector in every_selector(atlas):
+            family = build(atlas, selector)
+            table = compute_table(family)
+            expected = ref.compute_table(family)
+            assert list(table.dims.items()) == [
+                (key, space.dim) for key, space in expected.items()
+            ], selector
+            assert list(table.spaces) == list(expected)
+            for (m, q, ab), space in expected.items():
+                assert table.representatives(m, q, ab) == space.representatives
+                assert table.space(m, q, ab) == space, (selector, m, q, ab)
+
+    def test_spaces_computed_once_on_first_read(self, triangle, monkeypatch):
+        calls = []
+        cohomology_at = tables.cohomology_at
+
+        def counted(d_in, d_out):
+            calls.append((d_in, d_out))
+            return cohomology_at(d_in, d_out)
+
+        monkeypatch.setattr(tables, "cohomology_at", counted)
+        table = compute_table(build(triangle, "XD-tilde"))
+        assert calls == []
+        assert len(table.spaces) == len(table.dims) > 0
+        assert all(key in table.spaces for key in table.dims)
+        assert calls == []
+        key = next(k for k, d in table.dims.items() if d)
+        first = table.spaces[key]
+        assert table.space(*key) is first
+        assert table.representatives(*key) is first.representatives
+        assert len(calls) == 1
+        assert table.spaces.get((99, 0, (0, 0))) is None
+        assert (99, 0, (0, 0)) not in table.spaces and key in table.spaces
+        assert len(calls) == 1
+
+
+def _doubled_ends(morphism):
+    """The morphism once for each block of its source and of its target,
+    with that one block doubled."""
+    for end in ("source", "target"):
+        family = getattr(morphism, end)
+        for pair, block in family.blocks.items():
+            blocks = {**family.blocks, pair: scale_block(block, 2)}
+            broken = RowFamily(family.atlas, family.label, family.terms, blocks)
+            yield dataclasses.replace(morphism, **{end: broken})
+
+
+def _outcome(monkeypatch, owner, name, run):
+    """`run()`'s value, or the error it raises with the number of slots that
+    the patched per-slot check `owner.name` reached."""
+    calls = []
+    check = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(owner, name, counted)
+        try:
+            return run()
+        except NCHodgeError as exc:
+            return type(exc), str(exc), len(calls)
+
+
+class TestFailuresKeepTheirPlace:
+    # per cone selector on triangle: how the doubled end blocks fail
+    EXPECTED = {
+        "XD": {"NotChainMap": 6},
+        "XD-tilde": {"NotChainMap": 48, "CompositionNonzero": 3},
+        "locD": {"table": 3, "CompositionNonzero": 9},
+        "locD-tilde": {"NotChainMap": 12, "table": 33},
+    }
+
+    @pytest.mark.parametrize("selector", ["XD", "XD-tilde", "locD", "locD-tilde"])
+    def test_doubled_end_block(self, triangle, selector, monkeypatch):
+        kinds = collections.Counter()
+        for morphism in _doubled_ends(cone_morphism(triangle, selector)):
+            got = _outcome(
+                monkeypatch, tables, "check_complex",
+                lambda: compute_table(cone_rows(morphism)).dims,
+            )
+            want = _outcome(
+                monkeypatch, ref, "cohomology_at",
+                lambda: {
+                    key: space.dim
+                    for key, space in ref.compute_table(ref.cone_rows(morphism)).items()
+                },
+            )
+            assert got == want
+            kinds[got[0].__name__ if isinstance(got, tuple) else "table"] += 1
+        assert kinds == self.EXPECTED[selector]
