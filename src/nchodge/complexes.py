@@ -36,7 +36,6 @@ with d(x, y) = (dx, f(x) - dy).
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 from dataclasses import dataclass
@@ -136,7 +135,7 @@ def identity_term_block(atlas: StrataAtlas, term: PureTerm) -> TermBlock:
     return {ab: RationalMatrix.identity(d) for ab, d in term_slices(atlas, term)}
 
 
-def _map_term_block(raw: BlockMap, j: int, twist: int) -> TermBlock:
+def map_term_block(raw: BlockMap, j: int, twist: int) -> TermBlock:
     """Select the degree-j blocks of an atlas map and re-key them by the
     twisted type both endpoint terms share."""
     out: TermBlock = {}
@@ -414,8 +413,10 @@ def cone_rows(morphism: RowMorphism) -> RowFamily:
         raise NotChainMap(f"cone of {morphism.label or 'morphism'}: not a chain map")
     source, target = morphism.source, morphism.target
     terms = (
-        *(dataclasses.replace(t, side="s") for t in source.terms),
-        *(dataclasses.replace(t, side="t", shift=t.shift + 1) for t in target.terms),
+        *(PureTerm(t.stratum, t.j, t.k, t.p, t.simp, t.res, "s", t.shift)
+          for t in source.terms),
+        *(PureTerm(t.stratum, t.j, t.k, t.p, t.simp, t.res, "t", t.shift + 1)
+          for t in target.terms),
     )
     label = f"cone({morphism.label})" if morphism.label else "cone"
     if any(t.side for t in (*source.terms, *target.terms)):
@@ -448,7 +449,7 @@ def _cech_blocks(atlas: StrataAtlas, terms):
             sign = -1 if sum(1 for i in carried if i < b) % 2 else 1
             for c2 in atlas.children.get((t.simp, b), ()):
                 for wkey in atlas.meet(c2, t.stratum):
-                    block = _map_term_block(atlas.rho(t.stratum, wkey), t.j, t.k)
+                    block = map_term_block(atlas.rho(t.stratum, wkey), t.j, t.k)
                     if block:
                         level = len(c2[0]) - 1
                         t2 = PureTerm(wkey, t.j, t.k, level, simp=c2, res=t.res)
@@ -491,7 +492,7 @@ def _stratum_log_data(atlas: StrataAtlas, ckey: StratumKey, p: int):
                     raise LatticeError(
                         f"stratum {tkey} escapes {ckey} while removing {a}"
                     )
-                block = _map_term_block(atlas.gysin_map(t.stratum, tkey), t.j, t.k)
+                block = map_term_block(atlas.gysin_map(t.stratum, tkey), t.j, t.k)
             if block:
                 t2 = PureTerm(tkey, t.j + 2, t.k - 1, p, simp=ckey, res=rest)
                 blocks[(t, t2)] = scale_block(block, -1 if (r + p) % 2 else 1)

@@ -52,7 +52,7 @@ _ZERO = Fraction(0)
 SparseRow = dict  # column -> nonzero value, an int unless it is not integral
 
 
-def _int_first(x):
+def int_first(x):
     """`x` as an int when it is integral, else unchanged."""
     return x if type(x) is int or x.denominator != 1 else x.numerator
 
@@ -62,7 +62,7 @@ def _sparse(entries: Sequence) -> SparseRow:
     out: SparseRow = {}
     for j, x in enumerate(entries):
         if type(x) is not int:
-            x = _int_first(x if type(x) is Fraction else _frac(x))
+            x = int_first(x if type(x) is Fraction else _frac(x))
         if x:
             out[j] = x
     return out
@@ -92,8 +92,8 @@ def _absorb(basis: dict[int, SparseRow], row: SparseRow) -> bool:
     if not row:
         return False
     pivot = min(row)
-    inv = _int_first(Fraction(1) / row[pivot])
-    new = {j: _int_first(x * inv) for j, x in row.items()}
+    inv = int_first(Fraction(1) / row[pivot])
+    new = {j: int_first(x * inv) for j, x in row.items()}
     for other in basis.values():
         if pivot in other:
             _subtract(other, other[pivot], new)
@@ -106,7 +106,7 @@ def _subtract(row: SparseRow, factor, other: SparseRow) -> None:
     for j, y in other.items():
         x = row.get(j, 0) - factor * y
         if x:
-            row[j] = _int_first(x)
+            row[j] = int_first(x)
         else:
             del row[j]
 
@@ -206,6 +206,11 @@ class RationalMatrix:
     def is_zero(self) -> bool:
         return not any(self._rows)
 
+    def entries(self):
+        """Yield (i, j, value) for every stored nonzero entry, row by row; a
+        value is an int unless it is not integral."""
+        return ((i, j, x) for i, row in enumerate(self._rows) for j, x in row.items())
+
     def column(self, j: int) -> Vector:
         return tuple(_frac(row[j]) if j in row else _ZERO for row in self._rows)
 
@@ -233,15 +238,15 @@ class RationalMatrix:
             for k, a in row.items():
                 for j, b in right[k].items():
                     acc[j] = acc.get(j, 0) + a * b
-            out.append({j: _int_first(x) for j, x in acc.items() if x})
+            out.append({j: int_first(x) for j, x in acc.items() if x})
         return RationalMatrix._from_sparse(out, other.ncols)
 
     def scale(self, c) -> "RationalMatrix":
-        c = _int_first(_frac(c))
+        c = int_first(_frac(c))
         if not c:
             return RationalMatrix.zeros(self.nrows, self.ncols)
         return RationalMatrix._from_sparse(
-            [{j: _int_first(c * x) for j, x in row.items()} for row in self._rows],
+            [{j: int_first(c * x) for j, x in row.items()} for row in self._rows],
             self.ncols,
         )
 

@@ -55,7 +55,7 @@ from .errors import (
     NonHomogeneous,
     WeightTooLow,
 )
-from .linalg import EchelonSpan, _int_first
+from .linalg import EchelonSpan, int_first
 from .reports import CheckLine, CheckReport
 
 Exponents = tuple[int, ...]
@@ -69,7 +69,7 @@ def _coeff(value):
     """`value` as an exact coefficient: an int when integral, else a Fraction."""
     if type(value) is int:
         return value
-    return _int_first(value if type(value) is Fraction else Fraction(value))
+    return int_first(value if type(value) is Fraction else Fraction(value))
 
 
 def _add_term(acc: Poly, e: Exponents, c) -> None:
@@ -78,7 +78,7 @@ def _add_term(acc: Poly, e: Exponents, c) -> None:
     if old is not None:
         c = old + c
     if c:
-        acc[e] = _int_first(c)
+        acc[e] = int_first(c)
     elif old is not None:
         del acc[e]
 
@@ -124,7 +124,7 @@ def poly_scale(c, a: Poly) -> Poly:
     c = _coeff(c)
     if not c:
         return {}
-    return {e: _int_first(c * v) for e, v in a.items()}
+    return {e: int_first(c * v) for e, v in a.items()}
 
 
 def poly_restrict(a: Poly, zeroed: frozenset[int]) -> Poly:

@@ -10,17 +10,20 @@ factors: the shuffle sign of the two residue index sets, a Koszul factor
 residue symbols of the right one, and the level sign (-1)^((j1+k1)*(p+shift))
 for moving it past a level-p piece.  A cone target carries shift 1, which
 absorbs the cone's own sign rule a.(x, y) = (a.x, (-1)^deg(a) a.y).  None of
-this is taken on faith: chain_map_check verifies the Leibniz identity on
-every pair of basis vectors, by bilinearity from each basis product
-evaluated once.
+this is taken on faith: products come from one table of basis products, each
+term pair compiled once, and chain_map_check verifies the Leibniz identity on
+every pair of basis vectors from that table, the factors' stored
+differentials and the target's apply_d.
 """
 
 from __future__ import annotations
 
 import collections
 import functools
+import itertools
+from fractions import Fraction
 
-from .atlas import StrataAtlas, restrict
+from .atlas import StrataAtlas
 from .complexes import (
     Element,
     PureTerm,
@@ -31,22 +34,18 @@ from .complexes import (
     coker_v_rows,
     cone_morphism,
     cone_rows,
+    map_term_block,
     rows_log,
     rows_sum_strata,
 )
 from .errors import DimensionMismatch, EmptyDivisor
-from .linalg import CohomologySpace, RationalMatrix, Vector, rank, solve, unit_vector
+from .linalg import CohomologySpace, RationalMatrix, Vector, int_first, rank, solve, unit_vector
 from .reports import CheckLine, CheckReport
 from .rings import Bidegree
 from .tables import MixedHodgeTable, compute_table
 
 
 # -- element helpers ----------------------------------------------------------
-
-
-def _coords(elem: Element) -> list:
-    """The nonzero entries of an element as ((term, ab, index), value)."""
-    return [((*key, i), x) for key, v in elem.items() for i, x in enumerate(v) if x]
 
 
 def sign_shuffle(left: tuple[int, ...], right: tuple[int, ...]) -> int:
@@ -59,7 +58,14 @@ def sign_shuffle(left: tuple[int, ...], right: tuple[int, ...]) -> int:
 
 
 class GradedPairing:
-    """A bilinear, weight- and type-additive product between row families."""
+    """A bilinear, weight- and type-additive product between row families.
+
+    The resolver gives the (target term, sign) list of a term pair, and may
+    return only targets of the rule's shape (others raise DimensionMismatch):
+    chain_map_check resolves only the term pairs product_pairs lists.  Each
+    term pair is compiled on first use into its basis products, which
+    evaluate and chain_map_check read.
+    """
 
     def __init__(self, atlas: StrataAtlas, left: RowFamily, right: RowFamily,
                  target: RowFamily, resolver, label: str):
@@ -69,60 +75,92 @@ class GradedPairing:
         self.target = target
         self.label = label
         self._resolver = resolver
-        self._resolved: dict[tuple[PureTerm, PureTerm], tuple] = {}
-        self._target_terms = set(target.terms)
+        self._compiled: dict[tuple[PureTerm, PureTerm], dict] = {}
+        self._target_terms = {t: t for t in target.terms}
 
-    def _targets(self, t1: PureTerm, t2: PureTerm):
-        cached = self._resolved.get((t1, t2))
-        if cached is None:
-            rho = self.atlas.rho
-            cached = tuple(
-                (t3, sign, self.atlas.ring(t3.stratum),
-                 rho(t1.stratum, t3.stratum), rho(t2.stratum, t3.stratum))
-                for t3, sign in self._resolver(t1, t2)
-                if t3 in self._target_terms
-            )
-            self._resolved[(t1, t2)] = cached
-        return cached
+    def _targets(self, t1: PureTerm, t2: PureTerm) -> list:
+        """The resolved targets that are target terms, as the target's own."""
+        key, out = _product_key(t1, t2), []
+        for t3, sign in self._resolver(t1, t2):
+            own = self._target_terms.get(t3)
+            if own is not None:
+                if _shape(own) != key:
+                    raise DimensionMismatch(f"{self.label}: target "
+                                            f"{own.describe()} is off the rule's shape")
+                out.append((own, sign))
+        return out
+
+    def _products(self, t1: PureTerm, t2: PureTerm) -> dict:
+        """The basis products of t1 x t2, compiled on first use: (ab1, ab2,
+        i1, i2) -> {(t3, ab3, w): value}, nonzero and integer-first.  A value
+        is sign . (column i1 of t1's restriction to t3) . (the ring's
+        tensors) . (column i2 of t2's restriction to t3)."""
+        if (t1, t2) in self._compiled:
+            return self._compiled[(t1, t2)]
+        sums, rho = collections.defaultdict(int), self.atlas.rho
+        for t3, sign in self._targets(t1, t2):
+            mult = self.atlas.ring(t3.stratum).mult
+            left = map_term_block(rho(t1.stratum, t3.stratum), t1.j, 0).items()
+            right = map_term_block(rho(t2.stratum, t3.stratum), t2.j, 0).items()
+            for (x1, r1), (y1, r2) in itertools.product(left, right):
+                tensors = mult.get(((t1.j, *x1), (t2.j, *y1)), ())
+                ab1, ab2 = (x1[0] + t1.k, x1[1] + t1.k), (y1[0] + t2.k, y1[1] + t2.k)
+                ab3 = (ab1[0] + ab2[0], ab1[1] + ab2[1])
+                for u, i1, x in r1.entries() if tensors else ():
+                    for w, i2, c in (tensors[u] @ r2).entries():
+                        sums[(ab1, ab2, i1, i2), (t3, ab3, w)] += sign * x * c
+        table = self._compiled[(t1, t2)] = {}
+        for (basis, at), x in sums.items():
+            if x:
+                table.setdefault(basis, {})[at] = int_first(x)
+        return table
 
     def evaluate(self, left_elem: Element, right_elem: Element) -> Element:
-        out: Element = {}
+        sums = collections.defaultdict(int)
         for (t1, ab1), x in left_elem.items():
-            # untwisted: the slice of H^j(stratum) the coordinates live in
-            x1 = (t1.j, (ab1[0] - t1.k, ab1[1] - t1.k), x)
             for (t2, ab2), y in right_elem.items():
-                y1 = (t2.j, (ab2[0] - t2.k, ab2[1] - t2.k), y)
-                for t3, sign, ring, rho1, rho2 in self._targets(t1, t2):
-                    x2 = restrict(rho1, ring, x1)
-                    if all(c == 0 for c in x2[2]):
-                        continue
-                    y2 = restrict(rho2, ring, y1)
-                    z = ring.mult_apply(*x2, *y2)
-                    if all(c == 0 for c in z):
-                        continue
-                    if sign != 1:
-                        z = tuple(sign * c for c in z)
-                    key = (t3, (ab1[0] + ab2[0], ab1[1] + ab2[1]))
-                    have = out.get(key)
-                    out[key] = (
-                        z if have is None else tuple(a + b for a, b in zip(have, z))
-                    )
-        return {k: v for k, v in out.items() if any(x != 0 for x in v)}
+                for (a1, a2, i1, i2), product in self._products(t1, t2).items():
+                    if (a1, a2) == (ab1, ab2) and x[i1] and y[i2]:
+                        for at, c in product.items():
+                            sums[at] += x[i1] * c * y[i2]
+        out: dict = {}
+        for (t3, ab3, w), c in sums.items():
+            if c:
+                d = self.target.row(t3.q).layout[(t3.m, ab3)][t3][1]
+                out.setdefault((t3, ab3), [Fraction(0)] * d)[w] = Fraction(c)
+        return {key: tuple(vec) for key, vec in out.items()}
+
+
+def _shape(t: PureTerm) -> tuple:
+    """A term's fields but its stratum: what the rule fixes of a target."""
+    return (t.j, t.k, t.p, t.simp, t.res, t.side, t.shift)
+
+
+def _product_key(t1: PureTerm, t2: PureTerm) -> tuple | None:
+    """The _shape the rule gives every target of t1.t2, or None where the
+    residue sets overlap; neither builds a term nor asks for a meet."""
+    if set(t1.res) & set(t2.res):
+        return None
+    res = tuple(sorted(t1.res + t2.res))
+    return (t1.j + t2.j, t1.k + t2.k, t2.p, t2.simp, res, t2.side, t2.shift)
 
 
 def product_terms(atlas: StrataAtlas, t1: PureTerm, t2: PureTerm) -> list:
     """The (target term, sign) list of t1.t2, by the rule of the module."""
-    if set(t1.res) & set(t2.res):
+    shape = _product_key(t1, t2)
+    if shape is None:
         return []
-    res = tuple(sorted(t1.res + t2.res))
     sign = sign_shuffle(t1.res, t2.res)
     if (t1.j * t2.k + (t1.j + t1.k) * (t2.p + t2.shift)) % 2:
         sign = -sign
-    j, k = t1.j + t2.j, t1.k + t2.k
-    return [
-        (PureTerm(key, j, k, t2.p, t2.simp, res, t2.side, t2.shift), sign)
-        for key in atlas.meet(t1.stratum, t2.stratum)
-    ]
+    return [(PureTerm(key, *shape), sign) for key in atlas.meet(t1.stratum, t2.stratum)]
+
+
+def product_pairs(left, right, target) -> list:
+    """The term pairs (t1, t2) whose product can have a target by the rule:
+    some target term has their _product_key."""
+    shapes = {_shape(t) for t in target}
+    return [(t1, t2) for t2 in right for t1 in left if _product_key(t1, t2) in shapes]
 
 
 def cup_log_XD(atlas: StrataAtlas) -> GradedPairing:
@@ -157,42 +195,50 @@ def cup_extraordinary(atlas: StrataAtlas) -> GradedPairing:
     return GradedPairing(atlas, fcu, fd, fcv, rule, "locD x D -> locD")
 
 
-def _transposed_d(family: RowFamily):
-    """Each basis vector's unit element by its coordinate (term, ab, index),
-    and the differential transposed: k -> [(i, c)] where (d e_i)_k = c."""
-    basis, transposed = {}, {}
-    for q, m, _, elem in family.iter_basis():
-        ((i, _),) = _coords(elem)
-        basis[i] = elem
-        for k, c in _coords(family.apply_d(q, m, elem)):
-            transposed.setdefault(k, []).append((i, c))
-    return basis, transposed
+def _preimages(family: RowFamily) -> dict:
+    """The stored differentials transposed: each coordinate (term, ab, index)
+    to the [(coordinate, value)] whose d reaches it."""
+    out = collections.defaultdict(list)
+    for row in family.rows.values():
+        for (m, ab), mat in row.diff.items():
+            here, there = (
+                [(t, ab, i) for t, (_, d) in row.layout.get(key, {}).items()
+                 for i in range(d)]
+                for key in ((m, ab), (m + 1, ab))
+            )
+            for r, c, x in mat.entries():
+                out[there[r]].append((here[c], x))
+    return out
+
+
+def _d_column(family: RowFamily, t: PureTerm, ab: Bidegree, i: int) -> list:
+    """d of the basis vector at coordinate (t, ab, i), by the family's
+    apply_d, as [(coordinate, value)]."""
+    unit = {(t, ab): unit_vector(family.row(t.q).layout[(t.m, ab)][t][1], i)}
+    image = family.apply_d(t.q, t.m, unit).items()
+    return [((*key, w), int_first(x)) for key, v in image for w, x in enumerate(v) if x]
 
 
 def chain_map_check(pairing: GradedPairing) -> bool:
     """Leibniz identity d(xy) = dx.y + (-1)^deg(x) x.dy on every basis pair.
 
-    d(xy) sums cached target columns over each basis product with targets,
-    evaluated once; dx.y and x.dy scatter that product through the factors'
-    transposed differentials.  lhs - rhs must vanish on every pair: 0 = 0
-    where no sum reaches, whatever the pair's own product."""
-    left, d_left = _transposed_d(pairing.left)
-    right, d_right = _transposed_d(pairing.right)
+    Each compiled basis product xy of the listed term pairs is read once:
+    d(xy) sums apply_d of each target basis vector it reaches, taken once,
+    and dx.y and x.dy scatter xy through the factors' transposed stored
+    differentials.  lhs - rhs must vanish on every pair: 0 = 0 where no sum
+    reaches, whatever the pair's own product."""
+    d_left, d_right = _preimages(pairing.left), _preimages(pairing.right)
     columns, residual = {}, collections.defaultdict(int)
-    for k1, e1 in left.items():
-        sign = -1 if k1[0].m % 2 else 1
-        for k2, e2 in right.items():
-            if not pairing._targets(k1[0], k2[0]):
-                continue
-            product = pairing.evaluate(e1, e2)
-            q, m = k1[0].q + k2[0].q, k1[0].m + k2[0].m
-            for at, x in _coords(product):
-                key = (q, m, *at)
-                if key not in columns:
-                    unit = {at[:2]: unit_vector(len(product[at[:2]]), at[2])}
-                    columns[key] = _coords(pairing.target.apply_d(q, m, unit))
-                for coord, y in columns[key]:
-                    residual[(k1, k2, coord)] += x * y
+    terms = (pairing.left.terms, pairing.right.terms, pairing.target.terms)
+    for t1, t2 in product_pairs(*terms):
+        sign = -1 if t1.m % 2 else 1
+        for (ab1, ab2, i1, i2), product in pairing._products(t1, t2).items():
+            k1, k2 = (t1, ab1, i1), (t2, ab2, i2)
+            for at, x in product.items():
+                if at not in columns:
+                    columns[at] = _d_column(pairing.target, *at)
+                for k, y in columns[at]:
+                    residual[(k1, k2, k)] += x * y
                 for i, c in d_left.get(k1, ()):
                     residual[(i, k2, at)] -= c * x
                 for j, c in d_right.get(k2, ()):

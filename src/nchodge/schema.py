@@ -27,7 +27,7 @@ from .atlas import (
     key_to_string,
 )
 from .errors import BadParams, NCHodgeError, SchemaError
-from .linalg import RationalMatrix, Vector, _frac, _int_first
+from .linalg import RationalMatrix, Vector, _frac, int_first
 from .rings import PureHodgeRing, SliceKey
 
 FORMAT = "nc-hodge/1"
@@ -61,10 +61,10 @@ def _rational(entry, parsed: _Parsed) -> int | Fraction:
     if type(entry) is not str:
         if type(entry) is bool:
             raise TypeError(f"cannot coerce {entry!r} to an exact rational")
-        return _int_first(_frac(entry))
+        return int_first(_frac(entry))
     value = parsed.rationals.get(entry)
     if value is None:
-        value = parsed.rationals[entry] = _int_first(Fraction(entry))
+        value = parsed.rationals[entry] = int_first(Fraction(entry))
     return value
 
 

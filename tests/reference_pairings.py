@@ -7,6 +7,15 @@ oracle for `test_pairings.py`.  They evaluate the product three times and
 apply the differential once for every basis pair, so the library's verdict
 must equal theirs on every pairing, broken or not.
 
+`evaluate(pairing, left, right)` is `GradedPairing.evaluate` as it stood
+before products were compiled into tables of basis products: it resolves
+each term pair through `pairing._resolver` (cached per pairing by
+`_targets`), restricts both factors to each target's stratum with
+`atlas.restrict` and multiplies them with the ring's `mult_apply`.  The
+reference check evaluates through it, so the oracle shares no product code
+with the library, and the library's `evaluate` must return the same
+element, key for key and `Fraction` for `Fraction`.
+
 `resolve_log_XD` and `resolve_extraordinary` are the term-pair resolvers
 of `cup_log_XD` and `cup_extraordinary` as they stood before both products
 shared one rule: one branch per cone side of the right factor, and one
@@ -16,7 +25,9 @@ of a term pair, in order.
 
 from __future__ import annotations
 
-from nchodge.atlas import StrataAtlas
+import weakref
+
+from nchodge.atlas import StrataAtlas, restrict
 from nchodge.complexes import Element, PureTerm
 from nchodge.pairings import GradedPairing, sign_shuffle
 
@@ -38,6 +49,52 @@ def scale_element(elem: Element, sign: int) -> Element:
     return {k: tuple(sign * x for x in v) for k, v in elem.items()}
 
 
+# pairing -> (its resolved term pairs, the set of its target terms)
+_RESOLVED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _targets(pairing: GradedPairing, t1: PureTerm, t2: PureTerm):
+    if pairing not in _RESOLVED:
+        _RESOLVED[pairing] = ({}, set(pairing.target.terms))
+    resolved, target_terms = _RESOLVED[pairing]
+    cached = resolved.get((t1, t2))
+    if cached is None:
+        rho = pairing.atlas.rho
+        cached = tuple(
+            (t3, sign, pairing.atlas.ring(t3.stratum),
+             rho(t1.stratum, t3.stratum), rho(t2.stratum, t3.stratum))
+            for t3, sign in pairing._resolver(t1, t2)
+            if t3 in target_terms
+        )
+        resolved[(t1, t2)] = cached
+    return cached
+
+
+def evaluate(pairing: GradedPairing, left_elem: Element, right_elem: Element) -> Element:
+    out: Element = {}
+    for (t1, ab1), x in left_elem.items():
+        # untwisted: the slice of H^j(stratum) the coordinates live in
+        x1 = (t1.j, (ab1[0] - t1.k, ab1[1] - t1.k), x)
+        for (t2, ab2), y in right_elem.items():
+            y1 = (t2.j, (ab2[0] - t2.k, ab2[1] - t2.k), y)
+            for t3, sign, ring, rho1, rho2 in _targets(pairing, t1, t2):
+                x2 = restrict(rho1, ring, x1)
+                if all(c == 0 for c in x2[2]):
+                    continue
+                y2 = restrict(rho2, ring, y1)
+                z = ring.mult_apply(*x2, *y2)
+                if all(c == 0 for c in z):
+                    continue
+                if sign != 1:
+                    z = tuple(sign * c for c in z)
+                key = (t3, (ab1[0] + ab2[0], ab1[1] + ab2[1]))
+                have = out.get(key)
+                out[key] = (
+                    z if have is None else tuple(a + b for a, b in zip(have, z))
+                )
+    return {k: v for k, v in out.items() if any(x != 0 for x in v)}
+
+
 def chain_map_check(pairing: GradedPairing) -> bool:
     """Leibniz identity d(xy) = dx.y + (-1)^deg(x) x.dy on every basis pair."""
     left_basis = list(pairing.left.iter_basis())
@@ -49,11 +106,11 @@ def chain_map_check(pairing: GradedPairing) -> bool:
         de1 = pairing.left.apply_d(q1, m1, e1)
         sign = -1 if m1 % 2 else 1
         for q2, m2, ab2, e2, de2 in right_basis:
-            product = pairing.evaluate(e1, e2)
+            product = evaluate(pairing, e1, e2)
             lhs = pairing.target.apply_d(q1 + q2, m1 + m2, product)
             rhs = add_elements(
-                pairing.evaluate(de1, e2),
-                scale_element(pairing.evaluate(e1, de2), sign),
+                evaluate(pairing, de1, e2),
+                scale_element(evaluate(pairing, e1, de2), sign),
             )
             # both sides hold no all-zero pieces, so == compares the elements
             if lhs != rhs:

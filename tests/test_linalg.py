@@ -119,6 +119,48 @@ class TestRationalMatrix:
         with pytest.raises(DimensionMismatch):
             RationalMatrix.from_blocks(2, 2, [(*offsets, M([[1]]))])
 
+    @staticmethod
+    def _entry_cases():
+        rng = random.Random(29)
+        sparse = M([[0, 0, "1/2"], [0, 0, 0], [3, 0, Fraction(-4, 6)]])
+        yield sparse
+        yield M([[0, 0], [0, 0]])
+        yield RationalMatrix.zeros(0, 4)
+        yield RationalMatrix.zeros(3, 0)
+        yield RationalMatrix.identity(3)
+        yield RationalMatrix.from_blocks(
+            4, 5, [(0, 0, sparse), (1, 2, sparse.scale("3/2")), (3, 4, M([[7]]))]
+        )
+        for _ in range(20):
+            m = random_matrix(rng, rng.randint(0, 4), rng.randint(1, 4), span=2)
+            yield m.scale(Fraction(rng.randint(1, 3), rng.randint(1, 4)))
+
+    def test_entries_match_rows_and_columns(self):
+        for m in self._entry_cases():
+            seen = {}
+            for i, j, x in m.entries():
+                assert (i, j) not in seen
+                assert x != 0 and (type(x) is int or x.denominator != 1)
+                seen[(i, j)] = Fraction(x)
+            dense = {
+                (i, j): x for i, row in enumerate(m.rows) for j, x in enumerate(row) if x
+            }
+            assert seen == dense
+            for j in range(m.ncols):
+                column = tuple(seen.get((i, j), Fraction(0)) for i in range(m.nrows))
+                assert column == m.column(j)
+
+    def test_entries_cannot_change_the_matrix(self):
+        for m in self._entry_cases():
+            before = (m.rows, hash(m))
+            listed = list(m.entries())
+            for entry in listed:
+                with pytest.raises(TypeError):
+                    entry[2] = 99
+            listed.clear()
+            assert (m.rows, hash(m)) == before
+            assert all(isinstance(entry, tuple) for entry in m.entries())
+
     def test_arithmetic(self):
         a = M([[1, 2], [3, 4]])
         negated = RationalMatrix.from_blocks(2, 2, [(0, 0, a), (0, 0, a.scale(-1))])

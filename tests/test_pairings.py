@@ -1,11 +1,12 @@
 import random
+from fractions import Fraction
 from functools import partial
 
 import pytest
 import reference_pairings as ref
 
 from nchodge.atlas import generic_arrangement
-from nchodge.complexes import build, morphism_u, morphism_v, rows_constant, rows_log, rows_semisimplicial_log, rows_sum_strata
+from nchodge.complexes import build, morphism_u, morphism_v, rows_constant, rows_log, rows_semisimplicial_log, rows_sum_strata, term_slices
 from nchodge.errors import DimensionMismatch, EmptyDivisor
 from nchodge.linalg import RationalMatrix, rank
 from nchodge.pairings import (
@@ -18,6 +19,7 @@ from nchodge.pairings import (
     fujiki_duality_report,
     induced_pairing,
     les_check,
+    product_pairs,
     product_terms,
     sign_shuffle,
 )
@@ -48,12 +50,25 @@ def _with_resolver(pairing, edit):
 
 
 PRODUCTS = {"cup_log_XD": cup_log_XD, "cup_extraordinary": cup_extraordinary}
+CASES = FIXTURE_NAMES + ["generic_2_3", "generic_2_4", "generic_3_4"]
+
+
+def log_x_log(atlas):
+    """The product rule on rows_log alone, H(U) x H(U) -> H(U)."""
+    flog = rows_log(atlas)
+    rule = partial(product_terms, atlas)
+    return GradedPairing(atlas, flog, flog, flog, rule, "log x log -> log")
+
+
+RULES = {**PRODUCTS, "log_x_log": log_x_log}
 REFERENCE_RESOLVERS = {
     "cup_log_XD": ref.resolve_log_XD,
     "cup_extraordinary": ref.resolve_extraordinary,
 }
 
-# Each edit breaks the Leibniz identity of its product on the triangle.
+# Each edit breaks the Leibniz identity of its product on the triangle and
+# on generic(3, 4).  Each only drops targets or flips signs, so a mutant
+# resolves the same term pairs as its product.
 BROKEN_RESOLVERS = {
     "cup_log_XD": {
         "cone sign flipped on t-side targets": lambda t1, t2, out: [
@@ -110,17 +125,16 @@ class TestChainMaps:
         "product, broken",
         [(p, b) for p, edits in BROKEN_RESOLVERS.items() for b in edits],
     )
-    def test_broken_resolver_is_not_a_chain_map(self, triangle, product, broken):
-        pairing = PRODUCTS[product](triangle)
+    @pytest.mark.parametrize("name", ["triangle", "generic_3_4"])
+    def test_broken_resolver_is_not_a_chain_map(self, name, product, broken):
+        pairing = PRODUCTS[product](atlas_by_name(name))
         assert chain_map_check(pairing) is True
         mutant = _with_resolver(pairing, BROKEN_RESOLVERS[product][broken])
         assert chain_map_check(mutant) is False
         assert ref.chain_map_check(mutant) is False
 
     @pytest.mark.parametrize("product", sorted(PRODUCTS))
-    @pytest.mark.parametrize(
-        "name", FIXTURE_NAMES + ["generic_2_3", "generic_2_4", "generic_3_4"]
-    )
+    @pytest.mark.parametrize("name", CASES)
     def test_check_matches_reference(self, name, product):
         pairing = PRODUCTS[product](atlas_by_name(name))
         assert chain_map_check(pairing) is ref.chain_map_check(pairing)
@@ -165,6 +179,86 @@ class TestChainMaps:
         assert v.blockwise_injective()
 
 
+class TestCompiledProducts:
+    """The compiled basis products against the restrict path they replace."""
+
+    @pytest.mark.parametrize("rule", sorted(RULES))
+    @pytest.mark.parametrize("name", CASES)
+    def test_listed_pairs_are_the_pairs_with_targets(self, name, rule):
+        pairing = RULES[rule](atlas_by_name(name))
+        left, right = pairing.left.terms, pairing.right.terms
+        listed = product_pairs(left, right, pairing.target.terms)
+        brute = {(t1, t2) for t1 in left for t2 in right if pairing._targets(t1, t2)}
+        assert len(set(listed)) == len(listed)
+        assert set(listed) == brute
+
+    def test_target_off_the_rules_shape_is_refused(self, triangle):
+        """A resolver target of another shape than the rule gives would be
+        used by evaluate on a pair chain_map_check never lists: refused."""
+        pairing = cup_log_XD(triangle)
+        t1, t2 = product_pairs(
+            pairing.left.terms, pairing.right.terms, pairing.target.terms
+        )[0]
+        ((t3, _), *_) = pairing._targets(t1, t2)
+        other = next(t for t in pairing.target.terms if t.j != t3.j)
+        mutant = _with_resolver(pairing, lambda a, b, out: [*out, (other, 1)])
+        (ab1, d1), (ab2, d2) = term_slices(triangle, t1)[0], term_slices(triangle, t2)[0]
+        with pytest.raises(DimensionMismatch, match="off the rule's shape"):
+            mutant.evaluate({(t1, ab1): (1,) * d1}, {(t2, ab2): (1,) * d2})
+
+    @pytest.mark.parametrize("rule", sorted(RULES))
+    @pytest.mark.parametrize("name", CASES)
+    def test_evaluate_matches_frozen_evaluate(self, name, rule):
+        pairing = RULES[rule](atlas_by_name(name))
+        left = [e for *_, e in pairing.left.iter_basis()]
+        right = [e for *_, e in pairing.right.iter_basis()]
+        checked = 0
+        for e1 in left:
+            for e2 in right:
+                checked += self._same(pairing, e1, e2)
+        assert checked
+        rng = random.Random(f"{name}:{rule}")
+        pairs = product_pairs(
+            pairing.left.terms, pairing.right.terms, pairing.target.terms
+        )
+        for _ in range(60):
+            t1, t2 = rng.choice(pairs)
+            x = self._random_element(rng, pairing.left, t1)
+            y = self._random_element(rng, pairing.right, t2)
+            self._same(pairing, x, y)
+
+    @staticmethod
+    def _same(pairing, x, y) -> bool:
+        """evaluate(x, y) equals the frozen evaluate: keys, values and types.
+        True iff the product is nonzero."""
+        got, want = pairing.evaluate(x, y), ref.evaluate(pairing, x, y)
+        assert got == want
+        assert all(type(c) is Fraction for vec in got.values() for c in vec)
+        return bool(got)
+
+    @staticmethod
+    def _random_element(rng, family, term):
+        """A sparse element on every slice of `term` and of up to three random
+        terms, with zero, int and Fraction coordinates."""
+        values = [0, 0, 1, -2, 3, Fraction(1, 3), Fraction(-5, 2)]
+        return {
+            (t, ab): tuple(rng.choice(values) for _ in range(d))
+            for t in [term] + rng.sample(family.terms, min(3, len(family.terms)))
+            for ab, d in term_slices(family.atlas, t)
+        }
+
+    def test_evaluate_drops_cancelled_keys(self, elliptic):
+        """On the curve, a.b + b.a = 0 for the (1,0) and (0,1) classes of
+        H^1: the cancelled key is dropped, as the frozen evaluate drops it."""
+        pairing = log_x_log(elliptic)
+        (h1,) = [t for t in pairing.left.terms if t.j == 1 and not t.res]
+        x = {(h1, ab): (Fraction(1),) * d for ab, d in term_slices(elliptic, h1)}
+        assert len(x) == 2
+        assert pairing.evaluate(x, x) == ref.evaluate(pairing, x, x) == {}
+        a, b = ({key: vec} for key, vec in x.items())
+        assert pairing.evaluate(a, b) == ref.evaluate(pairing, a, b) != {}
+
+
 class TestProductRule:
     @pytest.mark.parametrize("product", sorted(PRODUCTS))
     @pytest.mark.parametrize(
@@ -184,11 +278,7 @@ class TestProductRule:
     def test_rule_on_log_rows_is_a_chain_map(self, name):
         """The same rule on rows_log alone, H(U) x H(U) -> H(U), satisfies
         the Leibniz identity: the rule is not fitted to the two products."""
-        atlas = atlas_by_name(name)
-        flog = rows_log(atlas)
-        pairing = GradedPairing(
-            atlas, flog, flog, flog, partial(product_terms, atlas), "log x log -> log"
-        )
+        pairing = log_x_log(atlas_by_name(name))
         assert chain_map_check(pairing)
         assert ref.chain_map_check(pairing)
 
