@@ -24,8 +24,9 @@ Layout: a weight row's slots are the keys (m, ab) of its dims, each with a
 positive dim, and every walk reads them through RowFamily.slots().  A slot
 maps each term to (offset, dim), terms in sort_key order and their slices
 stacked from offset 0, so placing a block reads both endpoints by lookup.
-Cone terms sort by side, so a cone slot (m, ab) is the source slot (m, ab)
-followed by the target slot (m-1, ab).
+A term's side is the path of cone ends holding it, outermost first, and sorts
+first, so every cone slot (m, ab), cones of cones included, is the source
+slot (m, ab) followed by the target slot (m-1, ab).
 
 Sign conventions: removing the r-th element (1-based, ascending order) of a
 residue set carries (-1)^(r-1) times a Koszul factor (-1)^p, and the same
@@ -62,9 +63,10 @@ class PureTerm:
     """One pure piece H^j(stratum)(-k) sitting in a weight row.
 
     simp is the stratum whose Cech simplex or neighborhood the piece sits on
-    (at simplicial level p), res the residue index set it remembers, and
-    side/shift mark membership in a mapping cone.  Total degree is
-    j + k + p + shift; the intrinsic weight j + 2k never includes the shift.
+    (at simplicial level p), res the residue index set it remembers, side
+    the path of cone ends ("s" source, "t" target) holding it, outermost
+    first, and shift its cones' degree shift.  Total degree is j + k + p +
+    shift; the intrinsic weight j + 2k never includes the shift.
     """
 
     stratum: StratumKey
@@ -179,7 +181,7 @@ class WeightRow:
     def offset(self, m: int, term: PureTerm, ab: Bidegree) -> tuple[int, int]:
         slot = self.layout.get((m, ab), {}).get(term)
         if slot is None:
-            raise DimensionMismatch(f"term {term} has no ({m}, {ab}) slice")
+            raise DimensionMismatch(f"term {term.describe()} has no ({m}, {ab}) slice")
         return slot
 
 
@@ -221,32 +223,34 @@ class RowFamily:
         terms: tuple[PureTerm, ...],
         blocks: dict[tuple[PureTerm, PureTerm], TermBlock],
     ):
+        self._lay_out(atlas, label, terms)
+        self.blocks = blocks
+        for t1, t2 in blocks:
+            if t1.q != t2.q or t2.m != t1.m + 1:
+                fault = "changes the weight" if t1.q != t2.q else "is not of degree +1"
+                raise DimensionMismatch(
+                    f"differential block {t1.describe()} -> {t2.describe()} {fault}"
+                )
+        for (q, m, ab), mat in _place_blocks(blocks, self, self).items():
+            self.rows[q].diff[(m, ab)] = mat
+
+    def _lay_out(self, atlas: StrataAtlas, label: str, terms: tuple[PureTerm, ...]):
+        """Lay the terms out in weight rows without differentials."""
         self.atlas = atlas
         self.label = label
         self.terms = terms
-        self.blocks = blocks
         self.rows: dict[int, WeightRow] = {}
-        self._build()
-
-    def _build(self) -> None:
         grouped: dict[int, dict[int, list[PureTerm]]] = {}
-        for term in self.terms:
+        for term in terms:
             grouped.setdefault(term.q, {}).setdefault(term.m, []).append(term)
         for q, per_degree in grouped.items():
             row = self.rows[q] = WeightRow(q)
-            for m, terms in per_degree.items():
-                for t in sorted(terms, key=PureTerm.sort_key):
-                    for ab, d in term_slices(self.atlas, t):
+            for m, ts in per_degree.items():
+                for t in sorted(ts, key=PureTerm.sort_key):
+                    for ab, d in term_slices(atlas, t):
                         offset = row.dims.get((m, ab), 0)
                         row.layout.setdefault((m, ab), {})[t] = (offset, d)
                         row.dims[(m, ab)] = offset + d
-        for t1, t2 in self.blocks:
-            if t1.q != t2.q:
-                raise DimensionMismatch("differential block changes the weight")
-            if t2.m != t1.m + 1:
-                raise DimensionMismatch("differential block is not of degree +1")
-        for (q, m, ab), mat in _place_blocks(self.blocks, self, self).items():
-            self.rows[q].diff[(m, ab)] = mat
 
     # -- element plumbing ---------------------------------------------------
 
@@ -326,7 +330,9 @@ class RowMorphism:
     def __post_init__(self):
         for t1, t2 in self.blocks:
             if t1.q != t2.q or t1.m != t2.m:
-                raise DimensionMismatch(f"morphism block {t1} -> {t2} shifts degrees")
+                raise DimensionMismatch(
+                    f"morphism block {t1.describe()} -> {t2.describe()} shifts degrees"
+                )
         self._matrices = _place_blocks(self.blocks, self.source, self.target)
 
     def matrix(self, q: int, m: int, ab: Bidegree) -> RationalMatrix:
@@ -355,14 +361,20 @@ class RowMorphism:
 
 
 class _Cone(RowFamily):
-    """A cone whose ends keep their slot order in it: each slot's differential
-    is one sum of the ends' placed matrices, and the term blocks are built
-    when first read."""
+    """The cone of a chain map: each slot's differential is one sum of the
+    placed matrices of its ends and the morphism, and the term blocks are
+    built when first read."""
 
-    def __init__(self, morphism: RowMorphism, label: str, terms: tuple[PureTerm, ...]):
+    def __init__(self, morphism: RowMorphism):
         source, target = morphism.source, morphism.target
-        super().__init__(source.atlas, label, terms, {})
-        del self.blocks  # the cached property below builds them
+        terms = (
+            *(PureTerm(t.stratum, t.j, t.k, t.p, t.simp, t.res, "s" + t.side, t.shift)
+              for t in source.terms),
+            *(PureTerm(t.stratum, t.j, t.k, t.p, t.simp, t.res, "t" + t.side, t.shift + 1)
+              for t in target.terms),
+        )
+        label = f"cone({morphism.label})" if morphism.label else "cone"
+        self._lay_out(source.atlas, label, terms)
         self.morphism = morphism
         # d(x, y) = (d_src x, f x - d_tgt y), source slot m over target slot m-1
         for q, row in self.rows.items():
@@ -379,24 +391,18 @@ class _Cone(RowFamily):
 
     @functools.cached_property
     def blocks(self) -> dict[tuple[PureTerm, PureTerm], TermBlock]:
-        return _cone_blocks(self.morphism, self.terms)
-
-
-def _cone_blocks(
-    morphism: RowMorphism, terms: tuple[PureTerm, ...]
-) -> dict[tuple[PureTerm, PureTerm], TermBlock]:
-    """The term blocks of the cone on `terms`, the relabelled source terms
-    then target terms: the source's, the target's negated, the morphism's."""
-    split = len(morphism.source.terms)
-    s = dict(zip(morphism.source.terms, terms[:split]))
-    t = dict(zip(morphism.target.terms, terms[split:]))
-    src, tgt, f = morphism.source.blocks, morphism.target.blocks, morphism.blocks
-    ends = ((src, s, s, 1), (tgt, t, t, -1), (f, s, t, 1))
-    return {
-        (left[t1], right[t2]): scale_block(block, sign)
-        for blocks, left, right, sign in ends
-        for (t1, t2), block in blocks.items()
-    }
+        """The source's, target's (negated) and morphism's blocks, relabelled."""
+        mor = self.morphism
+        split = len(mor.source.terms)
+        s = dict(zip(mor.source.terms, self.terms[:split]))
+        t = dict(zip(mor.target.terms, self.terms[split:]))
+        src, tgt, f = mor.source.blocks, mor.target.blocks, mor.blocks
+        ends = ((src, s, s, 1), (tgt, t, t, -1), (f, s, t, 1))
+        return {
+            (left[t1], right[t2]): scale_block(block, sign)
+            for blocks, left, right, sign in ends
+            for (t1, t2), block in blocks.items()
+        }
 
 
 def cone_rows(morphism: RowMorphism) -> RowFamily:
@@ -404,24 +410,14 @@ def cone_rows(morphism: RowMorphism) -> RowFamily:
 
     Degree m consists of the source in degree m and the target in degree
     m-1, so the cone fits before the source in the long exact sequence.
-    Source terms sort first: slot (m, ab) is the source slot (m, ab), then
-    the target slot (m-1, ab) at offsets moved up by the source slot's dim.
-    Relabelling keeps the order of an end without cone terms, so its placed
-    matrices are the cone's; a cone of cones is placed term block by block.
+    A source term's side gains the prefix "s" and a target term's "t", so
+    each end keeps its slot order: slot (m, ab) is the source slot (m, ab),
+    then the target slot (m-1, ab) at offsets moved up by the source slot's
+    dim, for every cone, cones of cones included.
     """
     if not morphism.is_chain_map():
         raise NotChainMap(f"cone of {morphism.label or 'morphism'}: not a chain map")
-    source, target = morphism.source, morphism.target
-    terms = (
-        *(PureTerm(t.stratum, t.j, t.k, t.p, t.simp, t.res, "s", t.shift)
-          for t in source.terms),
-        *(PureTerm(t.stratum, t.j, t.k, t.p, t.simp, t.res, "t", t.shift + 1)
-          for t in target.terms),
-    )
-    label = f"cone({morphism.label})" if morphism.label else "cone"
-    if any(t.side for t in (*source.terms, *target.terms)):
-        return RowFamily(source.atlas, label, terms, _cone_blocks(morphism, terms))
-    return _Cone(morphism, label, terms)
+    return _Cone(morphism)
 
 
 # -- the seven builders -------------------------------------------------------

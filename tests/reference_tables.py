@@ -6,9 +6,13 @@ one `cohomology_at` call per slot, in `RowFamily.slots()` order, every
 space computed at once.  `cone_rows` is the mapping cone as it stood before
 it was assembled from its ends' placed matrices: the ends' term blocks,
 relabelled and the target's sign-copied, placed block by block through the
-`RowFamily` constructor.  Both are kept verbatim as oracles, so the
-library's dims, representatives, boundaries, cone matrices and cone blocks
-must equal theirs, and a broken input must fail at the same slot.
+`RowFamily` constructor.  Its one edit since: a relabelled term's side is
+the end's side prefixed to the term's own ("s" + side, "t" + side), as in the
+library, where it had been "s" or "t" alone; that flattened the sides of a
+cone of cones, so distinct terms of its ends collapsed into one.  Otherwise
+both are kept verbatim as oracles, so the library's dims, representatives,
+boundaries, cone matrices and cone blocks must equal theirs, and a broken
+input must fail at the same slot.
 """
 
 from __future__ import annotations
@@ -35,9 +39,9 @@ def cone_rows(morphism: RowMorphism) -> RowFamily:
         raise NotChainMap(f"cone of {morphism.label or 'morphism'}: not a chain map")
 
     # each term is relabelled once; blocks look their endpoints up
-    as_src = {t: dataclasses.replace(t, side="s") for t in morphism.source.terms}
+    as_src = {t: dataclasses.replace(t, side="s" + t.side) for t in morphism.source.terms}
     as_tgt = {
-        t: dataclasses.replace(t, side="t", shift=t.shift + 1)
+        t: dataclasses.replace(t, side="t" + t.side, shift=t.shift + 1)
         for t in morphism.target.terms
     }
     terms = tuple(as_src[t] for t in morphism.source.terms) + tuple(

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import hashlib
 import math
+import re
 
 import pytest
 
@@ -534,13 +535,63 @@ class TestConeAssembly:
 
     @pytest.mark.parametrize("selector", ["XD", "locD-tilde"])
     def test_cone_of_cones(self, triangle, selector):
-        # relabelling reorders the slots of an end that holds cone terms
+        # an end that holds cone terms keeps its slot order under the prefix
         cone = build(triangle, selector)
         blocks = {(t, t): identity_term_block(triangle, t) for t in cone.terms}
         identity = RowMorphism(cone, cone, blocks, "id")
         assert identity.is_chain_map()
         self.assert_same_cone(cone_rows(identity), ref.cone_rows(identity))
         assert compute_table(cone_rows(identity)).degrees() == ()
+
+
+    @pytest.mark.parametrize("start", ["X", "XD"])
+    def test_nested_cones_of_the_identity(self, triangle, start):
+        """Cones of the identity nested four deep keep every term apart, so
+        each is an acyclic complex equal to the term-block cone."""
+        family, cones = build(triangle, start), []
+        for depth in range(1, 5):
+            blocks = {(t, t): identity_term_block(triangle, t) for t in family.terms}
+            identity = RowMorphism(family, family, blocks, "id")
+            family = cone_rows(identity)
+            cones.append((identity, family))
+            assert len(set(family.terms)) == len(family.terms), depth
+            assert family.differentials_square_to_zero(), depth
+            assert compute_table(family).degrees() == (), depth
+        # the oracle reads the blocks of the cone one level down
+        for depth, (identity, cone) in enumerate(cones, 1):
+            assert "blocks" not in vars(cone), depth
+            self.assert_same_cone(cone, ref.cone_rows(identity))
+
+
+class TestTermMessages:
+    """Shape errors name their terms as describe() prints them."""
+
+    @staticmethod
+    def raises(message):
+        return pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$")
+
+    def test_term_without_slice(self, triangle):
+        cone = build(triangle, "XD")
+        blocks = {(t, t): identity_term_block(triangle, t) for t in cone.terms}
+        nested = cone_rows(RowMorphism(cone, cone, blocks, "id"))
+        with self.raises("term H^0(X)[ss] has no (0, (1, 1)) slice"):
+            nested.rows[0].offset(0, nested.terms[0], (1, 1))
+
+    def test_differential_block_changes_the_weight(self, triangle):
+        h0, h2, _ = rows_constant(triangle).terms
+        with self.raises("differential block H^0(X) -> H^2(X) changes the weight"):
+            RowFamily(triangle, "X", (h0, h2), {(h0, h2): {}})
+
+    def test_differential_block_of_wrong_degree(self, triangle):
+        h0 = rows_constant(triangle).terms[0]
+        with self.raises("differential block H^0(X) -> H^0(X) is not of degree +1"):
+            RowFamily(triangle, "X", (h0,), {(h0, h0): {}})
+
+    def test_morphism_block_shifts_degrees(self, triangle):
+        family = rows_constant(triangle)
+        h0, h2, _ = family.terms
+        with self.raises("morphism block H^0(X) -> H^2(X) shifts degrees"):
+            RowMorphism(family, family, {(h0, h2): {}})
 
 
 class TestCechStep:
