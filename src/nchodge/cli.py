@@ -9,6 +9,7 @@ timestamp-free, so identical configurations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -21,6 +22,7 @@ from .tables import MixedHodgeTable, compute_table
 from .verify import SUITES, run_suite
 
 
+@functools.cache  # parse_args keeps no state between calls
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nc-hodge",

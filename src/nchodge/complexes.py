@@ -194,18 +194,19 @@ def _place_blocks(
     placing each block at its terms' offsets in the source and target rows."""
     placed: dict[tuple[int, int, Bidegree], tuple[tuple[int, int], list]] = {}
     for (t1, t2), block in blocks.items():
-        src_row = source.row(t1.q)
+        q, m1, m2 = t1.q, t1.m, t2.m
+        src_row = source.row(q)
         dst_row = target.row(t2.q)
         for ab, mat in block.items():
-            off1, d1 = src_row.offset(t1.m, t1, ab)
-            off2, d2 = dst_row.offset(t2.m, t2, ab)
+            off1, d1 = src_row.offset(m1, t1, ab)
+            off2, d2 = dst_row.offset(m2, t2, ab)
             if mat.shape != (d2, d1):
                 raise DimensionMismatch(
                     f"block {t1.describe()} -> {t2.describe()} at {ab}: "
                     f"shape {mat.shape}, expected {(d2, d1)}"
                 )
-            shape = (dst_row.dims[(t2.m, ab)], src_row.dims[(t1.m, ab)])
-            _, parts = placed.setdefault((t1.q, t1.m, ab), (shape, []))
+            shape = (dst_row.dims[(m2, ab)], src_row.dims[(m1, ab)])
+            _, parts = placed.setdefault((q, m1, ab), (shape, []))
             parts.append((off2, off1, mat))
     return {
         key: RationalMatrix.from_blocks(*shape, parts)

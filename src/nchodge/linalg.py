@@ -177,7 +177,13 @@ class RationalMatrix:
                     f"block {mat.shape} at {(r, c)} leaves a {(nrows, ncols)} matrix"
                 )
             for i, row in enumerate(mat._rows, r):
-                _subtract(rows[i], -1, {j + c: x for j, x in row.items()})
+                out = rows[i]
+                for j, x in row.items():
+                    x += out.get(j + c, 0)
+                    if x:
+                        out[j + c] = int_first(x)
+                    else:
+                        del out[j + c]
         return cls._from_sparse(rows, ncols)
 
     @property
@@ -245,10 +251,10 @@ class RationalMatrix:
         c = int_first(_frac(c))
         if not c:
             return RationalMatrix.zeros(self.nrows, self.ncols)
-        return RationalMatrix._from_sparse(
-            [{j: int_first(c * x) for j, x in row.items()} for row in self._rows],
-            self.ncols,
-        )
+        rows = [{j: c * x for j, x in row.items()} for row in self._rows]
+        if c not in (1, -1):  # a sign keeps every stored entry integer-first
+            rows = [{j: int_first(x) for j, x in row.items()} for row in rows]
+        return RationalMatrix._from_sparse(rows, self.ncols)
 
 
 @dataclass(frozen=True)

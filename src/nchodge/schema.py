@@ -6,10 +6,14 @@ multiplication tensors, unit and fundamental class), restriction and Gysin
 blocks per covering pair, and the divisor classes.  All rationals are
 strings ("-3/2"), so files round-trip exactly.  Stratum references use the
 printable key form from atlas.key_to_string: "0,2" or "0,2|East", with the
-ambient space as "".  One load parses each distinct string once, through
-tables that load alone owns (`_Parsed`): rational string -> value, an int
-when integral (matrices take it as is, vectors as a Fraction); stratum key
-string -> StratumKey; slice key string "j,a,b" -> (j, a, b).
+ambient space as "".  Two keys of one object that parse equal (" 0,0,0" and
+"0,0,0") are an error at the second.  One load parses each distinct string
+once, through tables that load alone owns (`_Parsed`): rational string ->
+value, an int when integral (matrices take it as is, vectors as a Fraction);
+stratum key string -> StratumKey; slice key string "j,a,b" -> (j, a, b); a
+matrix or vector literal of strings only -> one immutable RationalMatrix or
+tuple, shared by all that spell it.  Any other literal is read on its own:
+1, 1.0 and True hash alike, but no string equals them.
 """
 
 from __future__ import annotations
@@ -54,6 +58,8 @@ class _Parsed:
         self.rationals: dict[str, int | Fraction] = {}
         self.strata: dict[str, StratumKey] = {}
         self.slices: dict[str, SliceKey] = {}
+        self.matrices: dict[tuple[tuple[str, ...], ...], RationalMatrix] = {}
+        self.vectors: dict[tuple[tuple[str, ...]], Vector] = {}
 
 
 def _rational(entry, parsed: _Parsed) -> int | Fraction:
@@ -68,6 +74,21 @@ def _rational(entry, parsed: _Parsed) -> int | Fraction:
     return value
 
 
+def _literal(table: dict, rows: tuple, where: str, build):
+    """`build()`, failing as a SchemaError at `where`; kept if `rows` is all str."""
+    try:  # no stored key holds a list entry, which is unhashable
+        return table[rows]
+    except (KeyError, TypeError):
+        pass
+    try:
+        value = build()
+    except (ValueError, ZeroDivisionError, TypeError, NCHodgeError) as exc:
+        raise SchemaError(f"{where}: {exc}") from None
+    if all(type(x) is str for row in rows for x in row):
+        table[rows] = value
+    return value
+
+
 def _matrix_from_json(value, where: str, parsed: _Parsed) -> RationalMatrix:
     if (
         not isinstance(value, list)
@@ -75,19 +96,19 @@ def _matrix_from_json(value, where: str, parsed: _Parsed) -> RationalMatrix:
         or not all(isinstance(row, list) and row for row in value)
     ):
         raise SchemaError(f"{where}: matrices must be nonempty lists of rows")
-    try:
-        return RationalMatrix([[_rational(x, parsed) for x in row] for row in value])
-    except (ValueError, ZeroDivisionError, TypeError, NCHodgeError) as exc:
-        raise SchemaError(f"{where}: {exc}") from None
+    return _literal(
+        parsed.matrices, tuple(map(tuple, value)), where,
+        lambda: RationalMatrix([[_rational(x, parsed) for x in row] for row in value]),
+    )
 
 
 def _vector_from_json(value, where: str, parsed: _Parsed) -> Vector:
     if not isinstance(value, list):
         raise SchemaError(f"{where}: vectors must be lists")
-    try:
-        return tuple(_frac(_rational(x, parsed)) for x in value)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise SchemaError(f"{where}: {exc}") from None
+    return _literal(
+        parsed.vectors, (tuple(value),), where,
+        lambda: tuple(_frac(_rational(x, parsed)) for x in value),
+    )
 
 
 def _slice_key_from_string(text: str, where: str, parsed: _Parsed) -> SliceKey:
@@ -132,6 +153,8 @@ def _blocks_from_json(value, where: str, parsed: _Parsed) -> BlockMap:
     out: BlockMap = {}
     for key, mat in value.items():
         j, a, b = _slice_key_from_string(key, where, parsed)
+        if (j, (a, b)) in out:
+            raise SchemaError(f"{where}: duplicate block key {key!r}")
         out[(j, (a, b))] = _matrix_from_json(mat, f"{where}[{key}]", parsed)
     return out
 
@@ -167,6 +190,9 @@ def _ring_from_json(data: dict, where: str, parsed: _Parsed) -> PureHodgeRing:
             j = int(jtext)
         except ValueError:
             raise SchemaError(f"{where}: bad degree key {jtext!r}") from None
+        if j in hodge:
+            raise SchemaError(f"{where}: duplicate degree key {jtext!r}")
+        types = hodge[j] = {}
         if not isinstance(slices, list):
             raise SchemaError(f"{where}: hodge[{jtext}] must be a list")
         for entry in slices:
@@ -177,7 +203,10 @@ def _ring_from_json(data: dict, where: str, parsed: _Parsed) -> PureHodgeRing:
             ):
                 raise SchemaError(f"{where}: bad hodge entry {entry!r}")
             a, b, d = entry
-            hodge.setdefault(j, {})[(a, b)] = d
+            if (a, b) in types:
+                raise SchemaError(f"{where}: hodge[{jtext}] repeats type ({a}, {b})")
+            types[(a, b)] = d
+    hodge = {j: types for j, types in hodge.items() if types}  # [] adds no degree
     mult_raw = data.get("mult", {})
     if not isinstance(mult_raw, dict):
         raise SchemaError(f"{where}: mult must be an object")
@@ -188,6 +217,8 @@ def _ring_from_json(data: dict, where: str, parsed: _Parsed) -> PureHodgeRing:
             raise SchemaError(f"{where}: bad mult key {key!r}")
         left = _slice_key_from_string(halves[0], where, parsed)
         right = _slice_key_from_string(halves[1], where, parsed)
+        if (left, right) in mult:
+            raise SchemaError(f"{where}: duplicate mult key {key!r}")
         if not isinstance(sheets, list):
             raise SchemaError(f"{where}: mult[{key}] must be a list")
         mult[(left, right)] = [

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from nchodge import cli
 from nchodge.cli import main
+from nchodge.complexes import SELECTORS
 from nchodge.fixtures import builtin_atlas
 from nchodge.schema import atlas_to_json, atlases_equal, load_atlas
 
@@ -211,3 +213,62 @@ class TestGenComputeVerifyPipeline:
         run(capsys, "gen", "--family", "generic", "--dim", "2",
             "--hyperplanes", "3", "-o", str(out))
         assert atlases_equal(load_atlas(out), generic_arrangement(2, 3))
+
+
+class TestParserReuse:
+    """One parser serves every call in a process; no call sees another's
+    arguments."""
+
+    def test_parser_is_built_once(self):
+        assert cli._parser() is cli._parser()
+
+    def test_an_omitted_flag_is_unset_after_a_call_that_set_it(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "_run_compute", lambda args: seen.append(args) or 0)
+        base = ["compute", "--family", "triangle", "--complex", "log"]
+        assert main([*base, "--degree", "1"]) == 0
+        assert main(base) == 0
+        assert [args.degree for args in seen] == [1, None]
+
+    def test_a_valid_call_after_an_argument_error(self, capsys):
+        args = ("compute", "--family", "triangle", "--complex", "log")
+        before = run(capsys, *args)
+        with pytest.raises(SystemExit) as info:
+            main([*args, "--degree", "x"])
+        assert info.value.code == 2
+        assert "invalid int value: 'x'" in capsys.readouterr().err
+        assert run(capsys, *args) == before
+        assert before[0] == 0 and before[1].startswith("table log")
+
+
+# documents written by `gen`, read back through --config, against the same
+# arrangement built in-process through --family generic
+CONFIG_CASES = [(3, 5, selector) for selector in SELECTORS] + [
+    (4, 7, selector) for selector in ("log", "D", "XD")
+]
+
+
+@pytest.fixture(scope="module")
+def generated(tmp_path_factory):
+    paths = {}
+
+    def document(dim, hyperplanes):
+        if (dim, hyperplanes) not in paths:
+            path = tmp_path_factory.mktemp("gen") / f"generic_{dim}_{hyperplanes}.json"
+            argv = ["gen", "--dim", str(dim), "--hyperplanes", str(hyperplanes)]
+            assert main([*argv, "-o", str(path)]) == 0
+            paths[(dim, hyperplanes)] = path
+        return paths[(dim, hyperplanes)]
+
+    return document
+
+
+@pytest.mark.parametrize("dim, hyperplanes, selector", CONFIG_CASES)
+def test_config_document_matches_family(generated, capsys, dim, hyperplanes, selector):
+    tail = ("--complex", selector, "--format", "json")
+    path = generated(dim, hyperplanes)
+    from_document = run(capsys, "compute", "--config", str(path), *tail)
+    sizes = ("--dim", str(dim), "--hyperplanes", str(hyperplanes))
+    assert from_document == run(capsys, "compute", "--family", "generic", *sizes, *tail)
+    assert from_document[0] == 0 and from_document[2] == ""
+    assert json.loads(from_document[1])["complex"] == selector

@@ -256,3 +256,143 @@ class TestLoadPath:
         assert str(info.value) == (
             "restrictions[1]: bad stratum key '2,1': indices must be sorted and unique"
         )
+
+
+def _repeat_block(data):
+    data["restrictions"][0]["blocks"][" 0,0,0"] = [["5"]]
+
+
+def _repeat_mult(data):
+    mult = data["strata"][0]["mult"]
+    mult["0, 0,0|0,0,0"] = mult["0,0,0|0,0,0"]
+
+
+def _repeat_degree(data):
+    hodge = data["strata"][0]["hodge"]
+    hodge["02"] = hodge["2"]
+
+
+def _repeat_hodge_type(data):
+    data["strata"][0]["hodge"]["2"].append([1, 1, 1])
+
+
+REPEATED_KEYS = {
+    "block": (_repeat_block, "restrictions[0]: duplicate block key ' 0,0,0'"),
+    "mult": (_repeat_mult, "strata[0]: duplicate mult key '0, 0,0|0,0,0'"),
+    "degree": (_repeat_degree, "strata[0]: duplicate degree key '02'"),
+    "hodge": (_repeat_hodge_type, "strata[0]: hodge[2] repeats type (1, 1)"),
+}
+
+
+class TestRepeatedKeys:
+    """Two keys that parse equal are an error at the second, not a silent
+    overwrite by the later one."""
+
+    @pytest.mark.parametrize("kind", sorted(REPEATED_KEYS))
+    def test_second_key_is_named(self, kind):
+        repeat, message = REPEATED_KEYS[kind]
+        data = atlas_to_json(builtin_atlas("triangle"))
+        repeat(data)
+        with pytest.raises(SchemaError) as info:
+            atlas_from_json(data)
+        assert str(info.value) == message
+
+    def test_an_empty_degree_loads_as_no_slices(self):
+        data = atlas_to_json(builtin_atlas("triangle"))
+        data["strata"][0]["hodge"]["6"] = []
+        atlas = atlas_from_json(data)
+        ring = atlas.strata[atlas.x_key].ring
+        assert ring.hodge == {0: {(0, 0): 1}, 2: {(1, 1): 1}, 4: {(2, 2): 1}}
+
+    @pytest.mark.parametrize("kind", sorted(REPEATED_KEYS))
+    def test_cli_exits_two(self, kind, tmp_path, capsys):
+        repeat, message = REPEATED_KEYS[kind]
+        data = atlas_to_json(builtin_atlas("triangle"))
+        repeat(data)
+        path = tmp_path / "repeated.json"
+        path.write_text(json.dumps(data))
+        assert main(["compute", "--config", str(path), "--complex", "log"]) == 2
+        assert message in capsys.readouterr().err
+
+
+# Each literal below replaces the triangle document's second restriction
+# (0,0,0) block or second stratum's unit, so it is read after the first one,
+# a valid [["1"]] and ["1"] or, in a second run, [[1]] and [1]: the number 1
+# hashes and compares equal to 1.0 and True, but no string does.
+EARLIER = {"string": ("1", "1"), "int": (1, 1)}
+LATER_MATRICES = {
+    "[[1]]": ([[1]], None),
+    "[[1.0]]": ([[1.0]], "cannot coerce 1.0 to an exact rational"),
+    "[[true]]": ([[True]], "cannot coerce True to an exact rational"),
+    "nested": ([["1", ["2"]]], "cannot coerce ['2'] to an exact rational"),
+    "1/0": ([["1/0"]], "Fraction(1, 0)"),
+    "x": ([["x"]], "Invalid literal for Fraction: 'x'"),
+    "bare string": ("1", "matrices must be nonempty lists of rows"),
+    "row of strings": (["1"], "matrices must be nonempty lists of rows"),
+}
+LATER_VECTORS = {
+    "[1]": ([1], None),
+    "[1.0]": ([1.0], "cannot coerce 1.0 to an exact rational"),
+    "[true]": ([True], "cannot coerce True to an exact rational"),
+    "nested": ([["1"]], "cannot coerce ['1'] to an exact rational"),
+    "1/0": (["1/0"], "Fraction(1, 0)"),
+    "x": (["x"], "Invalid literal for Fraction: 'x'"),
+}
+
+
+def _restriction_block(atlas, data, index):
+    entry = data["restrictions"][index]
+    pair = (key_from_string(entry["from"]), key_from_string(entry["to"]))
+    return atlas.restrictions[pair][(0, (0, 0))]
+
+
+class TestLiteralTables:
+    """Each distinct all-string literal is built once per load; a literal
+    holding any other entry is read on its own, with its own error."""
+
+    @pytest.mark.parametrize("earlier", sorted(EARLIER))
+    @pytest.mark.parametrize("name", list(LATER_MATRICES))
+    def test_later_matrix_literal_keeps_its_outcome(self, earlier, name):
+        literal, error = LATER_MATRICES[name]
+        data = atlas_to_json(builtin_atlas("triangle"))
+        data["restrictions"][0]["blocks"]["0,0,0"] = [[EARLIER[earlier][0]]]
+        data["restrictions"][1]["blocks"]["0,0,0"] = literal
+        if error is None:
+            atlas = atlas_from_json(data)
+            first, second = (_restriction_block(atlas, data, i) for i in (0, 1))
+            assert second == first and second is not first
+            return
+        with pytest.raises(SchemaError) as info:
+            atlas_from_json(data)
+        assert str(info.value) == f"restrictions[1][0,0,0]: {error}"
+
+    @pytest.mark.parametrize("earlier", sorted(EARLIER))
+    @pytest.mark.parametrize("name", list(LATER_VECTORS))
+    def test_later_vector_literal_keeps_its_outcome(self, earlier, name):
+        literal, error = LATER_VECTORS[name]
+        data = atlas_to_json(builtin_atlas("triangle"))
+        data["strata"][0]["unit"] = [EARLIER[earlier][1]]
+        data["strata"][1]["unit"] = literal
+        if error is None:
+            units = [s.ring.unit for s in atlas_from_json(data).strata.values()]
+            assert units[1] == units[0] and units[1] is not units[0]
+            return
+        with pytest.raises(SchemaError) as info:
+            atlas_from_json(data)
+        assert str(info.value) == f"strata[1].unit: {error}"
+
+    def test_equal_string_literals_load_as_one_object(self):
+        atlas = atlas_from_json(atlas_to_json(builtin_atlas("triangle")))
+        ring = atlas.strata[atlas.x_key].ring
+        one = ring.mult[((0, 0, 0), (0, 0, 0))][0]
+        blocks = [bm[(0, (0, 0))] for bm in atlas.restrictions.values()]
+        assert blocks and all(block is one for block in blocks)
+        vectors = [
+            *(s.ring.unit for s in atlas.strata.values()),
+            *(s.ring.fundamental for s in atlas.strata.values()),
+            *atlas.divisor_classes.values(),
+        ]
+        assert all(v is ring.unit for v in vectors)
+        rings = [s.ring for s in atlas.strata.values()]
+        assert len({id(r) for r in rings}) == len(rings)
+        assert len({id(r.mult) for r in rings}) == len(rings)

@@ -116,6 +116,40 @@ def every_selector(atlas):
     return [*SELECTORS, "sslog", *nbhds]
 
 
+# selector -> the weights Deligne's theory allows in degree k on an
+# n-dimensional ambient space; the other families get the symmetry check only
+WEIGHT_RANGES = {
+    "X": lambda k, n: (k, k),
+    "log": lambda k, n: (k, 2 * k),
+    "D": lambda k, n: (0, k),
+    "XD": lambda k, n: (0, k),
+    "XD-tilde": lambda k, n: (0, k),
+    "locD": lambda k, n: (k, 2 * n),
+    "locD-tilde": lambda k, n: (k, 2 * n),
+}
+
+
+class TestHodgeOracles:
+    """In each Gr^W_q block the types (a, b) have a + b = q and
+    h^{a,b} = h^{b,a}, and each theory's weights lie in their range."""
+
+    @pytest.mark.parametrize("make", REFERENCE_ATLASES)
+    def test_types_symmetry_and_weights(self, make):
+        atlas = make()
+        for selector in every_selector(atlas):
+            table = table_of(atlas, selector)
+            weights = WEIGHT_RANGES.get(selector)
+            for k in table.degrees():
+                blocks = {(q, ab): d for q, ab, d in table.entries(k)}
+                for (q, (a, b)), d in blocks.items():
+                    place = (selector, k, q, (a, b))
+                    assert a + b == q, place
+                    assert blocks.get((q, (b, a))) == d, place
+                    if weights:
+                        low, high = weights(k, atlas.dim)
+                        assert low <= q <= high, place
+
+
 class TestAgainstEagerTable:
     """The dimension-first table equals one cohomology_at call per slot."""
 
