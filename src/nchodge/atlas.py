@@ -202,7 +202,7 @@ class StrataAtlas:
             if a not in valid:
                 raise LatticeError(f"divisor class for unknown component {a}")
             self._check_key(skey)
-            expect = self.ring(skey).slice_dim(2, (1, 1))
+            expect = self.strata[skey].ring.slice_dim(2, (1, 1))
             if len(cls) != expect:
                 raise DimensionMismatch(
                     f"divisor class ({a}, {skey}): length {len(cls)}, expected {expect}"
@@ -216,7 +216,7 @@ class StrataAtlas:
         # both kinds of map are keyed (source, target)
         for kind, maps in (("restriction", self.restrictions), ("gysin", self.gysin)):
             for (skey, tkey), bm in maps.items():
-                src, tgt = self.ring(skey), self.ring(tkey)
+                src, tgt = self.strata[skey].ring, self.strata[tkey].ring
                 for (j, ab), mat in bm.items():
                     lands = gysin_slice(j, ab) if kind == "gysin" else (j, ab)
                     want = (tgt.slice_dim(*lands), src.slice_dim(j, ab))
@@ -360,16 +360,18 @@ def _ring_failures(ring: PureHodgeRing) -> list[tuple[str, object]]:
     unit = (0, (0, 0), ring.unit)
     for at, x in basis:
         if ring.product(unit, x) != x:
-            out.append(("left", at))
+            out.append(("{s}: unit fails on the left at {at}", at))
         if ring.product(x, unit) != x:
-            out.append(("right", at))
+            out.append(("{s}: unit fails on the right at {at}", at))
     for at1, x in basis:
         for at2, y in basis:
             xy = ring.mult_apply(*x, *y)
             yx = ring.mult_apply(*y, *x)
             sign = -1 if (x[0] % 2 and y[0] % 2) else 1
             if xy != tuple(sign * t for t in yx):
-                out.append(("commutativity", (at1, at2)))
+                out.append(
+                    ("{s}: graded commutativity fails at {at[0]}x{at[1]}", (at1, at2))
+                )
     return out
 
 
@@ -391,14 +393,17 @@ def _cover_failures(
 
     # restriction is a ring map
     if restrict(rest, ring_t, (0, (0, 0), ring_s.unit))[2] != ring_t.unit:
-        out.append(("unit", None))
+        out.append(("{s}->{t}: restriction does not fix the unit", None))
     for at1, x in basis_s:
         rx = restrict(rest, ring_t, x)
         for at2, y in basis_s:
             lhs = restrict(rest, ring_t, ring_s.product(x, y))
             rhs = ring_t.product(rx, restrict(rest, ring_t, y))
             if lhs != rhs:
-                out.append(("multiplicative", (at1, at2)))
+                out.append((
+                    "{s}->{t}: restriction not multiplicative at {at[0]}x{at[1]}",
+                    (at1, at2),
+                ))
 
     # projection formula: gysin(x . rho(y)) = gysin(x) . y
     for at1, x in basis_t:
@@ -406,24 +411,30 @@ def _cover_failures(
         for at2, y in basis_s:
             prod_t = ring_t.product(x, restrict(rest, ring_t, y))
             if push_forward(gys, ring_s, prod_t) != ring_s.product(gx, y):
-                out.append(("projection", (at1, at2)))
+                out.append((
+                    "{t}->{s}: projection formula fails at {at[0]}x{at[1]}",
+                    (at1, at2),
+                ))
 
     # gysin after restriction = multiplication by the divisor class upstairs
     for at, y in basis_s:
         lhs = push_forward(gys, ring_s, restrict(rest, ring_t, y))
         if lhs != ring_s.product(c_s, y):
-            out.append(("gysin-after-restriction", at))
+            out.append(("{s}->{t}: gysin-after-restriction fails at {at}", at))
 
     # restriction after gysin = multiplication by the divisor class downstairs
     for at, x in basis_t:
         lhs = restrict(rest, ring_t, push_forward(gys, ring_s, x))
         if lhs != ring_t.product(c_t, x):
-            out.append(("restriction-after-gysin", at))
+            out.append(("{t}->{s}: restriction-after-gysin fails at {at}", at))
 
     # divisor classes restrict to divisor classes
     for other, (up, down) in enumerate(classes):
         if restrict(rest, ring_t, (2, (1, 1), up))[2] != down:
-            out.append(("class", other))
+            out.append((
+                "{s}->{t}: divisor class of component {at} does not restrict correctly",
+                other,
+            ))
     return out
 
 
@@ -434,11 +445,11 @@ def _base_change_failures(
     gys_ts: BlockMap,
     rest_sw: BlockMap,
     legs: list[tuple[PureHodgeRing, BlockMap, BlockMap]],
-) -> list:
+) -> list[tuple[str, object]]:
     """Where restricting to w after pushing t into s differs from the sum
     over the pieces v of t and w of pushing into w after restricting to v;
     `legs` holds (ring_v, rest t -> v, gysin v -> w) per piece."""
-    out = []
+    out: list[tuple[str, object]] = []
     for at, x in ring_t.basis_vectors():
         gx = push_forward(gys_ts, ring_s, x)
         lhs = restrict(rest_sw, ring_w, gx)[2]
@@ -448,41 +459,7 @@ def _base_change_failures(
             piece = push_forward(gys_vw, ring_w, rx)
             rhs = tuple(p + q for p, q in zip(rhs, piece[2]))
         if lhs != rhs:
-            out.append(at)
-    return out
-
-
-def _ring_message(key: StratumKey, kind: str, at) -> str:
-    if kind == "commutativity":
-        return f"{key}: graded commutativity fails at {at[0]}x{at[1]}"
-    return f"{key}: unit fails on the {kind} at {at}"
-
-
-def _cover_message(skey: StratumKey, tkey: StratumKey, kind: str, at) -> str:
-    if kind == "unit":
-        return f"{skey}->{tkey}: restriction does not fix the unit"
-    if kind == "multiplicative":
-        return f"{skey}->{tkey}: restriction not multiplicative at {at[0]}x{at[1]}"
-    if kind == "projection":
-        return f"{tkey}->{skey}: projection formula fails at {at[0]}x{at[1]}"
-    if kind == "gysin-after-restriction":
-        return f"{skey}->{tkey}: gysin-after-restriction fails at {at}"
-    if kind == "restriction-after-gysin":
-        return f"{tkey}->{skey}: restriction-after-gysin fails at {at}"
-    return (
-        f"{skey}->{tkey}: divisor class of component {at} "
-        "does not restrict correctly"
-    )
-
-
-def _content_ids(objects, content) -> dict[int, int]:
-    """id(obj) -> a number shared by exactly the objects of equal content;
-    each object's content is built and hashed once."""
-    table: dict = {}
-    out: dict[int, int] = {}
-    for obj in objects:
-        if id(obj) not in out:
-            out[id(obj)] = table.setdefault(content(obj), len(table))
+            out.append(("base change fails on square {s}/{t}/{w} at {at}", at))
     return out
 
 
@@ -510,44 +487,52 @@ def validate_atlas(atlas: StrataAtlas) -> AtlasReport:
     equal ring, a cover once per equal (rings, restriction, Gysin map,
     divisor classes on both ends), a base-change square once per equal
     (rings, maps) of its corners and legs, and path independence once per
-    equal (ring, maps along both paths).  Rings, block maps and classes
-    are compared by value, and an identity reads nothing else, so it holds
-    on every instance of a content or on none.  The stratum keys enter only
-    the messages, which each instance formats from the stored failures, in
-    the order of a check per instance.  The lattice walks still run per
-    instance, so a LatticeError or MissingStratum is raised where it was.
-    The tables of contents live for this call only.
+    equal (ring, maps along both paths).  Rings, block maps and class
+    vectors are numbered by value in one table, and an identity reads
+    nothing else, so it holds on every instance of a content or on none.
+    A failed identity is stored as its message template and the place
+    `at` where it fails; each instance formats the stored templates, in
+    the order of a check per instance, with its own stratum keys `s`, `t`
+    and `w` through `str.format`, which substitutes a label as a value, so
+    braces in it stay text.  The lattice walks still run per instance, so
+    a LatticeError or MissingStratum is raised where it was.  The tables
+    live for this call only.
     """
     violations: list[str] = []
-    strata = atlas.strata
-    ring_ids = _content_ids([s.ring for s in strata.values()], _ring_content)
-    ring_of = {key: ring_ids[id(s.ring)] for key, s in strata.items()}
-    map_ids = _content_ids(
-        [*atlas.restrictions.values(), *atlas.gysin.values()],
-        lambda bm: frozenset(bm.items()),
+    memo: dict[tuple, list[tuple[str, object]]] = {}
+
+    def check(content: tuple, failures, **keys) -> None:
+        # `failures()` runs once per content; every instance gets messages
+        found = memo.get(content)
+        if found is None:
+            found = memo[content] = failures()
+        for template, at in found:
+            violations.append(template.format(at=at, **keys))
+
+    strata, rests, gyses = atlas.strata, atlas.restrictions, atlas.gysin
+    ids: dict = {}  # a ring's, block map's or class vector's content -> number
+    ring_of = {
+        key: ids.setdefault(_ring_content(s.ring), len(ids))
+        for key, s in strata.items()
+    }
+    rest_of, gys_of = (
+        {pair: ids.setdefault(frozenset(bm.items()), len(ids)) for pair, bm in maps}
+        for maps in (rests.items(), gyses.items())
     )
-    rest_of = {pair: map_ids[id(bm)] for pair, bm in atlas.restrictions.items()}
-    gys_of = {pair: map_ids[id(bm)] for pair, bm in atlas.gysin.items()}
     ncomp = len(atlas.components)
     classes = {
         key: tuple(atlas.divisor_class(a, key) for a in range(ncomp))
         for key in strata
     }
-    vector_ids: dict[Vector, int] = {}
     class_of = {
-        key: tuple(vector_ids.setdefault(c, len(vector_ids)) for c in cls)
+        key: tuple(ids.setdefault(c, len(ids)) for c in cls)
         for key, cls in classes.items()
     }
 
-    ring_failures: dict[int, list] = {}
     for key, stratum in sorted(strata.items()):
-        rid = ring_of[key]
-        if rid not in ring_failures:
-            ring_failures[rid] = _ring_failures(stratum.ring)
-        violations.extend(_ring_message(key, *f) for f in ring_failures[rid])
+        check(("ring", ring_of[key]), lambda: _ring_failures(stratum.ring), s=key)
 
     # restriction functoriality: both cover orders into a double intersection
-    path_dependent: dict[tuple, bool] = {}
     for skey in atlas.keys_sorted():
         extra = [a for a in range(ncomp) if a not in skey[0]]
         for a, b in itertools.combinations(extra, 2):
@@ -555,48 +540,31 @@ def validate_atlas(atlas: StrataAtlas) -> AtlasReport:
             for tkey in atlas.intersection_components(deep, [skey]):
                 up = atlas._rho_path(skey, tkey, ascending=True)
                 down = atlas._rho_path(skey, tkey, ascending=False)
-                content = (
-                    ring_of[skey],
-                    tuple(rest_of[cover] for cover in up),
-                    tuple(rest_of[cover] for cover in down),
+                check(  # two covers per path
+                    ("path", ring_of[skey], *(rest_of[cover] for cover in up + down)),
+                    lambda: []
+                    if atlas._compose_path(skey, up) == atlas._compose_path(skey, down)
+                    else [("restriction to {t} from {s} depends on the path", None)],
+                    s=skey,
+                    t=tkey,
                 )
-                if content not in path_dependent:
-                    up_bm = atlas._compose_path(skey, up)
-                    path_dependent[content] = up_bm != atlas._compose_path(skey, down)
-                if path_dependent[content]:
-                    violations.append(
-                        f"restriction to {tkey} from {skey} depends on the path"
-                    )
 
-    cover_failures: dict[tuple, list] = {}
-    for skey, tkey in sorted(atlas.restrictions):
+    for skey, tkey in sorted(rests):
         a = (set(tkey[0]) - set(skey[0])).pop()
-        content = (
-            ring_of[skey],
-            ring_of[tkey],
-            rest_of[(skey, tkey)],
-            gys_of[(tkey, skey)],
-            class_of[skey][a],
-            class_of[tkey][a],
-            class_of[skey],
-            class_of[tkey],
-        )
-        if content not in cover_failures:
-            cover_failures[content] = _cover_failures(
-                strata[skey].ring,
-                strata[tkey].ring,
-                atlas.restrictions[(skey, tkey)],
-                atlas.gysin[(tkey, skey)],
-                classes[skey][a],
-                classes[tkey][a],
-                list(zip(classes[skey], classes[tkey])),
-            )
-        violations.extend(
-            _cover_message(skey, tkey, *f) for f in cover_failures[content]
+        cls_s, cls_t = classes[skey], classes[tkey]
+        check(
+            ("cover", ring_of[skey], ring_of[tkey], rest_of[(skey, tkey)],
+             gys_of[(tkey, skey)], class_of[skey][a], class_of[tkey][a],
+             class_of[skey], class_of[tkey]),
+            lambda: _cover_failures(
+                strata[skey].ring, strata[tkey].ring, rests[(skey, tkey)],
+                gyses[(tkey, skey)], cls_s[a], cls_t[a], list(zip(cls_s, cls_t)),
+            ),
+            s=skey,
+            t=tkey,
         )
 
     # base change across transversal squares
-    square_failures: dict[tuple, list] = {}
     for skey in atlas.keys_sorted():
         extra = [a for a in range(ncomp) if a not in skey[0]]
         for a, b in itertools.permutations(extra, 2):
@@ -607,36 +575,20 @@ def validate_atlas(atlas: StrataAtlas) -> AtlasReport:
                         for v in atlas.children.get((tkey, b), ())
                         if atlas.leq(v, wkey)
                     ]
-                    content = (
-                        ring_of[skey],
-                        ring_of[tkey],
-                        ring_of[wkey],
-                        gys_of[(tkey, skey)],
-                        rest_of[(skey, wkey)],
-                        tuple(
-                            (ring_of[v], rest_of[(tkey, v)], gys_of[(v, wkey)])
-                            for v in vs
+                    check(
+                        ("square", ring_of[skey], ring_of[tkey], ring_of[wkey],
+                         gys_of[(tkey, skey)], rest_of[(skey, wkey)],
+                         *((ring_of[v], rest_of[(tkey, v)], gys_of[(v, wkey)])
+                           for v in vs)),
+                        lambda: _base_change_failures(
+                            strata[skey].ring, strata[tkey].ring, strata[wkey].ring,
+                            gyses[(tkey, skey)], rests[(skey, wkey)],
+                            [(strata[v].ring, rests[(tkey, v)], gyses[(v, wkey)])
+                             for v in vs],
                         ),
-                    )
-                    if content not in square_failures:
-                        square_failures[content] = _base_change_failures(
-                            strata[skey].ring,
-                            strata[tkey].ring,
-                            strata[wkey].ring,
-                            atlas.gysin[(tkey, skey)],
-                            atlas.restrictions[(skey, wkey)],
-                            [
-                                (
-                                    strata[v].ring,
-                                    atlas.restrictions[(tkey, v)],
-                                    atlas.gysin[(v, wkey)],
-                                )
-                                for v in vs
-                            ],
-                        )
-                    violations.extend(
-                        f"base change fails on square {skey}/{tkey}/{wkey} at {at}"
-                        for at in square_failures[content]
+                        s=skey,
+                        t=tkey,
+                        w=wkey,
                     )
 
     return AtlasReport(ok=not violations, violations=tuple(violations))

@@ -4,16 +4,18 @@ The layout mirrors the in-memory atlas: a list of component names, one object
 per stratum (indices, label, dimension, Hodge slice dimensions, the
 multiplication tensors, unit and fundamental class), restriction and Gysin
 blocks per covering pair, and the divisor classes.  All rationals are
-strings ("-3/2"), so files round-trip exactly.  Stratum references use the
-printable key form from atlas.key_to_string: "0,2" or "0,2|East", with the
-ambient space as "".  Two keys of one object that parse equal (" 0,0,0" and
-"0,0,0") are an error at the second.  One load parses each distinct string
-once, through tables that load alone owns (`_Parsed`): rational string ->
-value, an int when integral (matrices take it as is, vectors as a Fraction);
-stratum key string -> StratumKey; slice key string "j,a,b" -> (j, a, b); a
-matrix or vector literal of strings only -> one immutable RationalMatrix or
-tuple, shared by all that spell it.  Any other literal is read on its own:
-1, 1.0 and True hash alike, but no string equals them.
+strings ("-3/2", "0.5", "7"), so files round-trip exactly; an exponent
+("1e3") is an error, as its few bytes can spell a huge integer.  Stratum
+references use the printable key form from atlas.key_to_string: "0,2" or
+"0,2|East", with the ambient space as "".  Two keys of one object that
+parse equal (" 0,0,0" and "0,0,0") are an error at the second.  One load
+parses each distinct string once, through tables that load alone owns
+(`_Parsed`): rational string -> value, an int when integral (matrices take
+it as is, vectors as a Fraction); stratum key string -> StratumKey; slice
+key string "j,a,b" -> (j, a, b); a matrix or vector literal of strings only
+-> one immutable RationalMatrix or tuple, shared by all that spell it.  Any
+other literal is read on its own: 1, 1.0 and True hash alike, but no string
+equals them.
 """
 
 from __future__ import annotations
@@ -70,6 +72,8 @@ def _rational(entry, parsed: _Parsed) -> int | Fraction:
         return int_first(_frac(entry))
     value = parsed.rationals.get(entry)
     if value is None:
+        if "e" in entry or "E" in entry:
+            raise ValueError(f"exponent in rational {entry!r}")
         value = parsed.rationals[entry] = int_first(Fraction(entry))
     return value
 
@@ -344,7 +348,7 @@ def load_atlas(path) -> StrataAtlas:
         raise SchemaError(f"atlas document is not UTF-8: {exc}") from None
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int of too many digits
         raise SchemaError(f"invalid JSON: {exc}") from None
     except RecursionError:
         raise SchemaError("invalid JSON: nested too deeply") from None

@@ -527,6 +527,45 @@ class TestOneAmongEqualInstances:
         assert validate_atlas(G34).ok
 
 
+# -- one object at several instances ----------------------------------------
+
+A2, A03 = ((2,), ""), ((0, 3), "")
+
+
+def _shared_objects():
+    """generic(3,4) with one corrupted ring object at the planes ((1,),'')
+    and ((2,),''), and one corrupted restriction dict on the covers
+    ((0,),'') -> ((0,2),'') and ((0,),'') -> ((0,3),'')."""
+    ring = _with_sheet(G34.ring(A1), ((0, 0, 0), (2, 1, 1)), 2)
+    strata = [
+        Stratum(s.indices, s.label, ring if key in (A1, A2) else s.ring)
+        for key, s in G34.strata.items()
+    ]
+    bm = {**G34.restrictions[(A0, A02)], (2, (1, 1)): TWO}
+    return StrataAtlas(
+        G34.components,
+        strata,
+        {**G34.restrictions, (A0, A02): bm, (A0, A03): bm},
+        G34.gysin,
+        G34.divisor_classes,
+    )
+
+
+class TestSharedObjects:
+    def test_every_instance_reported(self):
+        atlas = _shared_objects()
+        assert atlas.ring(A1) is atlas.ring(A2)
+        assert atlas.restrictions[(A0, A02)] is atlas.restrictions[(A0, A03)]
+        violations = _same_as_reference(atlas).violations
+        for key in (A1, A2):
+            assert f"{key}: unit fails on the left at (2, (1, 1), 0)" in violations
+        for tkey in (A02, A03):
+            assert (
+                f"{A0}->{tkey}: gysin-after-restriction fails at (2, (1, 1), 0)"
+                in violations
+            )
+
+
 # -- stratum labels are free text --------------------------------------------
 
 LABEL = "{0}%s{}"

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -7,6 +11,9 @@ from nchodge.cli import main
 from nchodge.complexes import SELECTORS
 from nchodge.fixtures import builtin_atlas
 from nchodge.schema import atlas_to_json, atlases_equal, load_atlas
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -103,6 +110,40 @@ class TestCompute:
         code, _, err = run(capsys, "compute", "--config", str(path), "--complex", "X")
         assert code == 2
         assert err.startswith("error: ")
+
+    def test_exponent_in_config_file(self, tmp_path, capsys):
+        data = atlas_to_json(builtin_atlas("triangle"))
+        data["divisor_classes"][0]["class"] = ["1e2000000"]
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run(capsys, "compute", "--config", str(path), "--complex", "X")
+        assert code == 2
+        assert err == "error: divisor_classes[0]: exponent in rational '1e2000000'\n"
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"),
+        reason="JSON integers have no digit limit on this Python",
+    )
+    def test_oversized_integer_in_config_file(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(
+            '{"format": "nc-hodge/1", "components": [], "strata": [%s]}' % ("1" * 5000)
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        result = subprocess.run(
+            [sys.executable, "-m", "nchodge.cli", "compute", "--config", str(path),
+             "--complex", "X"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: invalid JSON: ")
+        assert "Traceback" not in result.stderr
 
     def test_nbhd_selector(self, capsys):
         code, out, _ = run(capsys, "compute", "--family", "p1_1pt",

@@ -127,6 +127,9 @@ BAD_ENTRIES = {
     1.5: "cannot coerce 1.5 to an exact rational",
     None: "cannot coerce None to an exact rational",
     True: "cannot coerce True to an exact rational",
+    # Fraction would spend about a second on the nine bytes of 10**2000000
+    "1e2000000": "exponent in rational '1e2000000'",
+    "-0.5E1": "exponent in rational '-0.5E1'",
 }
 
 
@@ -137,6 +140,12 @@ class TestRationalEntries:
         with pytest.raises(SchemaError) as info:
             atlas_from_json(_triangle_with(place, entry))
         assert str(info.value) == f"{WHERE[place]}: {BAD_ENTRIES[entry]}"
+
+    @pytest.mark.parametrize("place", sorted(WHERE))
+    @pytest.mark.parametrize("entry", ["0.5", "-3/2", "7"])
+    def test_plain_rationals_load(self, place, entry):
+        atlas = atlas_from_json(_triangle_with(place, entry))
+        assert atlas_to_json(atlas) == _triangle_with(place, str(Fraction(entry)))
 
     def test_fractions_load_reduced(self):
         data = _triangle_with("mult", "-3/2")
