@@ -29,6 +29,7 @@ from .rings import Bidegree, GradedVector, PureHodgeRing, truncated_polynomial_r
 
 StratumKey = tuple[tuple[int, ...], str]
 BlockMap = dict[tuple[int, Bidegree], RationalMatrix]
+Leg = tuple[PureHodgeRing, BlockMap, BlockMap]  # ring_v, a map into v, one out of v
 
 
 def key_to_string(key: StratumKey) -> str:
@@ -383,10 +384,12 @@ def _cover_failures(
     c_s: Vector,
     c_t: Vector,
     classes: list[tuple[Vector, Vector]],
+    pieces: list[Leg],
 ) -> list[tuple[str, object]]:
     """Failed identities of one cover s -> t along component a: `rest` and
-    `gys` are its two maps, c_s and c_t the class of a on both ends, and
-    `classes` every component's class on both ends."""
+    `gys` are its two maps, c_s and c_t the class of a on both ends, `classes`
+    every component's class on both ends, and `pieces` the legs s -> v -> s
+    through every piece v of s . D_a if t is the first of them, else none."""
     out: list[tuple[str, object]] = []
     basis_s, basis_t = list(ring_s.basis_vectors()), list(ring_t.basis_vectors())
     c_s, c_t = (2, (1, 1), c_s), (2, (1, 1), c_t)
@@ -416,10 +419,9 @@ def _cover_failures(
                     (at1, at2),
                 ))
 
-    # gysin after restriction = multiplication by the divisor class upstairs
-    for at, y in basis_s:
-        lhs = push_forward(gys, ring_s, restrict(rest, ring_t, y))
-        if lhs != ring_s.product(c_s, y):
+    # gysin after restriction, summed over the pieces of s . D_a, = c_a(s) times
+    for at, y in basis_s if pieces else ():
+        if _through(pieces, ring_s, y) != ring_s.product(c_s, y):
             out.append(("{s}->{t}: gysin-after-restriction fails at {at}", at))
 
     # restriction after gysin = multiplication by the divisor class downstairs
@@ -438,13 +440,23 @@ def _cover_failures(
     return out
 
 
+def _through(legs: list[Leg], ring_w: PureHodgeRing, x: GradedVector) -> GradedVector:
+    """The sum over the `legs` v of pushing x into w after restricting it to v."""
+    j, ab = gysin_slice(x[0], x[1])
+    total = zero_vector(ring_w.slice_dim(j, ab))
+    for ring_v, rest, gys in legs:
+        piece = push_forward(gys, ring_w, restrict(rest, ring_v, x))[2]
+        total = tuple(p + q for p, q in zip(total, piece))
+    return j, ab, total
+
+
 def _base_change_failures(
     ring_s: PureHodgeRing,
     ring_t: PureHodgeRing,
     ring_w: PureHodgeRing,
     gys_ts: BlockMap,
     rest_sw: BlockMap,
-    legs: list[tuple[PureHodgeRing, BlockMap, BlockMap]],
+    legs: list[Leg],
 ) -> list[tuple[str, object]]:
     """Where restricting to w after pushing t into s differs from the sum
     over the pieces v of t and w of pushing into w after restricting to v;
@@ -452,13 +464,7 @@ def _base_change_failures(
     out: list[tuple[str, object]] = []
     for at, x in ring_t.basis_vectors():
         gx = push_forward(gys_ts, ring_s, x)
-        lhs = restrict(rest_sw, ring_w, gx)[2]
-        rhs = zero_vector(len(lhs))
-        for ring_v, rest_tv, gys_vw in legs:
-            rx = restrict(rest_tv, ring_v, x)
-            piece = push_forward(gys_vw, ring_w, rx)
-            rhs = tuple(p + q for p, q in zip(rhs, piece[2]))
-        if lhs != rhs:
+        if restrict(rest_sw, ring_w, gx) != _through(legs, ring_w, x):
             out.append(("base change fails on square {s}/{t}/{w} at {at}", at))
     return out
 
@@ -484,8 +490,8 @@ def validate_atlas(atlas: StrataAtlas) -> AtlasReport:
     them for their differentials to square to zero.
 
     Each identity is checked once per distinct content: a ring once per
-    equal ring, a cover once per equal (rings, restriction, Gysin map,
-    divisor classes on both ends), a base-change square once per equal
+    equal ring, a cover once per equal (rings, maps, divisor classes on both
+    ends, legs through its pieces), a base-change square once per equal
     (rings, maps) of its corners and legs, and path independence once per
     equal (ring, maps along both paths).  Rings, block maps and class
     vectors are numbered by value in one table, and an identity reads
@@ -549,20 +555,24 @@ def validate_atlas(atlas: StrataAtlas) -> AtlasReport:
                     t=tkey,
                 )
 
-    for skey, tkey in sorted(rests):
-        a = (set(tkey[0]) - set(skey[0])).pop()
-        cls_s, cls_t = classes[skey], classes[tkey]
-        check(
-            ("cover", ring_of[skey], ring_of[tkey], rest_of[(skey, tkey)],
-             gys_of[(tkey, skey)], class_of[skey][a], class_of[tkey][a],
-             class_of[skey], class_of[tkey]),
-            lambda: _cover_failures(
-                strata[skey].ring, strata[tkey].ring, rests[(skey, tkey)],
-                gyses[(tkey, skey)], cls_s[a], cls_t[a], list(zip(cls_s, cls_t)),
-            ),
-            s=skey,
-            t=tkey,
-        )
+    # covers s -> t grouped by (s, a), which keeps their sorted order; the
+    # summed gysin-after-restriction identity is checked at the first piece
+    for (skey, a), ts in sorted(atlas.children.items()):
+        legs = [(ring_of[v], rest_of[(skey, v)], gys_of[(v, skey)]) for v in ts]
+        for tkey, leg in zip(ts, legs):
+            vs = ts if tkey == ts[0] else ()
+            cls_s, cls_t = classes[skey], classes[tkey]
+            check(
+                ("cover", ring_of[skey], *leg, class_of[skey][a], class_of[tkey][a],
+                 class_of[skey], class_of[tkey], tuple(legs) if vs else ()),
+                lambda: _cover_failures(
+                    strata[skey].ring, strata[tkey].ring, rests[(skey, tkey)],
+                    gyses[(tkey, skey)], cls_s[a], cls_t[a], list(zip(cls_s, cls_t)),
+                    [(strata[v].ring, rests[(skey, v)], gyses[(v, skey)]) for v in vs],
+                ),
+                s=skey,
+                t=tkey,
+            )
 
     # base change across transversal squares
     for skey in atlas.keys_sorted():

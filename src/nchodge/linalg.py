@@ -6,9 +6,10 @@ with rational entries.  A matrix stores one tuple of sparse rows
 Fraction (an integral Fraction becomes an int again); products, sums, block
 placement and elimination all read and build these rows.  What the module
 hands out is dense: vectors are tuples of Fractions, and `rows` is a dense
-view of Fractions built on each access.  `reduce`, `solve` and `cohomology_at`
-take a matrix's stored rows in increasing order of their number of nonzeros
-(a stable sort) and pivot each residual at its leftmost nonzero column.  Any
+view of Fractions built on each access.  `reduce` is the one elimination:
+`rank`, `solve` and `cohomology_at` read the RREF it returns.  It takes a
+matrix's stored rows in increasing order of their number of nonzeros (a
+stable sort) and pivots each residual at its leftmost nonzero column.  Any
 row order is safe: reduced row echelon form depends only on the row space,
 so pivots, RREF and every basis derived from them are those of the
 leftmost-column, topmost-row elimination, and are deterministic for a given
@@ -17,8 +18,7 @@ input.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -257,47 +257,6 @@ class RationalMatrix:
         return RationalMatrix._from_sparse(rows, self.ncols)
 
 
-@dataclass(frozen=True)
-class ReducedMatrix:
-    """Reduced row echelon data of a matrix, from one elimination.
-
-    `rref`, `kernel` and `image` are built on first read.  `image` is the
-    tuple of original matrix columns at the pivot positions, `kernel` the
-    standard free-variable basis; both inherit the first-pivot determinism
-    of the elimination.
-    """
-
-    matrix: RationalMatrix
-    rank: int
-    pivots: tuple[int, ...]
-    _basis: dict[int, SparseRow] = field(repr=False, compare=False)
-
-    @functools.cached_property
-    def rref(self) -> RationalMatrix:
-        rows = [self._basis[p] for p in self.pivots]
-        rows += [{}] * (self.matrix.nrows - self.rank)
-        return RationalMatrix._from_sparse(rows, self.matrix.ncols)
-
-    @functools.cached_property
-    def kernel(self) -> tuple[Vector, ...]:
-        ncols = self.matrix.ncols
-        return tuple(_dense(v, ncols) for v in _kernel(self._basis, ncols))
-
-    @functools.cached_property
-    def image(self) -> tuple[Vector, ...]:
-        columns = _columns(self.matrix._rows, self.pivots)
-        return tuple(_dense(c, self.matrix.nrows) for c in columns)
-
-
-def _eliminate(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
-    """The RREF of `rows` (left unchanged) as pivot column -> row, taking the
-    shortest rows first; RREF is unique, so the order changes no entry."""
-    basis: dict[int, SparseRow] = {}
-    for row in sorted(rows, key=len):
-        _absorb(basis, dict(row))
-    return basis
-
-
 def _kernel(basis: dict[int, SparseRow], ncols: int) -> list[SparseRow]:
     """The free-variable kernel basis of an RREF, in free column order."""
     kernel = {free: {free: 1} for free in range(ncols) if free not in basis}
@@ -318,15 +277,18 @@ def _columns(rows: Sequence[SparseRow], cols: Sequence[int]) -> list[SparseRow]:
     return list(out.values())
 
 
-def reduce(matrix: RationalMatrix) -> ReducedMatrix:
-    """RREF, kernel and image; rows are eliminated shortest first, which the
-    uniqueness of RREF makes immaterial."""
-    basis = _eliminate(matrix._rows)
-    return ReducedMatrix(matrix, len(basis), tuple(sorted(basis)), basis)
+def reduce(matrix: RationalMatrix) -> dict[int, SparseRow]:
+    """A fresh RREF of `matrix` (left unchanged) as pivot column ->
+    integer-first sparse row; the package's one elimination.  Rows are taken
+    shortest first, which the uniqueness of RREF makes immaterial."""
+    basis: dict[int, SparseRow] = {}
+    for row in sorted(matrix._rows, key=len):
+        _absorb(basis, dict(row))
+    return basis
 
 
 def rank(matrix: RationalMatrix) -> int:
-    return reduce(matrix).rank
+    return len(reduce(matrix))
 
 
 class EchelonSpan:
@@ -360,9 +322,8 @@ def solve(matrix: RationalMatrix, rhs: Sequence) -> Vector | None:
         raise DimensionMismatch("right-hand side length disagrees with matrix")
     n = matrix.ncols
     right = _sparse(rhs)
-    basis = _eliminate(
-        {**r, n: right[i]} if i in right else r for i, r in enumerate(matrix._rows)
-    )
+    rows = [{**r, n: right[i]} if i in right else r for i, r in enumerate(matrix._rows)]
+    basis = reduce(RationalMatrix._from_sparse(rows, n + 1))
     if n in basis:
         return None
     return _dense({p: row[n] for p, row in basis.items() if n in row}, n)
@@ -394,17 +355,17 @@ def check_complex(d_in: RationalMatrix, d_out: RationalMatrix) -> None:
 def cohomology_at(d_in: RationalMatrix, d_out: RationalMatrix) -> CohomologySpace:
     """Cohomology at the middle of  src --d_in--> here --d_out--> dst.
 
-    Cycles (`d_out`'s kernel) and boundaries (`d_in`'s image) are `reduce`'s,
-    from rows eliminated shortest first, which RREF's uniqueness makes safe;
-    cycles are tested in kernel order against the boundaries as sparse rows.
+    Boundaries are `d_in`'s columns at the pivots of its RREF, and cycles the
+    free-variable kernel basis of `d_out`'s; cycles are tested in kernel order
+    against the RREF of the boundaries, as sparse rows.
     """
     check_complex(d_in, d_out)
     here = d_in.nrows
-    boundaries = _columns(d_in._rows, sorted(_eliminate(d_in._rows)))
-    span = _eliminate(boundaries)
+    boundaries = _columns(d_in._rows, sorted(reduce(d_in)))
+    span = reduce(RationalMatrix._from_sparse(boundaries, here))
     representatives = tuple(
         _dense(c, here)
-        for c in _kernel(_eliminate(d_out._rows), here)
+        for c in _kernel(reduce(d_out), here)
         if _absorb(span, dict(c))
     )
     return CohomologySpace(

@@ -23,7 +23,8 @@ GradedVector = tuple[int, Bidegree, Vector]  # coordinates in slice (j, ab)
 class PureHodgeRing:
     """Graded-commutative ring data of one stratum.
 
-    hodge:  j -> {(a, b): dim}, only nonzero slices stored, a + b = j.
+    hodge:  j -> {(a, b): dim}, only nonzero slices stored, a + b = j and
+            0 <= a, b <= dim.
     mult:   ((j1, a1, b1), (j2, a2, b2)) -> per left basis vector, the matrix
             of `x_u * -` from the right slice to the target slice
             (j1+j2, a1+a2, b1+b2).  Absent keys mean the product is zero
@@ -43,6 +44,11 @@ class PureHodgeRing:
             for (a, b), d in slices.items():
                 if a + b != j:
                     raise BidegreeError(f"slice ({a},{b}) in degree {j}")
+                if not (0 <= a <= self.dim and 0 <= b <= self.dim):
+                    raise BidegreeError(
+                        f"slice ({a},{b}) in degree {j}: types range over "
+                        f"0..{self.dim} in dimension {self.dim}"
+                    )
                 if d <= 0:
                     raise DimensionMismatch(f"nonpositive slice dim at {(j, a, b)}")
         for (left, right), tensors in self.mult.items():

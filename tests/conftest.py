@@ -5,7 +5,7 @@ from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from nchodge.fixtures import builtin_atlas
-from nchodge.linalg import RationalMatrix, rank, reduce
+from nchodge.linalg import RationalMatrix, rank
 
 # Same examples on every run and no example database.
 settings.register_profile("nchodge", derandomize=True, database=None, deadline=None)
@@ -49,7 +49,7 @@ def circle_bundle_table(ring, chern):
                 blocks.append((m, (m // 2, m // 2), coker))
         else:
             c = op(m - 1)
-            kernel = len(reduce(c).kernel) if c.shape[1] else 0
+            kernel = c.ncols - rank(c)
             if kernel:
                 k = (m - 1) // 2 + 1
                 blocks.append((2 * k, (k, k), kernel))

@@ -13,6 +13,8 @@ from nchodge.atlas import (
     key_to_string,
     validate_atlas,
 )
+from nchodge.cli import main
+from nchodge.complexes import build
 from nchodge.errors import (
     BadParams,
     LatticeError,
@@ -22,6 +24,8 @@ from nchodge.errors import (
 from nchodge.fixtures import BUILTIN_NAMES, builtin_atlas
 from nchodge.linalg import RationalMatrix, vector
 from nchodge.rings import truncated_polynomial_ring
+from nchodge.schema import save_atlas
+from nchodge.tables import compute_table
 from nchodge.verify import run_suite
 
 
@@ -169,6 +173,58 @@ def _two_lines(cross_class, point_label=""):
         (1, ((1,), "")): vector([1]),
     }
     return StrataAtlas(("A", "B"), strata, restrictions, gysin, classes)
+
+
+def _conic_and_line():
+    """P^2 with a conic C (component 0) and a line L (component 1) that meet
+    in two points, a and b: on each curve, gysin after restriction equals
+    multiplication by the other curve's class only summed over both points."""
+    x, c, line = ((), ""), ((0,), ""), ((1,), "")
+    points = (((0, 1), "a"), ((0, 1), "b"))
+    dims = ((x, 2), (c, 1), (line, 1)) + tuple((p, 0) for p in points)
+    strata = [Stratum(k[0], k[1], truncated_polynomial_ring(d)) for k, d in dims]
+
+    def blocks(*images):  # h^i -> images[i] times the generator in degree 2i
+        return {(2 * i, (i, i)): RationalMatrix([[y]]) for i, y in enumerate(images)}
+
+    restrictions = {(x, c): blocks(1, 2), (x, line): blocks(1, 1)}
+    gysin = {(c, x): blocks(2, 1), (line, x): blocks(1, 1)}
+    for curve in (c, line):
+        for p in points:
+            restrictions[(curve, p)] = blocks(1)
+            gysin[(p, curve)] = blocks(1)
+    classes = {
+        (a, key): vector([n])
+        for a, key, n in (
+            (0, x, 2), (1, x, 1), (0, c, 4), (1, c, 2), (0, line, 2), (1, line, 1)
+        )
+    }
+    return StrataAtlas(("C", "L"), strata, restrictions, gysin, classes)
+
+
+class TestSeveralPieces:
+    """Intersections with several pieces: C . L is two points."""
+
+    def test_validates(self):
+        assert validate_atlas(_conic_and_line()).ok
+
+    def test_verify_all_passes(self, tmp_path):
+        path = tmp_path / "conic_and_line.json"
+        save_atlas(_conic_and_line(), path)
+        assert main(["verify", "--suite", "all", "--config", str(path)]) == 0
+
+    def test_tables(self):
+        atlas = _conic_and_line()
+        log = compute_table(build(atlas, "log"))
+        assert {m: log.entries(m) for m in log.degrees()} == {
+            0: ((0, (0, 0), 1),),
+            1: ((2, (1, 1), 1),),
+            2: ((4, (2, 2), 1),),
+        }
+        xd = compute_table(build(atlas, "XD"))
+        # H^2 of weight 0 comes from the loop in the dual graph
+        assert {m: xd.weights(m) for m in xd.degrees()} == {2: (0,), 3: (2,), 4: (4,)}
+        assert [xd.betti(m) for m in xd.degrees()] == [1, 1, 1]
 
 
 class TestValidator:
@@ -452,6 +508,14 @@ class TestValidatorMatchesReference:
     def test_seeded_corruptions_are_caught(self):
         # agreement on a seeded case only tests the checks if the case fails
         assert not any(ref.validate_atlas(_seeded(*case)).ok for case in SEEDED)
+
+    def test_several_pieces(self):
+        assert _same_as_reference(_conic_and_line()).ok
+
+    @pytest.mark.parametrize("seed", range(15))
+    def test_several_pieces_seeded_corruption(self, seed):
+        corrupted = _scaled_copy(_conic_and_line(), random.Random(seed))
+        assert not _same_as_reference(corrupted).ok
 
 
 # -- one corrupted instance among many equal ones ----------------------------

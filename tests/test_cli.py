@@ -120,6 +120,29 @@ class TestCompute:
         assert code == 2
         assert err == "error: divisor_classes[0]: exponent in rational '1e2000000'\n"
 
+    @pytest.mark.parametrize("unit_sheets", [True, False])
+    @pytest.mark.parametrize("degree, a", [(6, 3), (-2, -1)])
+    def test_type_outside_dimension_in_config_file(
+        self, tmp_path, capsys, degree, a, unit_sheets
+    ):
+        # a surface has no slice of type (3,3), nor of type (-1,-1)
+        data = atlas_to_json(builtin_atlas("triangle"))
+        ambient = next(s for s in data["strata"] if not s["indices"])
+        ambient["hodge"][str(degree)] = [[a, a, 1]]
+        if unit_sheets:
+            slot = f"{degree},{a},{a}"
+            ambient["mult"][f"0,0,0|{slot}"] = [[["1"]]]
+            ambient["mult"][f"{slot}|0,0,0"] = [[["1"]]]
+        path = tmp_path / "type.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "compute", "--config", str(path), "--complex", "log")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: slice ({a},{a}) in degree {degree}: types range over 0..2"
+            " in dimension 2\n"
+        )
+
     @pytest.mark.skipif(
         not hasattr(sys, "get_int_max_str_digits"),
         reason="JSON integers have no digit limit on this Python",

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+import reference_linalg as ref
+from nchodge import linalg
 from nchodge.errors import CompositionNonzero, DimensionMismatch
 from nchodge.linalg import (
     EchelonSpan,
@@ -172,29 +174,26 @@ class TestRationalMatrix:
 class TestReduce:
     def test_known_rref(self):
         m = M([[1, 2, 3], [2, 4, 6], [1, 1, 1]])
-        red = reduce(m)
-        assert red.rank == 2
-        assert red.pivots == (0, 1)
-        assert red.rref.rows[0] == (Fraction(1), Fraction(0), Fraction(-1))
-        assert red.rref.rows[1] == (Fraction(0), Fraction(1), Fraction(2))
+        assert reduce(m) == {0: {0: 1, 2: -1}, 1: {1: 1, 2: 2}}
 
     def test_kernel_image_dims(self):
         rng = random.Random(11)
         for _ in range(25):
             m = random_matrix(rng, rng.randint(0, 5), rng.randint(1, 5))
-            red = reduce(m)
-            assert len(red.kernel) == m.shape[1] - red.rank
-            assert len(red.image) == red.rank
-            for v in red.kernel:
+            kernel = cohomology_at(RationalMatrix.zeros(m.ncols, 0), m).representatives
+            image = cohomology_at(m, RationalMatrix.zeros(0, m.nrows)).boundaries
+            assert len(kernel) == m.shape[1] - len(reduce(m))
+            assert len(image) == len(reduce(m))
+            for v in kernel:
                 assert m.apply(v) == tuple([Fraction(0)] * m.shape[0])
 
     def test_kernel_basis_is_echelon(self):
         # kernel vectors carry a 1 in their free column, 0 in the others
         m = M([[1, 1, 1, 1]])
-        red = reduce(m)
-        assert red.rank == 1
+        assert len(reduce(m)) == 1
+        kernel = cohomology_at(RationalMatrix.zeros(4, 0), m).representatives
         free = [1, 2, 3]
-        for v, col in zip(red.kernel, free):
+        for v, col in zip(kernel, free):
             assert v[col] == 1
             for other in free:
                 if other != col:
@@ -206,6 +205,39 @@ class TestReduce:
             m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
             transpose = RationalMatrix.from_columns(m.rows, m.ncols)
             assert rank(m) == rank(transpose)
+
+
+class TestOneElimination:
+    """`rank`, `solve` and `cohomology_at` eliminate only through `reduce`."""
+
+    @pytest.fixture
+    def shapes(self, monkeypatch):
+        seen = []
+        original = linalg.reduce
+
+        def counting(matrix):
+            seen.append(matrix.shape)
+            return original(matrix)
+
+        monkeypatch.setattr(linalg, "reduce", counting)
+        return seen
+
+    def test_rank_reduces_once(self, shapes):
+        assert rank(M([[1, 2, 3], [2, 4, 6], [1, 1, 1]])) == 2
+        assert shapes == [(3, 3)]
+
+    def test_solve_reduces_the_augmented_matrix_once(self, shapes):
+        assert solve(M([[1, 1], [1, -1]]), vector([3, 1])) == vector([2, 1])
+        assert shapes == [(2, 3)]
+        assert solve(M([[1, 1], [2, 2]]), vector([1, 3])) is None
+        assert shapes == [(2, 3), (2, 3)]
+
+    def test_cohomology_at_reduces_d_in_boundaries_and_d_out(self, shapes):
+        h = cohomology_at(M([[1], [-1], [0]]), M([[1, 1, 0]]))
+        assert h.dim == 1
+        assert h.representatives == (vector([0, 0, 1]),)
+        assert h.boundaries == (vector([1, -1, 0]),)
+        assert shapes == [(3, 1), (1, 3), (1, 3)]
 
 
 class TestSolve:
@@ -291,7 +323,7 @@ class TestCohomology:
             mid = rng.randint(1, 4)
             d_in = random_matrix(rng, mid, rng.randint(0, 3))
             # build d_out vanishing on the image of d_in: rows from the left kernel
-            left = reduce(RationalMatrix.from_columns(d_in.rows, d_in.ncols)).kernel
+            left = ref.reduce(RationalMatrix.from_columns(d_in.rows, d_in.ncols)).kernel
             d_out = RationalMatrix([list(v) for v in left], ncols=mid)
             h = cohomology_at(d_in, d_out)
             assert h.dim == mid - rank(d_in) - rank(d_out)

@@ -13,9 +13,11 @@ import sys
 
 import pytest
 
+import nchodge.cli  # noqa: F401  (the tracer binds cli.main)
 from nchodge.complexes import build
 from nchodge.linalg import reduce, unit_vector
 from nchodge.tables import compute_table
+from nchodge.verify import suite_les
 
 _TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 _spec = importlib.util.spec_from_file_location("perfbench_tracing", _TRACING)
@@ -80,3 +82,11 @@ def test_linalg_counters_read_library_matrices(triangle):
             tracing._count_reduce(tracer, (mat,), reduce(mat))
             assert 0 <= tracer.counts["nnz"] <= tracer.counts["cells"]
             assert tracer.counts["cells"] == mat.nrows * mat.ncols
+
+
+def test_reduce_under_solve_is_traced(triangle):
+    with tracing.Tracer() as tracer:
+        report = suite_les(triangle)
+    assert tracer.restored() and not tracer.missing
+    assert report.ok
+    assert tracer.pass_metrics()["linalg.reduce.under_solve_self_s"] > 0

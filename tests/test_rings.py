@@ -1,6 +1,6 @@
 import pytest
 
-from nchodge.errors import DimensionMismatch
+from nchodge.errors import BidegreeError, DimensionMismatch
 from nchodge.linalg import vector
 from nchodge.rings import PureHodgeRing, elliptic_curve_ring, truncated_polynomial_ring
 
@@ -61,6 +61,19 @@ class TestEllipticRing:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("j, ab", [(6, (3, 3)), (-2, (-1, -1)), (2, (3, -1))])
+    def test_type_outside_dimension_rejected(self, j, ab):
+        ring = truncated_polynomial_ring(2)
+        message = rf"slice \({ab[0]},{ab[1]}\) in degree {j}: .* in dimension 2"
+        with pytest.raises(BidegreeError, match=message):
+            PureHodgeRing(
+                dim=2,
+                hodge={**ring.hodge, j: {ab: 1}},
+                mult=ring.mult,
+                unit=ring.unit,
+                fundamental=ring.fundamental,
+            )
+
     def test_unit_length_checked(self):
         with pytest.raises(DimensionMismatch):
             PureHodgeRing(
