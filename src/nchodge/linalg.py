@@ -7,13 +7,13 @@ Fraction (an integral Fraction becomes an int again); products, sums, block
 placement and elimination all read and build these rows.  What the module
 hands out is dense: vectors are tuples of Fractions, and `rows` is a dense
 view of Fractions built on each access.  `reduce` is the one elimination:
-`rank`, `solve` and `cohomology_at` read the RREF it returns.  It takes a
-matrix's stored rows in increasing order of their number of nonzeros (a
-stable sort) and pivots each residual at its leftmost nonzero column.  Any
-row order is safe: reduced row echelon form depends only on the row space,
-so pivots, RREF and every basis derived from them are those of the
-leftmost-column, topmost-row elimination, and are deterministic for a given
-input.
+`rank`, `solve` (a whole batch of right-hand sides at once) and
+`cohomology_at` read the RREF it returns.  It takes a matrix's stored rows
+in increasing order of their number of nonzeros (a stable sort) and pivots
+each residual at its leftmost nonzero column.  Any row order is safe:
+reduced row echelon form depends only on the row space, so pivots, RREF and
+every basis derived from them are those of the leftmost-column, topmost-row
+elimination, and are deterministic for a given input.
 """
 
 from __future__ import annotations
@@ -315,18 +315,23 @@ class EchelonSpan:
         return len(self._basis)
 
 
-def solve(matrix: RationalMatrix, rhs: Sequence) -> Vector | None:
-    """One solution of `matrix @ x = rhs` (free variables zero), or None:
-    None iff eliminating `[matrix | rhs]` makes the last column a pivot."""
-    if len(rhs) != matrix.nrows:
-        raise DimensionMismatch("right-hand side length disagrees with matrix")
+def solve(matrix: RationalMatrix, rhs: Sequence[Sequence]) -> list[Vector | None]:
+    """For each b in `rhs`, one solution of `matrix @ x = b` (free variables
+    zero), or None, from one `reduce` of `[matrix | b_1 ... b_N]`: None iff a
+    row pivoted past `matrix` reaches b's column."""
     n = matrix.ncols
-    right = _sparse(rhs)
-    rows = [{**r, n: right[i]} if i in right else r for i, r in enumerate(matrix._rows)]
-    basis = reduce(RationalMatrix._from_sparse(rows, n + 1))
-    if n in basis:
-        return None
-    return _dense({p: row[n] for p, row in basis.items() if n in row}, n)
+    rows = [dict(row) for row in matrix._rows]
+    for k, b in enumerate(rhs, n):
+        if len(b) != matrix.nrows:
+            raise DimensionMismatch("right-hand side length disagrees with matrix")
+        for i, x in _sparse(b).items():
+            rows[i][k] = x
+    basis = reduce(RationalMatrix._from_sparse(rows, n + len(rhs)))
+    past = {k for p, row in basis.items() if p >= n for k in row}
+    return [
+        None if k in past else _dense({p: row[k] for p, row in basis.items() if k in row}, n)
+        for k in range(n, n + len(rhs))
+    ]
 
 
 @dataclass(frozen=True)

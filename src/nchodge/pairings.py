@@ -39,7 +39,7 @@ from .complexes import (
     rows_sum_strata,
 )
 from .errors import DimensionMismatch, EmptyDivisor
-from .linalg import CohomologySpace, RationalMatrix, Vector, int_first, rank, solve, unit_vector
+from .linalg import CohomologySpace, RationalMatrix, int_first, rank, solve, unit_vector
 from .reports import CheckLine, CheckReport
 from .rings import Bidegree
 from .tables import MixedHodgeTable, compute_table
@@ -249,24 +249,19 @@ def chain_map_check(pairing: GradedPairing) -> bool:
 # -- expressing products in cohomology ---------------------------------------
 
 
-def express_in_space(space: CohomologySpace | None, vec: Vector) -> Vector | None:
-    """Coordinates of a cycle's class in the representative basis."""
+def express_in_space(space: CohomologySpace | None, cycles, failure: str) -> RationalMatrix:
+    """The class of each cycle in the representative basis of `space` (None
+    is the zero space), one row per cycle, from one `solve` of every cycle
+    against [representatives | boundaries]; a vector that is not a cycle
+    raises DimensionMismatch(failure)."""
+    dim, cycles = 0 if space is None else space.dim, list(cycles)
+    if not cycles:
+        return RationalMatrix.zeros(0, dim)
     columns = () if space is None else (*space.representatives, *space.boundaries)
-    if not columns:
-        return () if all(x == 0 for x in vec) else None
-    matrix = RationalMatrix.from_columns(columns, len(vec))
-    sol = solve(matrix, vec)
-    if sol is None:
-        return None
-    return sol[: len(space.representatives)]
-
-
-def _classes(space: CohomologySpace | None, cycles, failure: str) -> list[Vector]:
-    """Class coordinates of each cycle; a non-cycle raises DimensionMismatch."""
-    out = [express_in_space(space, vec) for vec in cycles]
-    if any(coords is None for coords in out):
+    solutions = solve(RationalMatrix.from_columns(columns, len(cycles[0])), cycles)
+    if any(sol is None for sol in solutions):
         raise DimensionMismatch(failure)
-    return out
+    return RationalMatrix([sol[:dim] for sol in solutions], ncols=dim)
 
 
 def _perfect_into_top(
@@ -284,8 +279,7 @@ def _perfect_into_top(
     block = _block_matrix(
         pairing, left_table, right_table, target_table, left_block, right_block
     )
-    mi, q1, ab1 = left_block
-    mj, q2, ab2 = right_block
+    (mi, q1, ab1), (mj, q2, ab2) = left_block, right_block
     dl = left_table.dim(mi, q1, ab1)
     dr = right_table.dim(mj, q2, ab2)
     top = block.ncols
@@ -316,10 +310,8 @@ def _block_matrix(
 ) -> RationalMatrix:
     """Matrix of one (left block) x (right block) -> (target block) pairing,
     rows indexed by pairs of classes, columns by the target classes."""
-    mi, q1, ab1 = left_block
-    mj, q2, ab2 = right_block
+    (mi, q1, ab1), (mj, q2, ab2) = left_block, right_block
     mt, qt, abt = mi + mj, q1 + q2, (ab1[0] + ab2[0], ab1[1] + ab2[1])
-    space = target_table.space(mt, qt, abt)
     products = (
         pairing.evaluate(
             pairing.left.unflatten(q1, mi, ab1, lrep),
@@ -328,12 +320,11 @@ def _block_matrix(
         for lrep in left_table.representatives(mi, q1, ab1)
         for rrep in right_table.representatives(mj, q2, ab2)
     )
-    rows = _classes(
-        space,
+    return express_in_space(
+        target_table.space(mt, qt, abt),
         (pairing.target.flatten(qt, mt, abt, product) for product in products),
         f"{pairing.label}: product of classes is not a cycle class",
     )
-    return RationalMatrix(rows, ncols=0 if space is None else space.dim)
 
 
 def induced_pairing(
@@ -488,13 +479,12 @@ def _class_map(
 ) -> RationalMatrix:
     """Matrix of the map H^m_src(src) -> H^m_dst(dst) in block (q, ab) that
     sends the class of a cycle vector c to the class of transform(c)."""
-    space = dst_table.space(m_dst, q, ab)
-    cols = _classes(
-        space,
+    classes = express_in_space(
+        dst_table.space(m_dst, q, ab),
         map(transform, src_table.representatives(m_src, q, ab)),
         f"map into {dst_table.label}: image is not a cycle class",
     )
-    return RationalMatrix.from_columns(cols, 0 if space is None else space.dim)
+    return RationalMatrix.from_columns(classes.rows, classes.ncols)
 
 
 def _exact_at(

@@ -32,7 +32,7 @@ from .atlas import (
     key_from_string,
     key_to_string,
 )
-from .errors import BadParams, NCHodgeError, SchemaError
+from .errors import BadParams, BidegreeError, DimensionMismatch, NCHodgeError, SchemaError
 from .linalg import RationalMatrix, Vector, _frac, int_first
 from .rings import PureHodgeRing, SliceKey
 
@@ -233,9 +233,12 @@ def _ring_from_json(data: dict, where: str, parsed: _Parsed) -> PureHodgeRing:
         _vector_from_json(_require(data, name, list, where), f"{where}.{name}", parsed)
         for name in ("unit", "fundamental")
     )
-    return PureHodgeRing(
-        dim=dim, hodge=hodge, mult=mult, unit=unit, fundamental=fundamental
-    )
+    try:
+        return PureHodgeRing(
+            dim=dim, hodge=hodge, mult=mult, unit=unit, fundamental=fundamental
+        )
+    except (BidegreeError, DimensionMismatch) as exc:  # a ring axiom, named by stratum
+        raise SchemaError(f"{where}: {exc}") from exc
 
 
 def atlas_to_json(atlas: StrataAtlas) -> dict:

@@ -6,6 +6,13 @@ the kernel went sparse, kept verbatim as an oracle for the property tests in
 `test_linalg_oracle.py`.  They follow the same first-pivot rule (leftmost
 available column, topmost available row), so their output must agree with
 the library's entry for entry.
+
+`solve` is the library's one-vector `solve` as it stood before it took a
+batch of right-hand sides, kept verbatim but for the names it reads from
+`nchodge.linalg`, which it qualifies (`reduce` here is the dense reference).
+It reduces `[matrix | rhs]` for one right-hand side, so each answer of a
+batch must equal its answer for that side alone, and `reference_pairings`
+builds the one-vector class coordinates on it.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from nchodge import linalg
 from nchodge.errors import DimensionMismatch
 from nchodge.linalg import RationalMatrix, _frac, vector
 
@@ -145,3 +153,17 @@ class EchelonSpan:
     @property
     def rank(self) -> int:
         return len(self._rows)
+
+
+def solve(matrix: RationalMatrix, rhs: Sequence) -> linalg.Vector | None:
+    """One solution of `matrix @ x = rhs` (free variables zero), or None:
+    None iff eliminating `[matrix | rhs]` makes the last column a pivot."""
+    if len(rhs) != matrix.nrows:
+        raise DimensionMismatch("right-hand side length disagrees with matrix")
+    n = matrix.ncols
+    right = linalg._sparse(rhs)
+    rows = [{**r, n: right[i]} if i in right else r for i, r in enumerate(matrix._rows)]
+    basis = linalg.reduce(RationalMatrix._from_sparse(rows, n + 1))
+    if n in basis:
+        return None
+    return linalg._dense({p: row[n] for p, row in basis.items() if n in row}, n)

@@ -21,14 +21,25 @@ of `cup_log_XD` and `cup_extraordinary` as they stood before both products
 shared one rule: one branch per cone side of the right factor, and one
 closure for the local product.  Each returns the (target term, sign) list
 of a term pair, in order.
+
+`express_in_space` and `_classes` are the class coordinates as they stood
+before one `solve` took every cycle of a block at once: one elimination of
+[representatives | boundaries | v] per vector, through
+`reference_linalg.solve`, the one-vector `solve` of that time, and an empty
+space answered without an elimination.  Every class map and block pairing
+the library builds must equal theirs, entry for entry.
 """
 
 from __future__ import annotations
 
 import weakref
 
+from reference_linalg import solve
+
 from nchodge.atlas import StrataAtlas, restrict
 from nchodge.complexes import Element, PureTerm
+from nchodge.errors import DimensionMismatch
+from nchodge.linalg import CohomologySpace, RationalMatrix, Vector
 from nchodge.pairings import GradedPairing, sign_shuffle
 
 
@@ -160,4 +171,24 @@ def resolve_extraordinary(atlas: StrataAtlas, t1: PureTerm, t2: PureTerm):
             tkey, t1.j + t2.j, t1.k, t2.p, res=t1.res, simp=t2.stratum
         )
         out.append((t3, sign))
+    return out
+
+
+def express_in_space(space: CohomologySpace | None, vec: Vector) -> Vector | None:
+    """Coordinates of a cycle's class in the representative basis."""
+    columns = () if space is None else (*space.representatives, *space.boundaries)
+    if not columns:
+        return () if all(x == 0 for x in vec) else None
+    matrix = RationalMatrix.from_columns(columns, len(vec))
+    sol = solve(matrix, vec)
+    if sol is None:
+        return None
+    return sol[: len(space.representatives)]
+
+
+def _classes(space: CohomologySpace | None, cycles, failure: str) -> list[Vector]:
+    """Class coordinates of each cycle; a non-cycle raises DimensionMismatch."""
+    out = [express_in_space(space, vec) for vec in cycles]
+    if any(coords is None for coords in out):
+        raise DimensionMismatch(failure)
     return out

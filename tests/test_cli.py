@@ -127,7 +127,9 @@ class TestCompute:
     ):
         # a surface has no slice of type (3,3), nor of type (-1,-1)
         data = atlas_to_json(builtin_atlas("triangle"))
-        ambient = next(s for s in data["strata"] if not s["indices"])
+        index, ambient = next(
+            (i, s) for i, s in enumerate(data["strata"]) if not s["indices"]
+        )
         ambient["hodge"][str(degree)] = [[a, a, 1]]
         if unit_sheets:
             slot = f"{degree},{a},{a}"
@@ -139,8 +141,8 @@ class TestCompute:
         assert code == 2
         assert out == ""
         assert err == (
-            f"error: slice ({a},{a}) in degree {degree}: types range over 0..2"
-            " in dimension 2\n"
+            f"error: strata[{index}]: slice ({a},{a}) in degree {degree}: types"
+            " range over 0..2 in dimension 2\n"
         )
 
     @pytest.mark.skipif(

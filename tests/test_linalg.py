@@ -227,10 +227,18 @@ class TestOneElimination:
         assert shapes == [(3, 3)]
 
     def test_solve_reduces_the_augmented_matrix_once(self, shapes):
-        assert solve(M([[1, 1], [1, -1]]), vector([3, 1])) == vector([2, 1])
+        assert solve(M([[1, 1], [1, -1]]), [vector([3, 1])]) == [vector([2, 1])]
         assert shapes == [(2, 3)]
-        assert solve(M([[1, 1], [2, 2]]), vector([1, 3])) is None
+        assert solve(M([[1, 1], [2, 2]]), [vector([1, 3])]) == [None]
         assert shapes == [(2, 3), (2, 3)]
+
+    def test_solve_reduces_once_per_batch(self, shapes):
+        m = M([[1, 1], [1, -1], [0, 0]])
+        batch = [vector([3, 1, 0]), vector([0, 0, 1]), vector([1, 1, 0]), vector([0, 0, 0])]
+        assert solve(m, batch) == [vector([2, 1]), None, vector([1, 0]), vector([0, 0])]
+        assert shapes == [(3, 6)]
+        assert solve(m, []) == []
+        assert shapes == [(3, 6), (3, 2)]
 
     def test_cohomology_at_reduces_d_in_boundaries_and_d_out(self, shapes):
         h = cohomology_at(M([[1], [-1], [0]]), M([[1, 1, 0]]))
@@ -244,11 +252,11 @@ class TestSolve:
     def test_unique_solution(self):
         m = M([[2, 1], [1, 3]])
         rhs = m.apply(vector([4, -2]))
-        assert solve(m, rhs) == (Fraction(4), Fraction(-2))
+        assert solve(m, [rhs]) == [(Fraction(4), Fraction(-2))]
 
     def test_inconsistent_returns_none(self):
         m = M([[1, 0], [1, 0]])
-        assert solve(m, vector([1, 2])) is None
+        assert solve(m, [vector([1, 2])]) == [None]
 
     def test_fuzz_solutions_verify(self):
         rng = random.Random(23)
@@ -256,11 +264,59 @@ class TestSolve:
         for _ in range(40):
             m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
             x = vector([rng.randint(-3, 3) for _ in range(m.shape[1])])
-            sol = solve(m, m.apply(x))
+            [sol] = solve(m, [m.apply(x)])
             assert sol is not None
             assert m.apply(sol) == m.apply(x)
             hits += 1
         assert hits == 40
+
+    def test_batch_mixes_consistent_and_inconsistent_sides(self):
+        # column 1 is twice column 0, so the image is spanned by (1, 0, 1)
+        # and (0, 1, 0); (0, 0, 1) and (1, 0, 0) are off it
+        m = M([[1, 2, 0], [0, 0, 1], [1, 2, 0]])
+        batch = [
+            vector([1, 0, 1]),
+            vector([0, 0, 1]),
+            vector([2, 5, 2]),
+            vector([1, 0, 0]),
+            vector([0, 0, 0]),
+        ]
+        got = solve(m, batch)
+        assert got == [
+            vector([1, 0, 0]),
+            None,
+            vector([2, 0, 5]),
+            None,
+            vector([0, 0, 0]),
+        ]
+        for b, sol in zip(batch, got):
+            assert sol == solve(m, [b])[0]
+
+    def test_repeated_inconsistent_side(self):
+        m = M([[1, 0], [1, 0]])
+        bad, good = vector([1, 2]), vector([3, 3])
+        assert solve(m, [bad, good, bad, bad]) == [None, vector([3, 0]), None, None]
+
+    def test_zero_column_matrix(self):
+        # the zero space: only the zero vector is reached, by the empty solution
+        m = RationalMatrix.zeros(3, 0)
+        assert solve(m, [vector([0, 0, 0]), vector([0, 1, 0]), vector([0, 0, 0])]) == [
+            (),
+            None,
+            (),
+        ]
+        assert solve(RationalMatrix.zeros(0, 0), [()]) == [()]
+
+    def test_empty_batch(self):
+        assert solve(M([[1, 2], [3, 4]]), []) == []
+        assert solve(RationalMatrix.zeros(2, 0), []) == []
+
+    def test_wrong_length_side_raises(self):
+        m = M([[1, 0], [0, 1]])
+        with pytest.raises(DimensionMismatch):
+            solve(m, [vector([1, 0]), vector([1, 0, 0])])
+        with pytest.raises(DimensionMismatch):
+            solve(m, [vector([1])])
 
 
 class TestEchelonSpan:

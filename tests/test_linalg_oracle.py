@@ -52,12 +52,19 @@ def matrix_and_vector(draw):
 
 
 @st.composite
-def systems(draw):
-    """A matrix and a right-hand side: half the time one it reaches."""
-    m, x = draw(matrix_and_vector())
-    if draw(st.booleans()):
-        return m, m.apply(x)
-    return m, draw_entries(draw, 1, m.nrows).rows[0]
+def batches(draw):
+    """A matrix and up to five right-hand sides, each one it reaches half the
+    time, with repeats."""
+    m = draw(matrices())
+    batch = []
+    for _ in range(draw(st.integers(0, 5))):
+        if batch and draw(st.booleans()):
+            batch.append(draw(st.sampled_from(batch)))
+        elif draw(st.booleans()):
+            batch.append(m.apply(draw_entries(draw, 1, m.ncols).rows[0]))
+        else:
+            batch.append(draw_entries(draw, 1, m.nrows).rows[0])
+    return m, batch
 
 
 @st.composite
@@ -130,20 +137,23 @@ def test_apply_matches_reference(pair):
     assert all_fractions([got])
 
 
-@given(systems())
+@given(batches())
 def test_solve_answers_match_reference(system):
-    m, rhs = system
-    got = solve(m, rhs)
-    if got is None:
-        augmented = RationalMatrix(
-            [(*row, b) for row, b in zip(m.rows, rhs)], ncols=m.ncols + 1
-        )
-        assert ref.reduce(augmented).rank > ref.reduce(m).rank
-        return
-    assert m.apply(got) == tuple(rhs)
-    pivots = set(ref.reduce(m).pivots)
-    assert all(x == 0 for j, x in enumerate(got) if j not in pivots)
-    assert all_fractions([got])
+    m, batch = system
+    answers = solve(m, batch)
+    assert len(answers) == len(batch)
+    for rhs, got in zip(batch, answers):
+        assert got == ref.solve(m, rhs)
+        if got is None:
+            augmented = RationalMatrix(
+                [(*row, b) for row, b in zip(m.rows, rhs)], ncols=m.ncols + 1
+            )
+            assert ref.reduce(augmented).rank > ref.reduce(m).rank
+            continue
+        assert m.apply(got) == tuple(rhs)
+        pivots = set(ref.reduce(m).pivots)
+        assert all(x == 0 for j, x in enumerate(got) if j not in pivots)
+        assert all_fractions([got])
 
 
 @given(SIDES, SIDES, st.data())

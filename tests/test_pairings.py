@@ -5,6 +5,7 @@ from functools import partial
 import pytest
 import reference_pairings as ref
 
+from nchodge import pairings
 from nchodge.atlas import generic_arrangement
 from nchodge.complexes import build, morphism_u, morphism_v, rows_constant, rows_log, rows_semisimplicial_log, rows_sum_strata, term_slices
 from nchodge.errors import DimensionMismatch, EmptyDivisor
@@ -16,6 +17,7 @@ from nchodge.pairings import (
     chain_map_check,
     cup_extraordinary,
     cup_log_XD,
+    express_in_space,
     fujiki_duality_report,
     induced_pairing,
     les_check,
@@ -394,6 +396,122 @@ class TestNotACycleClass:
         assert str(info.value) == (
             "locD x D -> locD: product of classes is not a cycle class"
         )
+
+    def test_last_vector_of_a_batch_not_a_cycle(self, triangle):
+        ext = cup_extraordinary(triangle)
+        tcu = compute_table(ext.left)
+        tcv = compute_table(ext.target)
+        bad = ext.target.flatten(2, 1, (1, 1), self._non_cycle(ext.target, 2, 1, (1, 1)))
+        reps = tcu.representatives(1, 2, (1, 1))
+        assert len(reps) >= 2
+        zero = (Fraction(0),) * len(bad)
+        with pytest.raises(DimensionMismatch) as info:
+            _class_map(tcu, tcv, 1, 1, 2, (1, 1), lambda rep: bad if rep == reps[-1] else zero)
+        assert str(info.value) == "map into coker(v): image is not a cycle class"
+        space = tcv.space(1, 2, (1, 1))
+        with pytest.raises(DimensionMismatch) as info:
+            express_in_space(space, [*space.representatives, zero, bad], "no class")
+        assert str(info.value) == "no class"
+
+
+def _reference_class_map(src, dst, m_src, m_dst, q, ab, transform):
+    """_class_map through the one-vector reference coordinates."""
+    space = dst.space(m_dst, q, ab)
+    cycles = map(transform, src.representatives(m_src, q, ab))
+    cols = ref._classes(space, cycles, "not a cycle")
+    return RationalMatrix.from_columns(cols, 0 if space is None else space.dim)
+
+
+def _reference_block_matrix(pairing, tl, tr, tt, left_block, right_block):
+    """_block_matrix through the one-vector reference coordinates."""
+    (mi, q1, ab1), (mj, q2, ab2) = left_block, right_block
+    mt, qt, abt = mi + mj, q1 + q2, (ab1[0] + ab2[0], ab1[1] + ab2[1])
+    space = tt.space(mt, qt, abt)
+    products = [
+        pairing.target.flatten(qt, mt, abt, pairing.evaluate(
+            pairing.left.unflatten(q1, mi, ab1, lrep),
+            pairing.right.unflatten(q2, mj, ab2, rrep),
+        ))
+        for lrep in tl.representatives(mi, q1, ab1)
+        for rrep in tr.representatives(mj, q2, ab2)
+    ]
+    rows = ref._classes(space, products, "not a cycle")
+    return RationalMatrix(rows, ncols=0 if space is None else space.dim)
+
+
+class TestClassCoordinates:
+    """Every class map of les_check and every block of induced_pairing equals
+    the one-vector reference entry for entry, and each block is one solve."""
+
+    CASES = FIXTURE_NAMES + ["generic_2_4"]
+
+    @staticmethod
+    def _recorded(monkeypatch, name, reference):
+        """(arguments, library result, reference result) of every call of
+        pairings.<name>; the reference runs at call time, since a sequence
+        map's transform may read a loop variable."""
+        calls, original = [], getattr(pairings, name)
+
+        def recording(*args):
+            out = original(*args)
+            calls.append((args, out, reference(*args)))
+            return out
+
+        monkeypatch.setattr(pairings, name, recording)
+        return calls
+
+    @staticmethod
+    def _solves(monkeypatch):
+        """The batch length of every solve that express_in_space makes."""
+        sizes, original = [], pairings.solve
+
+        def counting(matrix, rhs):
+            sizes.append(len(rhs))
+            return original(matrix, rhs)
+
+        monkeypatch.setattr(pairings, "solve", counting)
+        return sizes
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_class_maps_match_reference(self, name, monkeypatch):
+        calls = self._recorded(monkeypatch, "_class_map", _reference_class_map)
+        les_check(atlas_by_name(name))
+        assert calls
+        for _, got, want in calls:
+            assert got.shape == want.shape
+            assert got.rows == want.rows
+
+    @pytest.mark.parametrize("product", sorted(PRODUCTS))
+    @pytest.mark.parametrize("name", CASES)
+    def test_induced_pairing_blocks_match_reference(self, name, product, monkeypatch):
+        pairing = PRODUCTS[product](atlas_by_name(name))
+        tl, tr, tt = (compute_table(f) for f in (pairing.left, pairing.right, pairing.target))
+        calls = self._recorded(monkeypatch, "_block_matrix", _reference_block_matrix)
+        for i in tl.degrees():
+            for j in tr.degrees():
+                induced_pairing(pairing, tl, tr, i, j, tt)
+        assert calls
+        for _, got, want in calls:
+            assert got.shape == want.shape
+            assert got.rows == want.rows
+
+    def test_class_map_is_one_solve(self, triangle, monkeypatch):
+        tcu = compute_table(cup_extraordinary(triangle).left)
+        assert tcu.dim(1, 2, (1, 1)) == 3
+        sizes = self._solves(monkeypatch)
+        # the identity of a block of dim 3
+        got = _class_map(tcu, tcu, 1, 1, 2, (1, 1), lambda rep: rep)
+        assert sizes == [3]
+        assert got == RationalMatrix.identity(3)
+
+    def test_block_matrix_is_one_solve(self, triangle, monkeypatch):
+        ext = cup_extraordinary(triangle)
+        tcu, td, tcv = (compute_table(f) for f in (ext.left, ext.right, ext.target))
+        left, right = TestNotACycleClass.LEFT, TestNotACycleClass.RIGHT
+        assert tcu.dim(*left) * td.dim(*right) >= 2
+        sizes = self._solves(monkeypatch)
+        block = _block_matrix(ext, tcu, td, tcv, left, right)
+        assert sizes == [block.nrows]
 
 
 class TestFujiki:

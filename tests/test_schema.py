@@ -324,6 +324,51 @@ class TestRepeatedKeys:
         assert message in capsys.readouterr().err
 
 
+def _slice_dim(d):
+    def edit(stratum):
+        stratum["hodge"]["0"] = [[0, 0, d]]
+
+    return edit, "nonpositive slice dim at (0, 0, 0)"  # (degree, a, b)
+
+
+def _long_unit(stratum):
+    stratum["unit"].append("0")
+
+
+RING_ERRORS = {
+    "zero slice dim": _slice_dim(0),
+    "negative slice dim": _slice_dim(-1),
+    "wrong-length unit": (_long_unit, "unit vector length"),
+}
+
+
+class TestRingErrorsNameTheirStratum:
+    """A ring that breaks an axiom of PureHodgeRing is a SchemaError that
+    names its stratum, as every other schema error names its place."""
+
+    @pytest.mark.parametrize("index", [0, 2, 6])
+    @pytest.mark.parametrize("kind", sorted(RING_ERRORS))
+    def test_message_names_the_stratum(self, kind, index):
+        edit, message = RING_ERRORS[kind]
+        data = atlas_to_json(builtin_atlas("triangle"))
+        edit(data["strata"][index])
+        with pytest.raises(SchemaError) as info:
+            atlas_from_json(data)
+        assert str(info.value) == f"strata[{index}]: {message}"
+
+    @pytest.mark.parametrize("kind", sorted(RING_ERRORS))
+    def test_cli_exits_two(self, kind, tmp_path, capsys):
+        edit, message = RING_ERRORS[kind]
+        data = atlas_to_json(builtin_atlas("triangle"))
+        edit(data["strata"][2])
+        path = tmp_path / "ring.json"
+        path.write_text(json.dumps(data))
+        assert main(["compute", "--config", str(path), "--complex", "log"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: strata[2]: {message}\n"
+
+
 # Each literal below replaces the triangle document's second restriction
 # (0,0,0) block or second stratum's unit, so it is read after the first one,
 # a valid [["1"]] and ["1"] or, in a second run, [[1]] and [1]: the number 1

@@ -16,11 +16,13 @@ and 3.  The commands above build their atlas from `--family`; so that the
 document reader is covered too, `compute --config fixtures/<name>.json` runs
 every selector in json on the four committed fixture documents, and one
 larger `compute --family generic --dim 3 --hyperplanes 5 --complex XD-tilde`
-follows.  Four commands close the corpus: `verify --family generic --dim 3
+follows.  Five commands close the corpus: `verify --family generic --dim 3
 --hyperplanes 4 --suite les --format json` and the same with `--suite
 fujiki`, `--suite cup` and `--suite consistency`, an arrangement whose cone
-slots hold many terms.  Every command runs from the repository root.
-tests/test_golden_outputs.py reruns them and compares.
+slots hold many terms, and `verify --family generic --dim 4 --hyperplanes 7
+--suite les --format json`, the largest run of the sequence checks.  Every
+command runs from the repository root.  tests/test_golden_outputs.py reruns
+them and compares.
 """
 
 import contextlib
@@ -87,6 +89,9 @@ def commands() -> list[str]:
             f"verify --family generic --dim 3 --hyperplanes 4 --suite {suite} "
             "--format json"
         )
+    out.append(
+        "verify --family generic --dim 4 --hyperplanes 7 --suite les --format json"
+    )
     return out
 
 
