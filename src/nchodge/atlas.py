@@ -357,6 +357,10 @@ class AtlasReport:
 
 def _ring_failures(ring: PureHodgeRing) -> list[tuple[str, object]]:
     out: list[tuple[str, object]] = []
+    for j in ring.degrees():
+        for (a, b), d in ring.slices(j):
+            if ring.slice_dim(j, (b, a)) != d:
+                out.append(("{s}: Hodge symmetry fails at {at}", (j, (a, b))))
     basis = list(ring.basis_vectors())
     unit = (0, (0, 0), ring.unit)
     for at, x in basis:
@@ -483,7 +487,8 @@ def validate_atlas(atlas: StrataAtlas) -> AtlasReport:
     """Check the multiplicative and functorial axioms the builders rely on.
 
     Pure: no state is mutated, the report lists every violated identity.
-    Beyond ring sanity, restriction functoriality, restrictions being ring
+    Beyond ring sanity (Hodge symmetry h^{a,b} = h^{b,a}, the unit, graded
+    commutativity), restriction functoriality, restrictions being ring
     maps, the projection formula and gysin-after-restriction, this also
     certifies restriction-after-gysin, naturality of divisor classes and
     base change across transversal squares; the row builders need all of

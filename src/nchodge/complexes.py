@@ -10,6 +10,14 @@ Hodge types by (k, k), so a term of weight q = j + 2k contributes its
 slice, so each (q, a, b) block is an honest complex of finite dimensional
 rational spaces and the whole mixed structure is read off blockwise.
 
+Six theories are twist ranges of one log term generator, along the ambient
+stratum or over the semisimplicial divisor, each family placed once; twist 0
+is a subcomplex, and twists >= 1 its quotient, with no residue block into 0:
+
+               all twists                twist 0          twists >= 1
+    ambient    rows_log, nbhd:<key>      rows_constant    coker_u_rows
+    divisor    rows_semisimplicial_log   rows_sum_strata  coker_v_rows
+
 Simplex convention: every term names the stratum whose Cech simplex or
 punctured neighborhood it sits on.  Constant and log terms sit on the
 ambient stratum, a divisor term on its own stratum, and a term of the
@@ -42,7 +50,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .atlas import BlockMap, StrataAtlas, StratumKey
+from .atlas import BlockMap, StrataAtlas, StratumKey, key_from_string, key_to_string
 from .errors import (
     BadParams,
     DimensionMismatch,
@@ -95,20 +103,10 @@ class PureTerm:
         return self.j + 2 * self.k
 
     def sort_key(self):
-        return (
-            self.side,
-            self.k,
-            self.p,
-            self.res,
-            self.simp,
-            self.stratum,
-            self.j,
-            self.shift,
-        )
+        fields = (self.k, self.p, self.res, self.simp, self.stratum, self.j)
+        return (self.side, *fields, self.shift)
 
     def describe(self) -> str:
-        from .atlas import key_to_string
-
         bits = [f"H^{self.j}({key_to_string(self.stratum) or 'X'})"]
         if self.k:
             bits.append(f"(-{self.k})")
@@ -283,10 +281,12 @@ class RowFamily:
 
     def unflatten(self, q: int, m: int, ab: Bidegree, vec: Vector) -> Element:
         row = self.row(q)
+        if len(vec) != row.dim(m, ab):
+            raise DimensionMismatch("vector length differs from its slot's dim")
         out: Element = {}
         for t, (off, d) in row.layout.get((m, ab), {}).items():
-            piece = tuple(vec[off + i] for i in range(d))
-            if any(x != 0 for x in piece):
+            piece = tuple(vec[off:off + d])
+            if any(piece):
                 out[(t, ab)] = piece
         return out
 
@@ -424,15 +424,6 @@ def cone_rows(morphism: RowMorphism) -> RowFamily:
 # -- the seven builders -------------------------------------------------------
 
 
-def rows_constant(atlas: StrataAtlas) -> RowFamily:
-    """Cohomology of the ambient space: one column of pure terms."""
-    ring = atlas.ring(atlas.x_key)
-    terms = tuple(
-        PureTerm(atlas.x_key, j, 0, 0, simp=atlas.x_key) for j in ring.degrees()
-    )
-    return RowFamily(atlas, "X", terms, {})
-
-
 def _cech_blocks(atlas: StrataAtlas, terms):
     """One Cech step out of each term's simplex: restrict to the meet of each
     child simplex with the term's stratum, landing on the child's level
@@ -454,30 +445,23 @@ def _cech_blocks(atlas: StrataAtlas, terms):
     return blocks
 
 
-def rows_sum_strata(atlas: StrataAtlas) -> RowFamily:
-    """Cech complex of the closed divisor: level p holds (p+1)-fold meets
-    (no terms for an empty divisor)."""
-    terms = tuple(
-        PureTerm(key, j, 0, len(key[0]) - 1, simp=key)
-        for key in atlas.keys_sorted()
-        if key[0]
-        for j in atlas.ring(key).degrees()
-    )
-    return RowFamily(atlas, "D", terms, _cech_blocks(atlas, terms))
-
-
-def _stratum_log_data(atlas: StrataAtlas, ckey: StratumKey, p: int):
-    """Terms and residue-direction blocks of the log family along one stratum."""
+def _stratum_log_data(atlas: StrataAtlas, ckey: StratumKey, p: int, twists: range):
+    """Terms and residue-direction blocks of the log family along one stratum,
+    for the residue sets whose sizes (twists) lie in `twists`.  A residue
+    block lowers the twist by one, so a block into a twist below the range
+    is dropped: that takes the quotient by the lower twists."""
     carried = set(ckey[0])
     ncomp = len(atlas.components)
     terms = []
-    for size in range(ncomp + 1):
+    for size in twists:
         for J in itertools.combinations(range(ncomp), size):
             for tkey in atlas.intersection_components(carried | set(J), [ckey]):
                 for j in atlas.ring(tkey).degrees():
                     terms.append(PureTerm(tkey, j, size, p, simp=ckey, res=J))
     blocks: dict[tuple[PureTerm, PureTerm], TermBlock] = {}
     for t in terms:
+        if t.k - 1 not in twists:
+            continue
         for r, a in enumerate(t.res):
             rest = tuple(x for x in t.res if x != a)
             if a in carried:
@@ -496,57 +480,61 @@ def _stratum_log_data(atlas: StrataAtlas, ckey: StratumKey, p: int):
     return tuple(terms), blocks
 
 
+def _divisor_log_data(atlas: StrataAtlas, twists: range):
+    """Terms and blocks of the log family over the semisimplicial divisor:
+    each component meet's stratum-log terms at its Cech level (none if empty)."""
+    levels = [(ckey, len(ckey[0]) - 1) for ckey in atlas.keys_sorted() if ckey[0]]
+    data = [_stratum_log_data(atlas, ckey, p, twists) for ckey, p in levels]
+    terms = tuple(t for more, _ in data for t in more)
+    blocks = {pair: block for _, more in data for pair, block in more.items()}
+    return terms, {**blocks, **_cech_blocks(atlas, terms)}
+
+
+def _twists(atlas: StrataAtlas, lowest: int) -> range:
+    """Twists from `lowest` up to the number of divisor components."""
+    return range(lowest, len(atlas.components) + 1)
+
+
+def rows_constant(atlas: StrataAtlas) -> RowFamily:
+    """Cohomology of the ambient space: the twist-zero log terms."""
+    return RowFamily(atlas, "X", *_stratum_log_data(atlas, atlas.x_key, 0, range(1)))
+
+
+def rows_sum_strata(atlas: StrataAtlas) -> RowFamily:
+    """Cech complex of the closed divisor: the twist-zero divisor log terms."""
+    return RowFamily(atlas, "D", *_divisor_log_data(atlas, range(1)))
+
+
 def rows_log(atlas: StrataAtlas) -> RowFamily:
     """Weight rows of the open complement: the punctured neighborhood of the
     ambient stratum, with residues along every deeper stratum."""
-    return RowFamily(atlas, "log", *_stratum_log_data(atlas, atlas.x_key, 0))
+    data = _stratum_log_data(atlas, atlas.x_key, 0, _twists(atlas, 0))
+    return RowFamily(atlas, "log", *data)
 
 
 def rows_stratum_log(atlas: StrataAtlas, ckey: StratumKey) -> RowFamily:
     """Weight rows of a punctured neighborhood of one closed stratum."""
     if ckey not in atlas.strata:
         raise UnknownStratum(f"no stratum {ckey} in atlas")
-    from .atlas import key_to_string
-
-    label = f"nbhd:{key_to_string(ckey)}"
-    return RowFamily(atlas, label, *_stratum_log_data(atlas, ckey, 0))
+    data = _stratum_log_data(atlas, ckey, 0, _twists(atlas, 0))
+    return RowFamily(atlas, f"nbhd:{key_to_string(ckey)}", *data)
 
 
 def rows_semisimplicial_log(atlas: StrataAtlas) -> RowFamily:
-    """Log rows over the semisimplicial divisor: Cech levels of the
-    components, each carrying its own stratum-log family (no terms for an
-    empty divisor)."""
-    terms: list[PureTerm] = []
-    blocks: dict[tuple[PureTerm, PureTerm], TermBlock] = {}
-    for ckey in atlas.keys_sorted():
-        if ckey[0]:
-            more, residue_blocks = _stratum_log_data(atlas, ckey, len(ckey[0]) - 1)
-            terms.extend(more)
-            blocks.update(residue_blocks)
-    blocks.update(_cech_blocks(atlas, terms))
-    return RowFamily(atlas, "sslog", tuple(terms), blocks)
-
-
-def _truncate_positive_twist(family: RowFamily, label: str) -> RowFamily:
-    """Quotient by the twist-free subcomplex: keep only the k >= 1 terms."""
-    terms = tuple(t for t in family.terms if t.k >= 1)
-    blocks = {
-        pair: block
-        for pair, block in family.blocks.items()
-        if pair[0].k >= 1 and pair[1].k >= 1
-    }
-    return RowFamily(family.atlas, label, terms, blocks)
+    """Log rows over the semisimplicial divisor, every twist."""
+    return RowFamily(atlas, "sslog", *_divisor_log_data(atlas, _twists(atlas, 0)))
 
 
 def coker_u_rows(atlas: StrataAtlas) -> RowFamily:
-    """rows_log modulo the image of the constant rows; H^{m-1} of this
-    family is the local cohomology H^m_D of the ambient space."""
-    return _truncate_positive_twist(rows_log(atlas), "coker(u)")
+    """rows_log modulo the image of the constant rows, its positive twists;
+    H^{m-1} of this family is the local cohomology H^m_D of the ambient space."""
+    data = _stratum_log_data(atlas, atlas.x_key, 0, _twists(atlas, 1))
+    return RowFamily(atlas, "coker(u)", *data)
 
 
 def coker_v_rows(atlas: StrataAtlas) -> RowFamily:
     """rows_semisimplicial_log modulo the image of the divisor rows."""
-    return _truncate_positive_twist(rows_semisimplicial_log(atlas), "coker(v)")
+    return RowFamily(atlas, "coker(v)", *_divisor_log_data(atlas, _twists(atlas, 1)))
 
 
 # -- connecting morphisms -----------------------------------------------------
@@ -625,8 +613,6 @@ def build(atlas: StrataAtlas, selector: str) -> RowFamily:
     text = selector.strip()
     low = text.lower()
     if low.startswith("nbhd:"):
-        from .atlas import key_from_string
-
         return rows_stratum_log(atlas, key_from_string(text[len("nbhd:"):]))
     if low in ("d", "sslog") and not atlas.components:
         raise EmptyDivisor("the divisor has no components")

@@ -21,6 +21,7 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
+import operator
 from fractions import Fraction
 
 from .atlas import StrataAtlas
@@ -179,12 +180,13 @@ def cup_log_XD(atlas: StrataAtlas) -> GradedPairing:
 def cup_extraordinary(atlas: StrataAtlas) -> GradedPairing:
     """Product of local (divisor-supported) classes with divisor classes.
 
-    Left: the positive-twist quotient of rows_log, whose degree m-1
-    cohomology is H^m of the ambient space with supports on the divisor.
-    Right: the divisor rows.  Target: the positive-twist quotient of the
-    semisimplicial log rows.  The Leibniz identity descends to the
-    quotients because the discarded twist-zero terms form subcomplexes on
-    both sides of the product.
+    Left: coker(u), the twists >= 1 of the ambient log terms, whose degree
+    m-1 cohomology is H^m of the ambient space with supports on the
+    divisor.  Right: the divisor rows, the twist-0 semisimplicial log
+    terms.  Target: coker(v), the twists >= 1 of the semisimplicial log
+    terms.  Each is one twist range of a log term generator, placed once.
+    The Leibniz identity descends to the quotients because the discarded
+    twist-zero terms form subcomplexes on both sides of the product.
     """
     if not atlas.components:
         raise EmptyDivisor("the divisor has no components")
@@ -547,10 +549,10 @@ def _sequence_checks(
     }
     for i, q, ab in sorted(blocks):
         where = f"[w={q},({ab[0]},{ab[1]})] ({tag})"
-        # (x, y) |-> x
+        # (x, y) |-> x, with n_src bound now: a lambda would read it when called
         n_src = morphism.source.row(q).dim(i, ab)
         proj_here = _class_map(
-            cone_table, src_table, i, i, q, ab, lambda v: v[:n_src]
+            cone_table, src_table, i, i, q, ab, operator.itemgetter(slice(n_src))
         )
         _exact_at(
             lines, f"{cone_name}^{i}{where}", delta(i - 1, q, ab), proj_here,

@@ -1,5 +1,5 @@
-"""Frozen references for `nchodge.tables.compute_table` and
-`nchodge.complexes.cone_rows`.
+"""Frozen references for `nchodge.tables.compute_table`,
+`nchodge.complexes.cone_rows` and five row builders of `nchodge.complexes`.
 
 `compute_table` is the table as it stood before it became dimension-first:
 one `cohomology_at` call per slot, in `RowFamily.slots()` order, every
@@ -13,13 +13,32 @@ cone of cones, so distinct terms of its ends collapsed into one.  Otherwise
 both are kept verbatim as oracles, so the library's dims, representatives,
 boundaries, cone matrices and cone blocks must equal theirs, and a broken
 input must fail at the same slot.
+
+`rows_constant`, `rows_sum_strata`, `coker_u_rows` and `coker_v_rows` are
+the builders as they stood before they became twist ranges of the log term
+generators: the ambient and divisor terms written out by hand, and each
+cokernel family placed in full and then cut to its positive twists and
+placed a second time by `_truncate_positive_twist`.  They are kept verbatim
+(over the library's `_cech_blocks`, `rows_log` and `rows_semisimplicial_log`,
+whose all-twist families did not change), so the library's terms, in
+order, blocks, layout, dims and differentials must equal theirs.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-from nchodge.complexes import PureTerm, RowFamily, RowMorphism, TermBlock, scale_block
+from nchodge.atlas import StrataAtlas
+from nchodge.complexes import (
+    PureTerm,
+    RowFamily,
+    RowMorphism,
+    TermBlock,
+    _cech_blocks,
+    rows_log,
+    rows_semisimplicial_log,
+    scale_block,
+)
 from nchodge.errors import NotChainMap
 from nchodge.linalg import cohomology_at
 
@@ -56,3 +75,46 @@ def cone_rows(morphism: RowMorphism) -> RowFamily:
         blocks[(as_src[t1], as_tgt[t2])] = dict(block)
     label = f"cone({morphism.label})" if morphism.label else "cone"
     return RowFamily(morphism.source.atlas, label, terms, blocks)
+
+
+def rows_constant(atlas: StrataAtlas) -> RowFamily:
+    """Cohomology of the ambient space: one column of pure terms."""
+    ring = atlas.ring(atlas.x_key)
+    terms = tuple(
+        PureTerm(atlas.x_key, j, 0, 0, simp=atlas.x_key) for j in ring.degrees()
+    )
+    return RowFamily(atlas, "X", terms, {})
+
+
+def rows_sum_strata(atlas: StrataAtlas) -> RowFamily:
+    """Cech complex of the closed divisor: level p holds (p+1)-fold meets
+    (no terms for an empty divisor)."""
+    terms = tuple(
+        PureTerm(key, j, 0, len(key[0]) - 1, simp=key)
+        for key in atlas.keys_sorted()
+        if key[0]
+        for j in atlas.ring(key).degrees()
+    )
+    return RowFamily(atlas, "D", terms, _cech_blocks(atlas, terms))
+
+
+def _truncate_positive_twist(family: RowFamily, label: str) -> RowFamily:
+    """Quotient by the twist-free subcomplex: keep only the k >= 1 terms."""
+    terms = tuple(t for t in family.terms if t.k >= 1)
+    blocks = {
+        pair: block
+        for pair, block in family.blocks.items()
+        if pair[0].k >= 1 and pair[1].k >= 1
+    }
+    return RowFamily(family.atlas, label, terms, blocks)
+
+
+def coker_u_rows(atlas: StrataAtlas) -> RowFamily:
+    """rows_log modulo the image of the constant rows; H^{m-1} of this
+    family is the local cohomology H^m_D of the ambient space."""
+    return _truncate_positive_twist(rows_log(atlas), "coker(u)")
+
+
+def coker_v_rows(atlas: StrataAtlas) -> RowFamily:
+    """rows_semisimplicial_log modulo the image of the divisor rows."""
+    return _truncate_positive_twist(rows_semisimplicial_log(atlas), "coker(v)")

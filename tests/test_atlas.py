@@ -23,7 +23,7 @@ from nchodge.errors import (
 )
 from nchodge.fixtures import BUILTIN_NAMES, builtin_atlas
 from nchodge.linalg import RationalMatrix, vector
-from nchodge.rings import truncated_polynomial_ring
+from nchodge.rings import PureHodgeRing, _unit_tensors, truncated_polynomial_ring
 from nchodge.schema import save_atlas
 from nchodge.tables import compute_table
 from nchodge.verify import run_suite
@@ -308,6 +308,13 @@ X, H0, H1, H01 = ((), ""), ((0,), ""), ((1,), ""), ((0, 1), "")
 TWO = RationalMatrix([[2]])
 
 
+def _lopsided_curve():
+    """A curve ring whose H^1 is two (1,0) slices and no (0,1) one: every
+    ring axiom but Hodge symmetry holds, H^1 x H^1 landing in no slice."""
+    hodge = {0: {(0, 0): 1}, 1: {(1, 0): 2}, 2: {(1, 1): 1}}
+    return PureHodgeRing(1, hodge, _unit_tensors(hodge), vector([1]), vector([1]))
+
+
 def _corruption(kind):
     g11, g21 = generic_arrangement(1, 1), generic_arrangement(2, 1)
     g31, g22 = generic_arrangement(3, 1), generic_arrangement(2, 2)
@@ -317,6 +324,8 @@ def _corruption(kind):
         return _corrupted(g11, rings={X: _with_sheet(g11.ring(X), (unit, h), 2)})
     if kind == "right unit":
         return _corrupted(g11, rings={X: _with_sheet(g11.ring(X), (h, unit), 2)})
+    if kind == "Hodge symmetry":
+        return _corrupted(ell, rings={X: _lopsided_curve()})
     if kind == "graded commutativity":
         # odd classes of the elliptic curve made to commute
         sheet = ((1, 0, 1), (1, 1, 0))
@@ -342,6 +351,7 @@ def _corruption(kind):
 
 # What validate_atlas reports on each corruption, in its order.
 VIOLATIONS = {
+    "Hodge symmetry": ("((), ''): Hodge symmetry fails at (1, (1, 0))",),
     "left unit": (
         "((), ''): unit fails on the left at (2, (1, 1), 0)",
         "((), ''): graded commutativity fails at (0, (0, 0), 0)x(2, (1, 1), 0)",
@@ -425,6 +435,11 @@ class TestViolationPins:
         report = validate_atlas(_corruption(kind))
         assert not report.ok
         assert report.violations == VIOLATIONS[kind]
+
+    def test_hodge_symmetry_fails_verify(self, tmp_path):
+        path = tmp_path / "lopsided.json"
+        save_atlas(_corruption("Hodge symmetry"), path)
+        assert main(["verify", "--suite", "consistency", "--config", str(path)]) == 1
 
     def test_consistency_suite_detail(self):
         report = run_suite("consistency", _corruption("path-dependent restriction"))

@@ -14,6 +14,7 @@ from nchodge.complexes import (
     RowFamily,
     RowMorphism,
     build,
+    coker_u_rows,
     coker_v_rows,
     cone_morphism,
     cone_rows,
@@ -38,6 +39,7 @@ from nchodge.errors import (
 from nchodge.fixtures import BUILTIN_NAMES, builtin_atlas
 from nchodge.linalg import RationalMatrix
 from nchodge.tables import compute_table, euler_check
+from test_atlas import _conic_and_line
 
 
 def table_of(atlas, selector):
@@ -561,6 +563,69 @@ class TestConeAssembly:
         for depth, (identity, cone) in enumerate(cones, 1):
             assert "blocks" not in vars(cone), depth
             self.assert_same_cone(cone, ref.cone_rows(identity))
+
+
+TWIST_ATLASES = [
+    pytest.param(functools.partial(builtin_atlas, name), id=name)
+    for name in BUILTIN_NAMES
+] + [
+    pytest.param(functools.partial(generic_arrangement, n, m), id=f"generic({n},{m})")
+    for n, m in [(2, 4), (3, 4), (2, 0)]
+] + [pytest.param(_conic_and_line, id="conic+line")]
+
+TWIST_BUILDERS = {
+    "X": (rows_constant, ref.rows_constant),
+    "D": (rows_sum_strata, ref.rows_sum_strata),
+    "coker(u)": (coker_u_rows, ref.coker_u_rows),
+    "coker(v)": (coker_v_rows, ref.coker_v_rows),
+}
+
+
+class TestTwistRanges:
+    """X, D, coker(u) and coker(v), built as twist ranges of the log term
+    generators, equal the hand-written and truncated builders they replace
+    (tests/reference_tables.py), and each is placed once."""
+
+    @pytest.mark.parametrize("name", sorted(TWIST_BUILDERS))
+    @pytest.mark.parametrize("make", TWIST_ATLASES)
+    def test_matches_reference_builder(self, make, name):
+        atlas = make()
+        build_rows, reference = TWIST_BUILDERS[name]
+        # terms in order, blocks, layout, dims and every d
+        TestConeAssembly.assert_same_cone(build_rows(atlas), reference(atlas))
+
+    @pytest.mark.parametrize("name", ["coker(u)", "coker(v)"])
+    def test_cokernel_is_placed_once(self, triangle, name, monkeypatch):
+        placed, original = [], RowFamily.__init__
+
+        def counting(self, *args):
+            placed.append(args[1])
+            original(self, *args)
+
+        monkeypatch.setattr(RowFamily, "__init__", counting)
+        build_rows, reference = TWIST_BUILDERS[name]
+        build_rows(triangle)
+        assert placed == [name]
+        placed.clear()
+        reference(triangle)  # the whole log family, then its truncation
+        assert len(placed) == 2
+
+
+class TestUnflattenLength:
+    """unflatten, like flatten, rejects a vector of the wrong length for its
+    slot, on a plain slot and on a cone slot."""
+
+    @pytest.mark.parametrize(
+        # the locD slot holds H^2(X) from the source and three target terms
+        "selector, slot", [("log", (0, 0, (0, 0))), ("locD", (2, 2, (1, 1)))]
+    )
+    def test_wrong_length_raises(self, triangle, selector, slot):
+        family = build(triangle, selector)
+        n = family.rows[slot[0]].dim(*slot[1:])
+        assert family.unflatten(*slot, (1,) * n)
+        for length in {0, n - 1, n + 1, 4} - {n}:
+            with pytest.raises(DimensionMismatch):
+                family.unflatten(*slot, (1,) * length)
 
 
 class TestTermMessages:

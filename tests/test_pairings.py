@@ -481,6 +481,17 @@ class TestClassCoordinates:
             assert got.shape == want.shape
             assert got.rows == want.rows
 
+    @pytest.mark.parametrize("name", CASES)
+    def test_class_maps_recompute_after_return(self, name, monkeypatch):
+        """Each recorded call of _class_map gives the same matrix when made
+        again after les_check returns: its transform holds no loop variable."""
+        calls = self._recorded(monkeypatch, "_class_map", lambda *args: None)
+        les_check(atlas_by_name(name))
+        assert calls
+        for args, got, _ in calls:
+            again = _class_map(*args)
+            assert (again.shape, again.rows) == (got.shape, got.rows)
+
     @pytest.mark.parametrize("product", sorted(PRODUCTS))
     @pytest.mark.parametrize("name", CASES)
     def test_induced_pairing_blocks_match_reference(self, name, product, monkeypatch):
