@@ -19,6 +19,21 @@ int again, so the values in `LogPolyForm.terms` may be ints (`str()` prints
 2 and Fraction(2) alike).  Sums and products accumulate in place into one
 output dict through `_add_term`, never copying a polynomial per term.
 
+What the kernel needs to know about a basis depends only on the chart, so
+it is worked out once per chart and looked up after that.  Four small
+tables, each a `functools.lru_cache` keyed by the frozen `LogChart` (equal
+charts built apart share one; one `verify --suite logforms` run reads 10
+charts and 18 slices), fill an entry the first time a basis asks:
+- `_wedge_table`: (B1, B2) -> (sign, B1 | B2), or None when the bases meet,
+  read by `wedge`;
+- `_d_table`: B -> (i - 1, sign, B | {i}, lowers exponent) for each live i
+  outside B, read by `exterior_d`;
+- `_pole_table`: B -> the positions of B's divisor indices, read by
+  `weight_level` and `ideal_weight_generators`;
+- `_slice_chart`: (chart, I) -> `chart.restrict(I)`, read by `residue` and
+  the claim's slice.
+They hold facts about bases and charts only, never a form or a result.
+
 The public `LogPolyForm(chart, terms)` checks and converts caller data, and
 every function that takes caller data goes through it: `form`, `xi`,
 `dz_form`, the pieces of `from_regular` and `claim_witness`'s cut of `eta`
@@ -77,8 +92,10 @@ def _add_term(acc: Poly, e: Exponents, c) -> None:
     old = acc.get(e)
     if old is not None:
         c = old + c
+    if type(c) is not int:
+        c = int_first(c)
     if c:
-        acc[e] = int_first(c)
+        acc[e] = c
     elif old is not None:
         del acc[e]
 
@@ -94,8 +111,9 @@ def _add_product(acc: Poly, a: Poly, b: Poly, sign: int) -> None:
     for e1, c1 in a.items():
         if sign < 0:
             c1 = -c1
+        unit = c1 == 1
         for e2, c2 in b.items():
-            _add_term(acc, tuple(map(add, e1, e2)), c1 * c2)
+            _add_term(acc, tuple(map(add, e1, e2)), c2 if unit else c1 * c2)
 
 
 def poly_const(n: int, value) -> Poly:
@@ -211,6 +229,74 @@ class LogChart:
             ideal=self.ideal - indices,
             omitted=self.omitted | indices,
         )
+
+
+# -- per-chart tables ------------------------------------------------------------
+
+
+class _Table(dict):
+    """A dict that builds an entry from its key on first lookup and keeps it."""
+
+    __slots__ = ("_build",)
+
+    def __init__(self, build):
+        super().__init__()
+        self._build = build
+
+    def __missing__(self, key):
+        value = self[key] = self._build(key)
+        return value
+
+
+def _shuffle_sign(front, back) -> int:
+    """Sign of sorting `front` followed by `back`."""
+    inversions = sum(1 for x in front for y in back if x > y)
+    return -1 if inversions % 2 else 1
+
+
+def _wedge_entry(pair):
+    b1, b2 = pair
+    if b1 & b2:
+        return None
+    return _shuffle_sign(b1, b2), b1 | b2
+
+
+@functools.lru_cache(maxsize=32)
+def _wedge_table(chart: LogChart) -> _Table:
+    """(B1, B2) -> (sign, B1 | B2) with xi_B1 ^ xi_B2 = sign xi_(B1 | B2), or
+    None when the bases meet; the chart only bounds the table to its bases."""
+    return _Table(_wedge_entry)
+
+
+@functools.lru_cache(maxsize=32)
+def _d_table(chart: LogChart) -> _Table:
+    """B -> ((i - 1, sign, B | {i}, lowers), ...) over the live i outside B,
+    ascending, with xi_i ^ xi_B = sign xi_(B | {i}); `lowers` is True above
+    the divisor, where d z_i^p = p z_i^(p-1) xi_i lowers the exponent."""
+    live = sorted(chart.live_indices)
+
+    def entry(b):
+        return tuple(
+            (i - 1, _shuffle_sign((i,), b), b | {i}, i > chart.l)
+            for i in live
+            if i not in b
+        )
+
+    return _Table(entry)
+
+
+@functools.lru_cache(maxsize=32)
+def _pole_table(chart: LogChart) -> _Table:
+    """B -> the 0-based positions of B's divisor indices, ascending: a
+    monomial z^E xi_B has a pole at each of them where E is 0."""
+    logs = chart.log_indices
+    return _Table(lambda b: tuple(i - 1 for i in sorted(b & logs)))
+
+
+@functools.lru_cache(maxsize=32)
+def _slice_chart(chart: LogChart, indices: frozenset[int]) -> LogChart:
+    """`chart.restrict(indices)`, built and checked once."""
+    return chart.restrict(indices)
 
 
 # -- forms ---------------------------------------------------------------------
@@ -383,48 +469,49 @@ def from_regular(chart: LogChart, terms: dict) -> LogPolyForm:
 
 def wedge(a: LogPolyForm, b: LogPolyForm) -> LogPolyForm:
     _same_chart(a, b)
+    pairs = _wedge_table(a.chart)
     out: dict[frozenset[int], Poly] = {}
     for b1, p1 in a.terms.items():
         for b2, p2 in b.terms.items():
-            if b1 & b2:
-                continue
-            inversions = sum(1 for x in b1 for y in b2 if x > y)
-            sign = -1 if inversions % 2 else 1
-            _add_product(out.setdefault(b1 | b2, {}), p1, p2, sign)
+            hit = pairs[b1, b2]
+            if hit is not None:
+                sign, union = hit
+                _add_product(out.setdefault(union, {}), p1, p2, sign)
     return LogPolyForm._built(a.chart, out)
 
 
 def exterior_d(a: LogPolyForm) -> LogPolyForm:
     """d(f xi_B) = sum_i c_i xi_i ^ xi_B, with c_i = z_i df/dz_i on divisor
     branches (keeping coefficients polynomial) and df/dz_i above."""
-    chart = a.chart
-    live = chart.live_indices
+    d_terms = _d_table(a.chart)
     out: dict[frozenset[int], Poly] = {}
     for b, poly in a.terms.items():
-        for i in live - b:
-            inversions = sum(1 for y in b if y < i)
-            sign = -1 if inversions % 2 else 1
-            acc = out.setdefault(b | {i}, {})
+        for pos, sign, target, lowers in d_terms[b]:
+            acc = out.setdefault(target, {})
             for e, c in poly.items():
-                power = e[i - 1]
+                power = e[pos]
                 if power == 0:
                     continue
-                if i > chart.l:
-                    e = e[: i - 1] + (power - 1,) + e[i:]
-                _add_term(acc, e, power * sign * c)
-    return LogPolyForm._built(chart, out)
+                if lowers:
+                    e = e[:pos] + (power - 1,) + e[pos + 1 :]
+                scale = power * sign
+                _add_term(acc, e, c if scale == 1 else scale * c)
+    return LogPolyForm._built(a.chart, out)
 
 
 def weight_level(a: LogPolyForm) -> int:
     """Smallest w with every monomial pole count at most w."""
     a.degree()
+    poles_at = _pole_table(a.chart)
     level = 0
-    logs = a.chart.log_indices
     for b, poly in a.terms.items():
-        blogs = b & logs
+        positions = poles_at[b]
+        if len(positions) <= level:
+            continue
         for e in poly:
-            poles = sum(1 for i in blogs if e[i - 1] == 0)
-            level = max(level, poles)
+            poles = sum(1 for i in positions if e[i] == 0)
+            if poles > level:
+                level = poles
     return level
 
 
@@ -454,18 +541,18 @@ def residue(a: LogPolyForm, indices) -> LogPolyForm:
     level = weight_level(a)
     if level > k:
         raise WeightTooLow(f"form has weight {level}, residue needs at most {k}")
-    target = chart.restrict(idx)
+    cut = [i - 1 for i in idx]
     out: dict[frozenset[int], Poly] = {}
     for b, poly in a.terms.items():
         if not idx <= b:
             continue
         rest = b - idx
-        inversions = sum(1 for i in idx for y in rest if y < i)
+        sign = _shuffle_sign(idx, rest)
         acc = out.setdefault(rest, {})
         for e, c in poly.items():
-            if all(e[i - 1] == 0 for i in idx):
-                _add_term(acc, e, -c if inversions % 2 else c)
-    return LogPolyForm._built(target, out)
+            if not any(e[i] for i in cut):
+                _add_term(acc, e, -c if sign < 0 else c)
+    return LogPolyForm._built(_slice_chart(chart, idx), out)
 
 
 # -- the two inclusions of the residue claim ------------------------------------
@@ -502,17 +589,18 @@ def _monomial_index(a: LogPolyForm, index: dict) -> None:
         index.setdefault((b, e), len(index))
 
 
-def _flatten(a: LogPolyForm, index: dict) -> tuple[Fraction, ...]:
-    vec = [Fraction(0)] * len(index)
-    for b, e, c in a.monomials():
-        vec[index[(b, e)]] = c
-    return tuple(vec)
+def _flatten(a: LogPolyForm, index: dict) -> list:
+    vec = [0] * len(index)
+    for b, poly in a.terms.items():
+        for e, c in poly.items():
+            vec[index[b, e]] = c
+    return vec
 
 
 def ideal_weight_generators(chart: LogChart, p: int, degree_bound: int):
     """Monomial forms z^E xi_B spanning (ideal * forms) cap W_k in degree p,
     with coefficient degree at most `degree_bound`."""
-    logs = chart.log_indices
+    poles_at = _pole_table(chart)
     live = sorted(chart.live_indices)
     exps = [
         e
@@ -521,9 +609,9 @@ def ideal_weight_generators(chart: LogChart, p: int, degree_bound: int):
     ]
     for b in itertools.combinations(live, p):
         bset = frozenset(b)
-        blogs = bset & logs
+        positions = poles_at[bset]
         for e in exps:
-            poles = sum(1 for i in blogs if e[i - 1] == 0)
+            poles = sum(1 for i in positions if e[i] == 0)
             if poles <= chart.k:
                 yield LogPolyForm._built(chart, {bset: {e: 1}})
 
@@ -531,7 +619,7 @@ def ideal_weight_generators(chart: LogChart, p: int, degree_bound: int):
 def _claim_target_span(chart: LogChart, p: int, degree_bound: int):
     """Span of z_j * (regular forms) + dz_j * (regular forms), j in J2, on
     the residue slice; returned as an index map plus an echelon span."""
-    sliced = chart.restrict(chart.residue_set)
+    sliced = _slice_chart(chart, chart.residue_set)
     live = sorted(sliced.live_indices)
     generators: list[LogPolyForm] = []
     exps = _exponent_pool(chart.n, degree_bound, sliced.omitted)
@@ -582,7 +670,7 @@ def claim_forward_check(
         combo = zero_form(chart)
         for i in picks:
             combo = combo + candidates[i].scale(
-                Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                Fraction(rng.randrange(-3, 4), rng.randrange(1, 4))
             )
         if combo.is_zero():
             continue
@@ -664,7 +752,7 @@ def claim_witness(
         )
         lines.append(CheckLine("all other residues of size k vanish", False, detail))
         return WitnessResult(omega, CheckReport("residue claim witness", tuple(lines)))
-    sliced = chart.restrict(chart.residue_set)
+    sliced = _slice_chart(chart, chart.residue_set)
     expected = zero_form(sliced)
     for j in sorted(chart.j2):
         eta_j = eta.get(j, zero_form(chart))
@@ -693,14 +781,21 @@ def claim_witness(
 # -- random forms for fuzzing ----------------------------------------------------
 
 
+# num/den -> the int-first coefficient, for every pair `random_poly` can draw
+_DRAWN = {
+    (num, den): int_first(Fraction(num, den))
+    for num in range(-4, 5)
+    for den in range(1, 4)
+}
+
+
 def random_poly(rng: random.Random, chart: LogChart, degree: int = 2,
                 terms: int = 3) -> Poly:
     pool = _exponent_pool(chart.n, degree, chart.omitted)
     out: Poly = {}
     for _ in range(terms):
         e = rng.choice(pool)
-        num, den = rng.randint(-4, 4), rng.randint(1, 3)
-        _add_term(out, e, num // den if num % den == 0 else Fraction(num, den))
+        _add_term(out, e, _DRAWN[rng.randrange(-4, 5), rng.randrange(1, 4)])
     return out
 
 

@@ -173,7 +173,7 @@ def suite_logforms(seed: int = 0, trials: int = 100, degree_bound: int = 2) -> C
         dd_ok = True
         mult_ok = True
         for _ in range(trials):
-            p = rng.randint(0, chart.n - 1)
+            p = rng.randrange(0, chart.n)
             a = random_ideal_form(rng, chart, p)
             if not a.is_zero():
                 if not in_ideal_subcomplex(a):
@@ -181,10 +181,10 @@ def suite_logforms(seed: int = 0, trials: int = 100, degree_bound: int = 2) -> C
                 da = exterior_d(a)
                 if not (da.is_zero() or in_ideal_subcomplex(da)):
                     closure_ok = False
-            b = random_form(rng, chart, rng.randint(0, chart.n - 1))
+            b = random_form(rng, chart, rng.randrange(0, chart.n))
             if not exterior_d(exterior_d(b)).is_zero():
                 dd_ok = False
-            c = random_form(rng, chart, rng.randint(0, 1))
+            c = random_form(rng, chart, rng.randrange(0, 2))
             prod = wedge(b, c)
             if not prod.is_zero():
                 if weight_level(prod) > weight_level(b) + weight_level(c):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from nchodge import logforms
 from nchodge.errors import (
     BadParams,
     ChartMismatch,
@@ -31,6 +32,7 @@ from nchodge.logforms import (
     xi,
     zero_form,
 )
+from nchodge.verify import FUZZ_CHARTS
 
 C33 = LogChart(n=3, l=3, k=1, ideal=frozenset({1, 2}))
 C22 = LogChart(n=2, l=2, k=2, ideal=frozenset({1}))
@@ -257,6 +259,38 @@ class TestClaim:
         # J = {1} sits inside the residue set, so every generator restricts to zero
         assert chart.j2 == frozenset()
         assert claim_forward_check(chart, 2, seed=1)
+
+    @pytest.mark.parametrize(
+        "chart", [c for c in FUZZ_CHARTS if c.k and c.j2], ids=str
+    )
+    def test_forward_check_fails_without_a_needed_generator(self, chart, monkeypatch):
+        """Drop from the target span the one generator that spans a monomial
+        some residue holds: the check, which decides through `EchelonSpan`,
+        must then say False."""
+        full = logforms._claim_target_span
+        for p in range(chart.k, min(chart.n, chart.k + 2) + 1):
+            generators, _ = full(chart, p, 3)
+            # every target generator is one monomial, so dropping the only
+            # one with a needed (basis, exponents) key loses that monomial
+            assert all(len(list(g.monomials())) == 1 for g in generators)
+            keys = [next(g.monomials())[:2] for g in generators]
+            needed = {
+                (b, e)
+                for g in ideal_weight_generators(chart, p, 2)
+                for b, e, _ in residue(g, chart.residue_set).monomials()
+            }
+            drop = next(
+                i for i, key in enumerate(keys) if key in needed and keys.count(key) == 1
+            )
+
+            def without_one(chart_, p_, bound, drop=drop):
+                gens, index = full(chart_, p_, bound)
+                return gens[:drop] + gens[drop + 1 :], index
+
+            assert claim_forward_check(chart, p)
+            monkeypatch.setattr(logforms, "_claim_target_span", without_one)
+            assert not claim_forward_check(chart, p)
+            monkeypatch.undo()
 
     def test_generators_are_ideal_weight_bounded(self):
         gens = list(ideal_weight_generators(C33, 2, 2))

@@ -11,6 +11,7 @@ must print the reference's bytes.  Every form the kernel builds without the
 constructor's checks must be what the constructor makes of its terms.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -285,3 +286,53 @@ def test_suite_draws_match_reference(chart, seed):
     assert replay_suite_draws(lf, _random_lift, chart, seed) == replay_suite_draws(
         ref, ref._random_lift, chart, seed
     )
+
+
+# Every fuzz chart and every slice `chart.restrict(I)` of it, I a nonempty
+# set of live indices; equal slices of two charts appear once.
+SLICES = tuple(
+    dict.fromkeys(
+        c.restrict(I) if I else c
+        for c in FUZZ_CHARTS
+        for r in range(len(c.live_indices) + 1)
+        for I in itertools.combinations(sorted(c.live_indices), r)
+    )
+)
+
+
+@pytest.mark.parametrize("chart", SLICES, ids=chart_id)
+def test_chart_tables_match_reference_on_every_slice(chart):
+    """`wedge`, `exterior_d`, `weight_level` and `residue` read per-chart
+    tables; on every chart they read, seeded forms give the reference's."""
+    rng = random.Random(chart_id(chart))
+    logs = sorted(chart.log_indices)
+    residue_sets = [I for r in range(1, len(logs) + 1) for I in itertools.combinations(logs, r)]
+    live = len(chart.live_indices)
+    for _ in range(6):
+        want_a = ref.random_form(rng, chart, rng.randrange(live + 1))
+        want_b = ref.random_form(rng, chart, rng.randrange(live + 1))
+        a, b = lf.LogPolyForm(chart, want_a.terms), lf.LogPolyForm(chart, want_b.terms)
+        assert_same_form((a, None), (want_a, None))
+        assert_same_form(
+            outcome(lambda: lf.wedge(a, b)), outcome(lambda: ref.wedge(want_a, want_b))
+        )
+        assert_same_form(
+            outcome(lambda: lf.exterior_d(a)), outcome(lambda: ref.exterior_d(want_a))
+        )
+        for I in residue_sets:
+            assert_same_form(
+                outcome(lambda: lf.residue(a, I)), outcome(lambda: ref.residue(want_a, I))
+            )
+
+
+def test_equal_charts_built_apart_share_their_tables():
+    for chart in SLICES:
+        twin = lf.LogChart(chart.n, chart.l, chart.k, set(chart.ideal), set(chart.omitted))
+        assert twin == chart and twin is not chart
+        for table in (lf._wedge_table, lf._d_table, lf._pole_table):
+            assert table(twin) is table(chart)
+    for chart in FUZZ_CHARTS:
+        twin = lf.LogChart(chart.n, chart.l, chart.k, set(chart.ideal))
+        sliced = lf._slice_chart(chart, chart.residue_set)
+        assert lf._slice_chart(twin, frozenset(range(1, chart.k + 1))) is sliced
+        assert sliced == chart.restrict(chart.residue_set)

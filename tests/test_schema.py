@@ -1,5 +1,9 @@
 import json
+import os
 import pathlib
+import shutil
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -50,6 +54,33 @@ class TestRoundTrip:
             path = FIXTURES / f"{name}.json"
             assert path.exists(), f"missing fixture file {path}"
             assert atlases_equal(load_atlas(path), builtin_atlas(name)), name
+
+    def test_fixture_builder_runs_from_a_checkout(self, tmp_path):
+        """`tools/make_fixtures.py` finds the checkout's own `src/`: run from a
+        copy of `tools/` and `src/` with no PYTHONPATH and no site-packages
+        (`-S`, so an installed package cannot stand in), it writes every
+        committed fixture byte for byte."""
+        for part in ("tools", "src"):
+            shutil.copytree(
+                FIXTURES.parent / part,
+                tmp_path / part,
+                ignore=shutil.ignore_patterns("__pycache__"),
+            )
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
+        result = subprocess.run(
+            [sys.executable, "-S", str(tmp_path / "tools" / "make_fixtures.py")],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr.decode(errors="replace")
+        written = sorted(p.name for p in (tmp_path / "fixtures").iterdir())
+        assert written == sorted(p.name for p in FIXTURES.glob("*.json"))
+        for name in written:
+            got = (tmp_path / "fixtures" / name).read_bytes()
+            assert got == (FIXTURES / name).read_bytes(), name
 
     def test_not_equal_to_other_fixture(self):
         assert not atlases_equal(builtin_atlas("p1_1pt"), builtin_atlas("p1_2pts"))

@@ -1,18 +1,21 @@
 """Regenerate the committed fixture files under fixtures/.
 
-Run from the repository root:
+Run from the repository root (no install needed, the checkout's `src/` is
+put on the path):
 
     python3 tools/make_fixtures.py
 """
 
 import pathlib
-
-from nchodge import BUILTIN_NAMES, builtin_atlas, save_atlas
+import sys
 
 HERE = pathlib.Path(__file__).resolve().parent.parent
 
 
 def main() -> None:
+    sys.path.insert(0, str(HERE / "src"))
+    from nchodge import BUILTIN_NAMES, builtin_atlas, save_atlas
+
     out = HERE / "fixtures"
     out.mkdir(exist_ok=True)
     for name in BUILTIN_NAMES:
