@@ -45,6 +45,7 @@ with d(x, y) = (dx, f(x) - dy).
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 from dataclasses import dataclass
@@ -291,12 +292,27 @@ class RowFamily:
         return out
 
     def apply_d(self, q: int, m: int, elem: Element) -> Element:
+        """d of `elem`, read only through its nonzero coordinates; pieces on
+        terms outside the degree-m slots are ignored, as `flatten` does."""
         row = self.row(q)
+        coords: dict[Bidegree, dict[int, Fraction]] = {}
+        for (t, ab), vec in elem.items():
+            place = row.layout.get((m, ab), {}).get(t)
+            if place is not None:
+                if len(vec) != place[1]:
+                    raise DimensionMismatch("element slice has wrong length")
+                at = coords.setdefault(ab, {})
+                at.update((place[0] + i, x) for i, x in enumerate(vec) if x)
         out: Element = {}
         # d keeps the type, so a type the element lacks contributes nothing
-        for ab in sorted({ab for _, ab in elem}):
-            image = row.d(m, ab).apply(self.flatten(q, m, ab, elem))
-            out.update(self.unflatten(q, m + 1, ab, image))
+        for ab in sorted(coords):
+            image = row.d(m, ab).apply_sparse(coords[ab])
+            slot = row.layout.get((m + 1, ab), {})
+            terms, starts = list(slot), [off for off, _ in slot.values()]
+            # the terms holding a nonzero coordinate, in layout order
+            for k in sorted({bisect.bisect_right(starts, i) - 1 for i in image}):
+                off, d = slot[terms[k]]
+                out[(terms[k], ab)] = tuple(Fraction(image.get(i, 0)) for i in range(off, off + d))
         return out
 
     def iter_basis(self):

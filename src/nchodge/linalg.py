@@ -68,6 +68,17 @@ def _sparse(entries: Sequence) -> SparseRow:
     return out
 
 
+def _sparse_items(v: dict, length: int):
+    """The nonzero (column, value) pairs of {column: value}, integer-first."""
+    for j, x in v.items():
+        if not 0 <= j < length:
+            raise DimensionMismatch(f"column {j} outside 0..{length - 1}")
+        if type(x) is not int:
+            x = int_first(x if type(x) is Fraction else _frac(x))
+        if x:
+            yield j, x
+
+
 def _dense(row: SparseRow, length: int) -> Vector:
     out = [_ZERO] * length
     for j, x in row.items():
@@ -231,6 +242,21 @@ class RationalMatrix:
             total = sum(row[i] * x for i, x in right if i in row)
             out.append(_frac(total) if total else _ZERO)
         return tuple(out)
+
+    def apply_sparse(self, v: dict) -> SparseRow:
+        """`self @ v` for v given as {column: value}, as an integer-first
+        {row: value} without zeros; reads each row only at the columns where
+        v has a nonzero entry."""
+        right = list(_sparse_items(v, self.ncols))
+        out: SparseRow = {}
+        for i, row in enumerate(self._rows):
+            total = 0
+            for j, x in right:
+                if j in row:
+                    total += row[j] * x
+            if total:
+                out[i] = int_first(total)
+        return out
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.ncols != other.nrows:

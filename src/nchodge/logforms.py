@@ -12,69 +12,65 @@ those indices whose variable divides z^E.
 Coefficients are polynomials, not germs; every statement checked here
 preserves coefficient degree, so truncated enumeration is faithful.
 
-A polynomial is a dict {exponents: coefficient} with no zero coefficients.
-Coefficients follow the integer-first rule of `linalg`: a value is a Python
-int until a division forces a Fraction, and an integral Fraction becomes an
-int again, so the values in `LogPolyForm.terms` may be ints (`str()` prints
-2 and Fraction(2) alike).  Sums and products accumulate in place into one
-output dict through `_add_term`, never copying a polynomial per term.
+Storage.  A form holds one dict {key: int numerator} without zeros and one
+positive int denominator sharing no factor with all the numerators, so equal
+forms store equal data.  A key packs a monomial z^E xi_B: the low n bits are
+the basis mask (bit i - 1 set when i is in B), and above them variable i
+owns the `_W`-bit field at bit n + _W (i - 1), `_W - 1` value bits (so an
+exponent is at most `_LIMIT` = 32767) under one guard bit.  Keys depend on n
+only, so a form and its residue on a slice read the same keys.  A monomial
+product is the sum of two keys; the bases meet when the masks share a bit,
+and an exponent sum past the limit sets a guard bit, on which `wedge`
+raises.  `LogPolyForm.terms` decodes the keys into the caller's view
+{basis: {exponents: coefficient}}, integer-first as in `linalg` (an int
+when integral, else a Fraction), which `str()` and `monomials` print.
 
 What the kernel needs to know about a basis depends only on the chart, so
-it is worked out once per chart and looked up after that.  Four small
-tables, each a `functools.lru_cache` keyed by the frozen `LogChart` (equal
-charts built apart share one; one `verify --suite logforms` run reads 10
-charts and 18 slices), fill an entry the first time a basis asks:
-- `_wedge_table`: (B1, B2) -> (sign, B1 | B2), or None when the bases meet,
-  read by `wedge`;
-- `_d_table`: B -> (i - 1, sign, B | {i}, lowers exponent) for each live i
-  outside B, read by `exterior_d`;
-- `_pole_table`: B -> the positions of B's divisor indices, read by
-  `weight_level` and `ideal_weight_generators`;
-- `_slice_chart`: (chart, I) -> `chart.restrict(I)`, read by `residue` and
-  the claim's slice.
-They hold facts about bases and charts only, never a form or a result.
+`_layout(chart)`, one `functools.lru_cache` keyed by the frozen `LogChart`
+(equal charts built apart share it), holds the chart's masks (the fields of
+its ideal and of its omitted variables among them) and dicts that fill an
+entry on first lookup: `sign` (front << n | back -> the sign of sorting two
+disjoint masks, for `wedge` and `residue`), `d` (B -> (field, shift, key
+delta, sign) per live i outside B, for `exterior_d`), `poles` (B -> count
+and guard bits of B's divisor indices, for `weight_level`) and `pool`
+(degree -> the packed `_exponent_pool`).  `_slice_chart` keeps each
+`chart.restrict(I)`.  None of them holds a form or a result.
 
 The public `LogPolyForm(chart, terms)` checks and converts caller data, and
 every function that takes caller data goes through it: `form`, `xi`,
 `dz_form`, the pieces of `from_regular` and `claim_witness`'s cut of `eta`
-and `zeta` to the slice.  Forms the kernel builds out of forms that are
-already valid go through `LogPolyForm._built`, which only drops empty
-polynomials, because each output already meets every check the constructor
-makes:
-- `wedge`, `__add__` (so `__sub__`) and `scale` combine valid polynomials
-  through `_add_term` or `poly_scale`, so every coefficient is nonzero and
-  integer-first; a wedge basis is the union of two disjoint live bases, and
-  exponents add, so a coordinate that is zero on the chart stays zero.
-- `exterior_d` adds a live index missing from the basis, and lowers an
-  exponent only where it is positive.
-- `residue` keeps the monomials that vanish on the sliced indices and
-  strips those indices from the basis, so the output lives on the slice.
-- `random_form`, `ideal_weight_generators` and the monomial coefficients of
-  `_claim_target_span` draw bases from the live indices and exponents from
-  `_exponent_pool`, which skips every omitted coordinate.
+and `zeta` to the slice.  Forms the kernel builds out of valid forms go
+through `LogPolyForm._built`, which only drops zeros and reduces the
+fraction, because each output already meets every check the constructor
+makes: a wedge basis is the union of two disjoint live bases and exponents
+add, so a coordinate that is zero on the chart stays zero; `exterior_d`
+adds a live index missing from the basis and lowers only a positive
+exponent; `residue` keeps the monomials that vanish on the slice and strips
+the sliced indices; and the random forms and the claim's generators draw
+live bases and exponents from the packed pool, which skips every omitted
+coordinate.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from types import MappingProxyType
 
-from .errors import (
-    BadParams,
-    ChartMismatch,
-    DegreeMismatch,
-    NonHomogeneous,
-    WeightTooLow,
-)
+from .errors import BadParams, ChartMismatch, DegreeMismatch, NonHomogeneous, WeightTooLow
 from .linalg import EchelonSpan, int_first
 from .reports import CheckLine, CheckReport
 
 Exponents = tuple[int, ...]
 Poly = dict[Exponents, int | Fraction]
+
+_W = 16  # bits per exponent field: the value bits, then one guard bit
+_GUARD = 1 << (_W - 1)
+_LIMIT = _GUARD - 1  # the largest exponent a field holds, and its value mask
 
 
 # -- polynomial coefficients ---------------------------------------------------
@@ -85,35 +81,6 @@ def _coeff(value):
     if type(value) is int:
         return value
     return int_first(value if type(value) is Fraction else Fraction(value))
-
-
-def _add_term(acc: Poly, e: Exponents, c) -> None:
-    """acc[e] += c in place; the sum stays int-first and is dropped at zero."""
-    old = acc.get(e)
-    if old is not None:
-        c = old + c
-    if type(c) is not int:
-        c = int_first(c)
-    if c:
-        acc[e] = c
-    elif old is not None:
-        del acc[e]
-
-
-def _add_poly(acc: Poly, a: Poly) -> None:
-    """acc += a in place."""
-    for e, c in a.items():
-        _add_term(acc, e, c)
-
-
-def _add_product(acc: Poly, a: Poly, b: Poly, sign: int) -> None:
-    """acc += sign * a * b in place."""
-    for e1, c1 in a.items():
-        if sign < 0:
-            c1 = -c1
-        unit = c1 == 1
-        for e2, c2 in b.items():
-            _add_term(acc, tuple(map(add, e1, e2)), c2 if unit else c1 * c2)
 
 
 def poly_const(n: int, value) -> Poly:
@@ -138,18 +105,6 @@ def monomial(n: int, powers: dict[int, int], coeff=1) -> Poly:
     return {tuple(exps): coeff}
 
 
-def poly_scale(c, a: Poly) -> Poly:
-    c = _coeff(c)
-    if not c:
-        return {}
-    return {e: int_first(c * v) for e, v in a.items()}
-
-
-def poly_restrict(a: Poly, zeroed: frozenset[int]) -> Poly:
-    """Set z_i = 0 for i in `zeroed` (1-based)."""
-    return {e: c for e, c in a.items() if all(e[i - 1] == 0 for i in zeroed)}
-
-
 def format_poly(a: Poly) -> str:
     if not a:
         return "0"
@@ -169,6 +124,41 @@ def format_poly(a: Poly) -> str:
         else:
             parts.append(f"{c}*{names}")
     return " + ".join(parts).replace("+ -", "- ")
+
+
+# -- packed keys ---------------------------------------------------------------
+
+
+def _shift(n: int, i: int) -> int:
+    """The lowest bit of variable i's field (1-based) in a key on n variables."""
+    return n + _W * (i - 1)
+
+
+def _pack(n: int, e: Exponents) -> int:
+    """The key of z^e with the empty basis."""
+    if max(e, default=0) > _LIMIT:
+        raise BadParams(f"exponent {max(e)} in {e} is above the limit {_LIMIT}")
+    return sum(x << _shift(n, i) for i, x in enumerate(e, 1))
+
+
+def _unpack(n: int, key: int) -> tuple[frozenset[int], Exponents]:
+    """(B, E) of the key of z^E xi_B."""
+    basis = frozenset(i for i in range(1, n + 1) if key >> (i - 1) & 1)
+    return basis, tuple(key >> _shift(n, i) & _LIMIT for i in range(1, n + 1))
+
+
+def _mask(indices) -> int:
+    return sum(1 << (i - 1) for i in indices)
+
+
+def _shuffle_sign(front: int, back: int) -> int:
+    """Sign of sorting the indices of mask `front` followed by those of `back`."""
+    inversions = 0
+    while back:
+        low = back & -back
+        inversions += (front >> low.bit_length()).bit_count()
+        back ^= low
+    return -1 if inversions & 1 else 1
 
 
 # -- charts --------------------------------------------------------------------
@@ -196,6 +186,13 @@ class LogChart:
             raise BadParams("omitted indices outside 1..n")
         if self.residue_set & self.omitted:
             raise BadParams("residue indices were already set to zero")
+        # every kernel call looks its chart's layout up by hash
+        object.__setattr__(
+            self, "_hash", hash((self.n, self.l, self.k, self.ideal, self.omitted))
+        )
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def residue_set(self) -> frozenset[int]:
@@ -231,7 +228,7 @@ class LogChart:
         )
 
 
-# -- per-chart tables ------------------------------------------------------------
+# -- the per-chart layout --------------------------------------------------------
 
 
 class _Table(dict):
@@ -248,49 +245,44 @@ class _Table(dict):
         return value
 
 
-def _shuffle_sign(front, back) -> int:
-    """Sign of sorting `front` followed by `back`."""
-    inversions = sum(1 for x in front for y in back if x > y)
-    return -1 if inversions % 2 else 1
+class _Layout:
+    """The masks and lazily filled tables of one chart; see the module notes."""
 
+    __slots__ = ("n", "mask", "live", "guard", "limit", "ideal", "omitted", "sign", "d",
+                 "poles", "pool")
 
-def _wedge_entry(pair):
-    b1, b2 = pair
-    if b1 & b2:
-        return None
-    return _shuffle_sign(b1, b2), b1 | b2
+    def __init__(self, chart: LogChart):
+        n, mask = chart.n, (1 << chart.n) - 1
+        live, logs = sorted(chart.live_indices), sorted(chart.log_indices)
 
+        def fields(indices, bits=_LIMIT):
+            return sum(bits << _shift(n, i) for i in indices)
 
-@functools.lru_cache(maxsize=32)
-def _wedge_table(chart: LogChart) -> _Table:
-    """(B1, B2) -> (sign, B1 | B2) with xi_B1 ^ xi_B2 = sign xi_(B1 | B2), or
-    None when the bases meet; the chart only bounds the table to its bases."""
-    return _Table(_wedge_entry)
+        def d_entry(b):
+            return tuple(
+                (fields([i]), _shift(n, i), (1 << (i - 1)) - (i > chart.l) * fields([i], 1),
+                 _shuffle_sign(1 << (i - 1), b))
+                for i in live if not b >> (i - 1) & 1
+            )
 
+        def poles(b):
+            # z^E xi_B has a pole at each divisor index in B whose exponent is 0
+            at = [i for i in logs if b >> (i - 1) & 1]
+            return len(at), fields(at, _GUARD)
 
-@functools.lru_cache(maxsize=32)
-def _d_table(chart: LogChart) -> _Table:
-    """B -> ((i - 1, sign, B | {i}, lowers), ...) over the live i outside B,
-    ascending, with xi_i ^ xi_B = sign xi_(B | {i}); `lowers` is True above
-    the divisor, where d z_i^p = p z_i^(p-1) xi_i lowers the exponent."""
-    live = sorted(chart.live_indices)
-
-    def entry(b):
-        return tuple(
-            (i - 1, _shuffle_sign((i,), b), b | {i}, i > chart.l)
-            for i in live
-            if i not in b
-        )
-
-    return _Table(entry)
+        self.n, self.mask, self.live = n, mask, [1 << (i - 1) for i in live]
+        self.guard, self.limit = fields(range(1, n + 1), _GUARD), fields(range(1, n + 1))
+        self.ideal, self.omitted = fields(chart.ideal), fields(chart.omitted)
+        self.sign = _Table(lambda pair: _shuffle_sign(pair >> n, pair & mask))
+        self.d, self.poles = _Table(d_entry), _Table(poles)
+        self.pool = _Table(lambda degree: tuple(
+            _pack(n, e) for e in _exponent_pool(n, degree, chart.omitted)))
 
 
 @functools.lru_cache(maxsize=32)
-def _pole_table(chart: LogChart) -> _Table:
-    """B -> the 0-based positions of B's divisor indices, ascending: a
-    monomial z^E xi_B has a pole at each of them where E is 0."""
-    logs = chart.log_indices
-    return _Table(lambda b: tuple(i - 1 for i in sorted(b & logs)))
+def _layout(chart: LogChart) -> _Layout:
+    """The one layout of `chart`, shared by every equal chart."""
+    return _Layout(chart)
 
 
 @functools.lru_cache(maxsize=32)
@@ -302,21 +294,27 @@ def _slice_chart(chart: LogChart, indices: frozenset[int]) -> LogChart:
 # -- forms ---------------------------------------------------------------------
 
 
+_set = object.__setattr__
+
+
 class LogPolyForm:
     """Finite sum of poly * xi_B terms on one chart."""
 
-    __slots__ = ("chart", "terms")
+    __slots__ = ("chart", "_nums", "_den")
 
     def __init__(self, chart: LogChart, terms: dict):
-        cleaned: dict[frozenset[int], Poly] = {}
+        n = chart.n
+        omitted = _layout(chart).omitted
+        exact: dict[int, int | Fraction] = {}
         for b, poly in terms.items():
             b = frozenset(b)
-            if not all(1 <= i <= chart.n for i in b):
+            if not all(1 <= i <= n for i in b):
                 raise BadParams("basis index outside 1..n")
             poly = {e: k for e, c in dict(poly).items() if (k := _coeff(c)) != 0}
             for e in poly:
-                if len(e) != chart.n or any(type(x) is not int or x < 0 for x in e):
-                    raise BadParams(f"bad exponent tuple {e} for n={chart.n}")
+                if len(e) != n or any(type(x) is not int or x < 0 for x in e):
+                    raise BadParams(f"bad exponent tuple {e} for n={n}")
+            packed = {_pack(n, e): c for e, c in poly.items()}
             dead = b & chart.omitted
             if dead:
                 # pullback to the slice: dz-type factors vanish, xi-type
@@ -327,81 +325,106 @@ class LogPolyForm:
                             f"xi_{i} has a pole along the slice z_{i} = 0"
                         )
                 continue
-            if chart.omitted:
-                poly = poly_restrict(poly, chart.omitted)
-            _add_poly(cleaned.setdefault(b, {}), poly)
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(
-            self, "terms", {b: p for b, p in cleaned.items() if p}
-        )
+            bmask = _mask(b)
+            for key, c in packed.items():
+                if not key & omitted:
+                    exact[key | bmask] = exact.get(key | bmask, 0) + c
+        den = math.lcm(*(c.denominator for c in exact.values()))
+        _set(self, "chart", chart)
+        _set(self, "_nums", {key: c.numerator * (den // c.denominator)
+                             for key, c in exact.items() if c})
+        _set(self, "_den", den)
 
     @classmethod
-    def _built(cls, chart: LogChart, terms: dict) -> "LogPolyForm":
-        """A form from terms the kernel built out of valid forms: stored as
-        given, empty polynomials dropped, with no copy, conversion or check."""
+    def _built(cls, chart: LogChart, nums: dict[int, int], den: int) -> "LogPolyForm":
+        """The form sum nums[key] / den from keys the kernel built out of
+        valid forms: zero numerators dropped and the fraction reduced, with no
+        other check."""
+        if 0 in nums.values():
+            nums = {key: v for key, v in nums.items() if v}
+        if den != 1:
+            g = math.gcd(den, *nums.values())
+            if g != 1:
+                nums = {key: v // g for key, v in nums.items()}
+                den //= g
         new = object.__new__(cls)
-        object.__setattr__(new, "chart", chart)
-        object.__setattr__(new, "terms", {b: p for b, p in terms.items() if p})
+        _set(new, "chart", chart)
+        _set(new, "_nums", nums)
+        _set(new, "_den", den)
         return new
 
     def __setattr__(self, name, value):
         raise AttributeError("LogPolyForm is immutable")
 
+    @property
+    def terms(self) -> MappingProxyType:
+        """A read-only view {basis: {exponents: coefficient}}, decoded afresh,
+        coefficients integer-first."""
+        n, den = self.chart.n, self._den
+        out: dict[frozenset[int], Poly] = {}
+        for key, v in self._nums.items():
+            b, e = _unpack(n, key)
+            out.setdefault(b, {})[e] = v if den == 1 else int_first(Fraction(v, den))
+        return MappingProxyType(out)
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._nums
 
     def degree(self) -> int | None:
         """Form degree; None for the zero form."""
-        sizes = {len(b) for b in self.terms}
-        if not sizes:
-            return None
+        mask = (1 << self.chart.n) - 1
+        sizes = {(key & mask).bit_count() for key in self._nums}
         if len(sizes) > 1:
             raise NonHomogeneous(f"mixed form degrees {sorted(sizes)}")
-        return sizes.pop()
+        return sizes.pop() if sizes else None
 
     def monomials(self):
         """Yield (B, exponents, coefficient) over all monomial terms."""
-        for b in sorted(self.terms, key=sorted):
-            for e, c in sorted(self.terms[b].items()):
+        terms = self.terms
+        for b in sorted(terms, key=sorted):
+            for e, c in sorted(terms[b].items()):
                 yield b, e, c
 
     def __add__(self, other: "LogPolyForm") -> "LogPolyForm":
         _same_chart(self, other)
-        merged = {b: dict(p) for b, p in self.terms.items()}
-        for b, p in other.terms.items():
-            _add_poly(merged.setdefault(b, {}), p)
-        return LogPolyForm._built(self.chart, merged)
+        den = math.lcm(self._den, other._den)
+        up, up_other = den // self._den, den // other._den
+        out = {key: v * up for key, v in self._nums.items()}
+        get = out.get
+        for key, v in other._nums.items():
+            out[key] = get(key, 0) + v * up_other
+        return LogPolyForm._built(self.chart, out, den)
 
     def __sub__(self, other: "LogPolyForm") -> "LogPolyForm":
         return self + other.scale(-1)
 
     def scale(self, c) -> "LogPolyForm":
+        c = _coeff(c)
+        num = c.numerator
         return LogPolyForm._built(
-            self.chart, {b: poly_scale(c, p) for b, p in self.terms.items()}
+            self.chart,
+            {key: v * num for key, v in self._nums.items()},
+            self._den * c.denominator,
         )
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, LogPolyForm)
             and self.chart == other.chart
-            and self.terms == other.terms
+            and self._den == other._den
+            and self._nums == other._nums
         )
 
     def __hash__(self):
-        frozen = tuple(
-            sorted(
-                (tuple(sorted(b)), tuple(sorted(p.items())))
-                for b, p in self.terms.items()
-            )
-        )
-        return hash((self.chart, frozen))
+        return hash((self.chart, self._den, frozenset(self._nums.items())))
 
     def __str__(self) -> str:
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         parts = []
-        for b in sorted(self.terms, key=sorted):
-            poly = format_poly(self.terms[b])
+        for b in sorted(terms, key=sorted):
+            poly = format_poly(terms[b])
             basis = "^".join(f"xi{i}" for i in sorted(b)) or "1"
             parts.append(f"({poly}) {basis}" if b else f"({poly})")
         return " + ".join(parts)
@@ -410,7 +433,7 @@ class LogPolyForm:
 
 
 def _same_chart(a: LogPolyForm, b: LogPolyForm) -> None:
-    if a.chart != b.chart:
+    if a.chart is not b.chart and a.chart != b.chart:
         raise ChartMismatch("forms live on different charts")
 
 
@@ -426,7 +449,13 @@ def form(chart: LogChart, terms: dict) -> LogPolyForm:
 
 
 def zero_form(chart: LogChart) -> LogPolyForm:
-    return LogPolyForm(chart, {})
+    return LogPolyForm._built(chart, {}, 1)
+
+
+def _z(chart: LogChart, j: int) -> LogPolyForm:
+    """The coordinate z_j as a 0-form: zero when z_j is zero on the chart."""
+    key = 1 << _shift(chart.n, j)
+    return LogPolyForm._built(chart, {} if key & _layout(chart).omitted else {key: 1}, 1)
 
 
 def xi(chart: LogChart, *indices: int) -> LogPolyForm:
@@ -469,47 +498,50 @@ def from_regular(chart: LogChart, terms: dict) -> LogPolyForm:
 
 def wedge(a: LogPolyForm, b: LogPolyForm) -> LogPolyForm:
     _same_chart(a, b)
-    pairs = _wedge_table(a.chart)
-    out: dict[frozenset[int], Poly] = {}
-    for b1, p1 in a.terms.items():
-        for b2, p2 in b.terms.items():
-            hit = pairs[b1, b2]
-            if hit is not None:
-                sign, union = hit
-                _add_product(out.setdefault(union, {}), p1, p2, sign)
-    return LogPolyForm._built(a.chart, out)
+    lay = _layout(a.chart)
+    n, mask, guard, sign = lay.n, lay.mask, lay.guard, lay.sign
+    out: dict[int, int] = {}
+    get = out.get
+    for k1, c1 in a._nums.items():
+        m1 = k1 & mask
+        front = m1 << n
+        for k2, c2 in b._nums.items():
+            m2 = k2 & mask
+            if m1 & m2:
+                continue
+            key = k1 + k2
+            if key & guard:
+                raise BadParams(f"wedge product has an exponent above the limit {_LIMIT}")
+            out[key] = get(key, 0) + sign[front | m2] * c1 * c2
+    return LogPolyForm._built(a.chart, out, a._den * b._den)
 
 
 def exterior_d(a: LogPolyForm) -> LogPolyForm:
     """d(f xi_B) = sum_i c_i xi_i ^ xi_B, with c_i = z_i df/dz_i on divisor
     branches (keeping coefficients polynomial) and df/dz_i above."""
-    d_terms = _d_table(a.chart)
-    out: dict[frozenset[int], Poly] = {}
-    for b, poly in a.terms.items():
-        for pos, sign, target, lowers in d_terms[b]:
-            acc = out.setdefault(target, {})
-            for e, c in poly.items():
-                power = e[pos]
-                if power == 0:
-                    continue
-                if lowers:
-                    e = e[:pos] + (power - 1,) + e[pos + 1 :]
-                scale = power * sign
-                _add_term(acc, e, c if scale == 1 else scale * c)
-    return LogPolyForm._built(a.chart, out)
+    lay = _layout(a.chart)
+    d_of, mask = lay.d, lay.mask
+    out: dict[int, int] = {}
+    get = out.get
+    for key, c in a._nums.items():
+        for field, shift, delta, sign in d_of[key & mask]:
+            if key & field:
+                target = key + delta
+                out[target] = get(target, 0) + sign * ((key & field) >> shift) * c
+    return LogPolyForm._built(a.chart, out, a._den)
 
 
 def weight_level(a: LogPolyForm) -> int:
     """Smallest w with every monomial pole count at most w."""
     a.degree()
-    poles_at = _pole_table(a.chart)
+    lay = _layout(a.chart)
+    poles_of, mask, limit = lay.poles, lay.mask, lay.limit
     level = 0
-    for b, poly in a.terms.items():
-        positions = poles_at[b]
-        if len(positions) <= level:
-            continue
-        for e in poly:
-            poles = sum(1 for i in positions if e[i] == 0)
+    for key in a._nums:
+        count, guards = poles_of[key & mask]
+        if count > level:
+            # key + limit has the guard bit of each positive exponent set
+            poles = (guards & ~(key + limit)).bit_count()
             if poles > level:
                 level = poles
     return level
@@ -517,12 +549,7 @@ def weight_level(a: LogPolyForm) -> int:
 
 def in_ideal_subcomplex(a: LogPolyForm) -> bool:
     """True iff every coefficient lies in the chart's monomial ideal."""
-    ideal = a.chart.ideal
-    for poly in a.terms.values():
-        for e in poly:
-            if not any(e[j - 1] > 0 for j in ideal):
-                return False
-    return True
+    return all(map(_layout(a.chart).ideal.__and__, a._nums))
 
 
 def residue(a: LogPolyForm, indices) -> LogPolyForm:
@@ -541,18 +568,16 @@ def residue(a: LogPolyForm, indices) -> LogPolyForm:
     level = weight_level(a)
     if level > k:
         raise WeightTooLow(f"form has weight {level}, residue needs at most {k}")
-    cut = [i - 1 for i in idx]
-    out: dict[frozenset[int], Poly] = {}
-    for b, poly in a.terms.items():
-        if not idx <= b:
-            continue
-        rest = b - idx
-        sign = _shuffle_sign(idx, rest)
-        acc = out.setdefault(rest, {})
-        for e, c in poly.items():
-            if not any(e[i] for i in cut):
-                _add_term(acc, e, -c if sign < 0 else c)
-    return LogPolyForm._built(_slice_chart(chart, idx), out)
+    lay = _layout(chart)
+    n, mask, sign = lay.n, lay.mask, lay.sign
+    front = _mask(idx)
+    cut = sum(_LIMIT << _shift(n, i) for i in idx)
+    out: dict[int, int] = {}
+    for key, c in a._nums.items():
+        if key & front == front and not key & cut:
+            rest = key - front
+            out[rest] = c * sign[front << n | rest & mask]
+    return LogPolyForm._built(_slice_chart(chart, idx), out, a._den)
 
 
 # -- the two inclusions of the residue claim ------------------------------------
@@ -574,46 +599,38 @@ def _monomials_up_to(n: int, degree: int):
 @functools.lru_cache(maxsize=32)
 def _exponent_pool(n: int, degree: int, omitted: frozenset[int]) -> tuple[Exponents, ...]:
     """The exponent tuples of `_monomials_up_to` that vanish on `omitted`, in
-    the same order; `random_poly` draws from it, so the order fixes what a
-    seed produces.  One `verify --suite logforms` run asks for 7 to 12 keys.
+    the same order; `random_poly` draws from it packed, so the order fixes
+    what a seed produces.  One `verify --suite logforms` run asks for 7 to
+    12 keys.
     """
-    return tuple(
-        e
-        for e in _monomials_up_to(n, degree)
-        if all(e[i - 1] == 0 for i in omitted)
-    )
+    return tuple(e for e in _monomials_up_to(n, degree) if not any(e[i - 1] for i in omitted))
 
 
 def _monomial_index(a: LogPolyForm, index: dict) -> None:
-    for b, e, _ in a.monomials():
-        index.setdefault((b, e), len(index))
+    for key in a._nums:
+        index.setdefault(key, len(index))
 
 
 def _flatten(a: LogPolyForm, index: dict) -> list:
+    """The form's numerators at its keys' places in `index`: a multiple of
+    its coefficient vector by the denominator, so the same line."""
     vec = [0] * len(index)
-    for b, poly in a.terms.items():
-        for e, c in poly.items():
-            vec[index[b, e]] = c
+    for key, v in a._nums.items():
+        vec[index[key]] = v
     return vec
 
 
 def ideal_weight_generators(chart: LogChart, p: int, degree_bound: int):
     """Monomial forms z^E xi_B spanning (ideal * forms) cap W_k in degree p,
     with coefficient degree at most `degree_bound`."""
-    poles_at = _pole_table(chart)
-    live = sorted(chart.live_indices)
-    exps = [
-        e
-        for e in _exponent_pool(chart.n, degree_bound, chart.omitted)
-        if any(e[j - 1] > 0 for j in chart.ideal)
-    ]
-    for b in itertools.combinations(live, p):
-        bset = frozenset(b)
-        positions = poles_at[bset]
+    lay = _layout(chart)
+    exps = [e for e in lay.pool[degree_bound] if e & lay.ideal]
+    for b in itertools.combinations(sorted(chart.live_indices), p):
+        bmask = _mask(b)
+        guards = lay.poles[bmask][1]
         for e in exps:
-            poles = sum(1 for i in positions if e[i] == 0)
-            if poles <= chart.k:
-                yield LogPolyForm._built(chart, {bset: {e: 1}})
+            if (guards & ~(e + lay.limit)).bit_count() <= chart.k:
+                yield LogPolyForm._built(chart, {bmask | e: 1}, 1)
 
 
 def _claim_target_span(chart: LogChart, p: int, degree_bound: int):
@@ -622,17 +639,15 @@ def _claim_target_span(chart: LogChart, p: int, degree_bound: int):
     sliced = _slice_chart(chart, chart.residue_set)
     live = sorted(sliced.live_indices)
     generators: list[LogPolyForm] = []
-    exps = _exponent_pool(chart.n, degree_bound, sliced.omitted)
+    exps = _layout(sliced).pool[degree_bound]
     for j in sorted(chart.j2):
-        zj = LogPolyForm(sliced, {frozenset(): monomial(chart.n, {j: 1})})
-        dzj = dz_form(sliced, j)
-        for r, lead in ((p - chart.k, zj), (p - chart.k - 1, dzj)):
+        for r, lead in ((p - chart.k, _z(sliced, j)), (p - chart.k - 1, dz_form(sliced, j))):
             if r < 0:
                 continue
             for b in itertools.combinations(live, r):
                 base = from_regular(sliced, {frozenset(b): 1})
                 for e in exps:
-                    coeff = LogPolyForm._built(sliced, {frozenset(): {e: 1}})
+                    coeff = LogPolyForm._built(sliced, {e: 1}, 1)
                     gen = wedge(lead, wedge(coeff, base))
                     if not gen.is_zero():
                         generators.append(gen)
@@ -715,34 +730,22 @@ def claim_witness(
                 raise BadParams(f"{name} index {j} is not in J2")
             deg = value.degree()
             if deg is not None and deg != want:
-                raise DegreeMismatch(
-                    f"{name}_{j} has degree {deg}, expected {want}"
-                )
+                raise DegreeMismatch(f"{name}_{j} has degree {deg}, expected {want}")
 
     front = xi(chart, *sorted(chart.residue_set))
     omega = zero_form(chart)
     for j in sorted(chart.j2):
         eta_j = eta.get(j, zero_form(chart))
         zeta_j = zeta.get(j, zero_form(chart))
-        zj = LogPolyForm(chart, {frozenset(): monomial(chart.n, {j: 1})})
-        piece = wedge(dz_form(chart, j), eta_j) + wedge(zj, zeta_j)
+        piece = wedge(dz_form(chart, j), eta_j) + wedge(_z(chart, j), zeta_j)
         omega = omega + wedge(front, piece)
 
-    lines = []
-    lines.append(
-        CheckLine(
-            "omega lies in the ideal subcomplex",
-            omega.is_zero() or in_ideal_subcomplex(omega),
-        )
-    )
     in_wk = weight_level(omega) <= chart.k
-    lines.append(
-        CheckLine(
-            f"omega lies in W_{chart.k}",
-            in_wk,
-            f"weight {weight_level(omega)}",
-        )
-    )
+    lines = [
+        CheckLine("omega lies in the ideal subcomplex",
+                  omega.is_zero() or in_ideal_subcomplex(omega)),
+        CheckLine(f"omega lies in W_{chart.k}", in_wk, f"weight {weight_level(omega)}"),
+    ]
     if not in_wk:
         # size-k residues are only defined on W_k; a lift with extra poles
         # fails here instead of crashing
@@ -757,16 +760,11 @@ def claim_witness(
     for j in sorted(chart.j2):
         eta_j = eta.get(j, zero_form(chart))
         zeta_j = zeta.get(j, zero_form(chart))
-        eta_cut = LogPolyForm(sliced, dict(eta_j.terms))
-        zeta_cut = LogPolyForm(sliced, dict(zeta_j.terms))
-        zj = LogPolyForm(sliced, {frozenset(): monomial(chart.n, {j: 1})})
-        expected = expected + wedge(dz_form(sliced, j), eta_cut) + wedge(zj, zeta_cut)
-    lines.append(
-        CheckLine(
-            "residue along {1..k} equals sum dz_j^eta_j + z_j zeta_j",
-            residue(omega, chart.residue_set) == expected,
-        )
-    )
+        eta_cut = LogPolyForm(sliced, eta_j.terms)
+        zeta_cut = LogPolyForm(sliced, zeta_j.terms)
+        expected = expected + wedge(dz_form(sliced, j), eta_cut) + wedge(_z(sliced, j), zeta_cut)
+    lines.append(CheckLine("residue along {1..k} equals sum dz_j^eta_j + z_j zeta_j",
+                           residue(omega, chart.residue_set) == expected))
     others_ok = True
     for other in itertools.combinations(sorted(chart.log_indices), chart.k):
         if frozenset(other) == chart.residue_set:
@@ -781,36 +779,35 @@ def claim_witness(
 # -- random forms for fuzzing ----------------------------------------------------
 
 
-# num/den -> the int-first coefficient, for every pair `random_poly` can draw
-_DRAWN = {
-    (num, den): int_first(Fraction(num, den))
-    for num in range(-4, 5)
-    for den in range(1, 4)
-}
+# num/den -> the numerator over 6 of num/den, for every pair `random_poly` can
+# draw (6 is the least common multiple of the denominators 1 to 3)
+_DRAWN = {(num, den): num * 6 // den for num in range(-4, 5) for den in range(1, 4)}
 
 
 def random_poly(rng: random.Random, chart: LogChart, degree: int = 2,
                 terms: int = 3) -> Poly:
-    pool = _exponent_pool(chart.n, degree, chart.omitted)
-    out: Poly = {}
+    pool, acc = _layout(chart).pool[degree], {}
     for _ in range(terms):
-        e = rng.choice(pool)
-        _add_term(out, e, _DRAWN[rng.randrange(-4, 5), rng.randrange(1, 4)])
-    return out
+        key = rng.choice(pool)
+        acc[key] = acc.get(key, 0) + _DRAWN[rng.randrange(-4, 5), rng.randrange(1, 4)]
+    return dict(LogPolyForm._built(chart, acc, 6).terms.get(frozenset(), {}))
 
 
 def random_form(rng: random.Random, chart: LogChart, p: int, degree: int = 2,
                 terms: int = 3) -> LogPolyForm:
-    live = sorted(chart.live_indices)
-    if p > len(live):
+    """`terms` random bases of size p, each with the coefficient that
+    `random_poly(rng, chart, degree, 2)` would draw, as numerators over 6."""
+    lay = _layout(chart)
+    if p > len(lay.live):
         return zero_form(chart)
-    built: dict[frozenset[int], Poly] = {}
+    pool, acc, choice, randrange = lay.pool[degree], {}, rng.choice, rng.randrange
     for _ in range(terms):
-        b = frozenset(rng.sample(live, p))
-        poly = random_poly(rng, chart, degree, 2)
-        if built.setdefault(b, poly) is not poly:
-            _add_poly(built[b], poly)
-    return LogPolyForm._built(chart, built)
+        # sampling the live bits draws what sampling the live indices draws
+        bmask = sum(rng.sample(lay.live, p))
+        for _ in range(2):
+            key = choice(pool) | bmask
+            acc[key] = acc.get(key, 0) + _DRAWN[randrange(-4, 5), randrange(1, 4)]
+    return LogPolyForm._built(chart, acc, 6)
 
 
 def random_ideal_form(rng: random.Random, chart: LogChart, p: int,
@@ -820,5 +817,4 @@ def random_ideal_form(rng: random.Random, chart: LogChart, p: int,
         raise BadParams("chart has an empty ideal")
     base = random_form(rng, chart, p, degree, terms)
     j = rng.choice(sorted(chart.ideal))
-    zj = LogPolyForm(chart, {frozenset(): monomial(chart.n, {j: 1})})
-    return wedge(zj, base)
+    return wedge(_z(chart, j), base)

@@ -3,6 +3,7 @@ import functools
 import hashlib
 import math
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -626,6 +627,49 @@ class TestUnflattenLength:
         for length in {0, n - 1, n + 1, 4} - {n}:
             with pytest.raises(DimensionMismatch):
                 family.unflatten(*slot, (1,) * length)
+
+
+class TestSparseApplyD:
+    """apply_d reads d through the element's nonzero coordinates and gives
+    what the dense flatten / apply / unflatten path gives."""
+
+    @staticmethod
+    def dense(family, q, m, elem):
+        out = {}
+        for ab in sorted({ab for _, ab in elem}):
+            image = family.row(q).d(m, ab).apply(family.flatten(q, m, ab, elem))
+            out.update(family.unflatten(q, m + 1, ab, image))
+        return out
+
+    def test_every_basis_vector_of_the_cup_target(self):
+        from nchodge.pairings import cup_log_XD
+
+        family = cup_log_XD(generic_arrangement(3, 4)).target
+        count = 0
+        for q, m, ab, elem in family.iter_basis():
+            got = family.apply_d(q, m, elem)
+            assert got == self.dense(family, q, m, elem)
+            assert all(type(x) is Fraction for v in got.values() for x in v)
+            assert all(any(v) for v in got.values())
+            count += 1
+        assert count == 256
+
+    def test_sums_over_types_and_ignores_other_slots(self, triangle):
+        family = build(triangle, "locD")
+        for q, m, ab in family.slots():
+            elem = {}
+            for t, (_, d) in family.rows[q].layout[(m, ab)].items():
+                elem[(t, ab)] = tuple(Fraction(i + 1, 2) for i in range(d))
+            for t, (_, d) in family.rows[q].layout.get((m + 1, ab), {}).items():
+                elem[(t, ab)] = (Fraction(7),) * d  # a piece of degree m + 1
+            assert family.apply_d(q, m, elem) == self.dense(family, q, m, elem)
+
+    def test_wrong_length_raises(self, triangle):
+        family = build(triangle, "log")
+        q, m, ab = next(family.slots())
+        t, (_, d) = next(iter(family.rows[q].layout[(m, ab)].items()))
+        with pytest.raises(DimensionMismatch):
+            family.apply_d(q, m, {(t, ab): (1,) * (d + 1)})
 
 
 class TestTermMessages:

@@ -7,7 +7,11 @@ an output is meant to change.
 
 import importlib.util
 import json
+import os
 import pathlib
+import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -21,6 +25,28 @@ CORPUS = json.loads(golden.GOLDEN.read_text())["commands"]
 
 def test_corpus_covers_every_command():
     assert [entry["command"] for entry in CORPUS] == golden.commands()
+
+
+def test_tool_loads_from_a_bare_checkout(tmp_path):
+    """The tool finds the checkout's own `src/`: loaded through
+    `runpy.run_path` (which does not call `main`) from a copy of `tools/` and
+    `src/`, with no PYTHONPATH and no site-packages (`-S`, so an installed
+    package cannot stand in), its `commands()` are the corpus's."""
+    root = _TOOL.parent.parent
+    for part in ("tools", "src"):
+        shutil.copytree(root / part, tmp_path / part,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    script = (
+        "import json, runpy; "
+        "tool = runpy.run_path('tools/make_golden_outputs.py'); "
+        "print(json.dumps(tool['commands']()))"
+    )
+    result = subprocess.run([sys.executable, "-S", "-c", script], cwd=tmp_path, env=env,
+                            capture_output=True, timeout=120)
+    assert result.returncode == 0, result.stderr.decode(errors="replace")
+    assert json.loads(result.stdout) == [entry["command"] for entry in CORPUS]
 
 
 @pytest.mark.parametrize("entry", CORPUS, ids=lambda entry: entry["command"])

@@ -53,6 +53,30 @@ class TestRationalMatrix:
         with pytest.raises(AttributeError):
             m.rows = ()
 
+    def test_apply_sparse_matches_apply(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            nrows, ncols = rng.randrange(0, 5), rng.randrange(1, 5)
+            m = M([[Fraction(rng.randrange(-2, 3), rng.randrange(1, 3)) for _ in range(ncols)]
+                   for _ in range(nrows)], ncols=ncols)
+            v = [Fraction(rng.randrange(-2, 3), rng.randrange(1, 4)) for _ in range(ncols)]
+            got = m.apply_sparse({j: x for j, x in enumerate(v) if rng.randrange(2) or x})
+            want = m.apply(v)
+            assert got == {i: x for i, x in enumerate(want) if x}
+            assert all(type(x) is (int if x.denominator == 1 else Fraction)
+                       for x in got.values())
+            assert m.apply_sparse(dict(enumerate(v))) == got
+
+    def test_apply_sparse_checks_its_columns(self):
+        m = M([[1, 2], [3, 4]])
+        assert m.apply_sparse({}) == {}
+        assert m.apply_sparse({1: "1/2", 0: 0}) == {0: 1, 1: 2}
+        for bad in (-1, 2):
+            with pytest.raises(DimensionMismatch):
+                m.apply_sparse({bad: 1})
+        with pytest.raises(TypeError):
+            m.apply_sparse({0: 0.5})
+
     def test_value_semantics(self):
         same = [M([[2]]), M([[Fraction(4, 2)]]), M([["2"]])]
         assert same[0] == same[1] == same[2]

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -352,6 +353,56 @@ class TestWitness:
                 continue
             result = claim_witness(chart, 2, eta, zeta)
             assert result.ok, str(result.checks)
+
+
+class TestPackedLimits:
+    """A key gives each exponent a field of `_LIMIT` (32767) values above
+    zero: the constructor and `wedge` refuse to go past it."""
+
+    LIMIT = logforms._LIMIT
+
+    def test_limit_is_32767(self):
+        assert self.LIMIT == 2**15 - 1
+
+    def test_constructor_rejects_one_past_the_limit(self):
+        chart = LogChart(2, 2, 1, {1})
+        top = LogPolyForm(chart, {(1,): {(self.LIMIT, 0): 1}})
+        assert top.terms == {frozenset({1}): {(self.LIMIT, 0): 1}}
+        for e in ((self.LIMIT + 1, 0), (0, self.LIMIT + 1), (2**16, 0)):
+            with pytest.raises(BadParams, match=f"above the limit {self.LIMIT}"):
+                LogPolyForm(chart, {(1,): {e: 1}})
+
+    def test_wedge_raises_instead_of_carrying(self):
+        chart = LogChart(3, 3, 1, {1})
+        # z1^a z2^b times z1^c: a carry out of z1's field would land in z2's
+        for a, c in ((self.LIMIT, 1), (2**14, 2**14), (self.LIMIT, self.LIMIT)):
+            left = LogPolyForm(chart, {(): {(a, 5, 0): 2}, (2,): {(0, 1, 0): 1}})
+            right = LogPolyForm(chart, {(3,): {(c, 0, 0): 1}})
+            with pytest.raises(BadParams, match=f"above the limit {self.LIMIT}"):
+                wedge(left, right)
+            with pytest.raises(BadParams, match=f"above the limit {self.LIMIT}"):
+                wedge(right, left)
+        left = LogPolyForm(chart, {(): {(self.LIMIT - 1, 5, 0): 2}})
+        right = LogPolyForm(chart, {(3,): {(1, 0, 0): 1}})
+        assert wedge(left, right).terms == {frozenset({3}): {(self.LIMIT, 5, 0): 2}}
+
+    def test_many_variables_build_no_table_up_front(self):
+        """n = 24: a table sized 2^n or 4^n up front would not fit this."""
+        start = time.perf_counter()
+        chart = LogChart(24, 20, 2, {1, 5, 20})
+        a = LogPolyForm(chart, {(1, 2, 24): monomial(24, {5: 2, 24: 1}, 3),
+                                (2, 3, 23): monomial(24, {1: 1}, Fraction(1, 2))})
+        b = LogPolyForm(chart, {(4,): monomial(24, {4: 1, 20: 1, 22: 3}, -1)})
+        prod = wedge(a, b)
+        assert prod.degree() == 4 and not prod.is_zero()
+        assert exterior_d(exterior_d(prod)).is_zero()
+        assert not exterior_d(prod).is_zero()
+        assert in_ideal_subcomplex(prod)
+        res = residue(prod, {1, 2})
+        assert res.chart == chart.restrict({1, 2})
+        assert weight_level(prod) == 2
+        assert str(res) == "(3*z4z5^2z20z22^3z24) xi4^xi24"
+        assert time.perf_counter() - start < 1.0
 
 
 class TestPolyHelpers:

@@ -157,31 +157,20 @@ def test_residue_matches_reference(case):
     )
 
 
-@given(
-    st.integers(1, 4).flatmap(
-        lambda n: st.tuples(
-            polys(n), polys(n), st.sampled_from(EXACT + (0,)),
-            st.frozensets(st.integers(1, n)),
-        )
-    )
-)
-def test_poly_helpers_match_reference(case):
-    a, b, c, zeroed = case
-    added, product, negated = dict(a), {}, dict(b)
-    lf._add_poly(added, b)
-    lf._add_product(product, a, b, 1)
-    lf._add_product(negated, a, b, -1)
-    for got, want in (
-        (added, ref.poly_add(a, b)),
-        (lf.poly_scale(c, a), ref.poly_scale(c, a)),
-        (product, ref.poly_mul(a, b)),
-        (negated, ref.poly_add(b, ref.poly_scale(-1, ref.poly_mul(a, b)))),
-        (lf.poly_restrict(a, zeroed), ref.poly_restrict(a, zeroed)),
-    ):
-        assert got == want
-        assert lf.format_poly(got) == ref.format_poly(want)
-    assert int_first(product)
-    assert int_first(lf.poly_scale(c, a))
+@given(charts().flatmap(lambda c: form_pairs(c)))
+def test_packed_round_trip_keeps_terms(pair):
+    """The decoded `terms` of a packed form pack back to the same form: equal
+    terms, coefficient types and hash, the reference's values, and each
+    polynomial printed as the reference prints it; the view is read-only."""
+    f, f_ref = pair
+    again = lf.LogPolyForm(f.chart, f.terms)
+    assert again.terms == f.terms == f_ref.terms
+    assert again == f and hash(again) == hash(f)
+    assert coefficient_types(again) == coefficient_types(f)
+    for b, p in f.terms.items():
+        assert lf.format_poly(p) == ref.format_poly(f_ref.terms[b])
+    with pytest.raises(TypeError):
+        f.terms[frozenset()] = {}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 23])
@@ -325,12 +314,11 @@ def test_chart_tables_match_reference_on_every_slice(chart):
             )
 
 
-def test_equal_charts_built_apart_share_their_tables():
+def test_equal_charts_built_apart_share_one_layout():
     for chart in SLICES:
         twin = lf.LogChart(chart.n, chart.l, chart.k, set(chart.ideal), set(chart.omitted))
         assert twin == chart and twin is not chart
-        for table in (lf._wedge_table, lf._d_table, lf._pole_table):
-            assert table(twin) is table(chart)
+        assert lf._layout(twin) is lf._layout(chart)
     for chart in FUZZ_CHARTS:
         twin = lf.LogChart(chart.n, chart.l, chart.k, set(chart.ideal))
         sliced = lf._slice_chart(chart, chart.residue_set)

@@ -31,8 +31,15 @@ import io
 import json
 import os
 import pathlib
+import sys
 
-from nchodge import (
+HERE = pathlib.Path(__file__).resolve().parent.parent
+GOLDEN = HERE / "tests" / "golden_outputs.json"
+
+# the checkout's own package, so the script runs from a bare checkout
+sys.path.insert(0, str(HERE / "src"))
+
+from nchodge import (  # noqa: E402
     BUILTIN_NAMES,
     SELECTORS,
     builtin_atlas,
@@ -40,9 +47,6 @@ from nchodge import (
     generic_arrangement,
     key_to_string,
 )
-
-HERE = pathlib.Path(__file__).resolve().parent.parent
-GOLDEN = HERE / "tests" / "golden_outputs.json"
 
 EMPTY_DIVISOR = "--family generic --dim 2 --hyperplanes 0"
 ATLAS_FLAGS = tuple(f"--family {name}" for name in BUILTIN_NAMES) + (
