@@ -6,7 +6,9 @@ with rational entries.  A matrix stores one tuple of sparse rows
 Fraction (an integral Fraction becomes an int again); products, sums, block
 placement and elimination all read and build these rows.  What the module
 hands out is dense: vectors are tuples of Fractions, and `rows` is a dense
-view of Fractions built on each access.  `reduce` is the one elimination:
+view of Fractions built on each access.  The one exception is
+`apply_sparse`, the one matrix-vector product, which takes and returns
+`{index: value}`; `apply` is its dense view.  `reduce` is the one elimination:
 `rank`, `solve` (a whole batch of right-hand sides at once) and
 `cohomology_at` read the RREF it returns.  It takes a matrix's stored rows
 in increasing order of their number of nonzeros (a stable sort) and pivots
@@ -57,10 +59,11 @@ def int_first(x):
     return x if type(x) is int or x.denominator != 1 else x.numerator
 
 
-def _sparse(entries: Sequence) -> SparseRow:
-    """The nonzero entries of a dense row; `_frac` checks each non-int."""
+def _nonzero(pairs) -> SparseRow:
+    """{column: value} of the (column, value) pairs with a nonzero value,
+    integer-first; `_frac` checks each non-int."""
     out: SparseRow = {}
-    for j, x in enumerate(entries):
+    for j, x in pairs:
         if type(x) is not int:
             x = int_first(x if type(x) is Fraction else _frac(x))
         if x:
@@ -68,15 +71,9 @@ def _sparse(entries: Sequence) -> SparseRow:
     return out
 
 
-def _sparse_items(v: dict, length: int):
-    """The nonzero (column, value) pairs of {column: value}, integer-first."""
-    for j, x in v.items():
-        if not 0 <= j < length:
-            raise DimensionMismatch(f"column {j} outside 0..{length - 1}")
-        if type(x) is not int:
-            x = int_first(x if type(x) is Fraction else _frac(x))
-        if x:
-            yield j, x
+def _sparse(entries: Sequence) -> SparseRow:
+    """The nonzero entries of a dense row."""
+    return _nonzero(enumerate(entries))
 
 
 def _dense(row: SparseRow, length: int) -> Vector:
@@ -236,18 +233,15 @@ class RationalMatrix:
             raise DimensionMismatch(
                 f"matrix has {self.ncols} columns, vector has {len(v)}"
             )
-        right = _sparse(v).items()
-        out = []
-        for row in self._rows:
-            total = sum(row[i] * x for i, x in right if i in row)
-            out.append(_frac(total) if total else _ZERO)
-        return tuple(out)
+        return _dense(self.apply_sparse(dict(enumerate(v))), self.nrows)
 
     def apply_sparse(self, v: dict) -> SparseRow:
         """`self @ v` for v given as {column: value}, as an integer-first
         {row: value} without zeros; reads each row only at the columns where
         v has a nonzero entry."""
-        right = list(_sparse_items(v, self.ncols))
+        if v and not 0 <= min(v) <= max(v) < self.ncols:
+            raise DimensionMismatch(f"columns {sorted(v)} reach outside 0..{self.ncols - 1}")
+        right = _nonzero(v.items()).items()
         out: SparseRow = {}
         for i, row in enumerate(self._rows):
             total = 0

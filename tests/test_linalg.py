@@ -53,7 +53,7 @@ class TestRationalMatrix:
         with pytest.raises(AttributeError):
             m.rows = ()
 
-    def test_apply_sparse_matches_apply(self):
+    def test_apply_sparse_and_apply_match_dot_products(self):
         rng = random.Random(5)
         for _ in range(40):
             nrows, ncols = rng.randrange(0, 5), rng.randrange(1, 5)
@@ -61,8 +61,10 @@ class TestRationalMatrix:
                    for _ in range(nrows)], ncols=ncols)
             v = [Fraction(rng.randrange(-2, 3), rng.randrange(1, 4)) for _ in range(ncols)]
             got = m.apply_sparse({j: x for j, x in enumerate(v) if rng.randrange(2) or x})
-            want = m.apply(v)
+            want = [sum(a * x for a, x in zip(row, v)) for row in m.rows]
             assert got == {i: x for i, x in enumerate(want) if x}
+            assert m.apply(v) == tuple(Fraction(x) for x in want)
+            assert all(type(x) is Fraction for x in m.apply(v))
             assert all(type(x) is (int if x.denominator == 1 else Fraction)
                        for x in got.values())
             assert m.apply_sparse(dict(enumerate(v))) == got
