@@ -246,6 +246,10 @@ class StrataAtlas:
         """True iff `below` is contained in the closure of `above`."""
         return below in self._descendants[above]
 
+    def descendants(self, key: StratumKey) -> frozenset[StratumKey]:
+        """The strata contained in the closure of `key`, itself included."""
+        return self._descendants[key]
+
     def intersection_components(self, indices, under) -> tuple[StratumKey, ...]:
         """Components with the given index set lying inside all of `under`."""
         return tuple(

@@ -18,6 +18,14 @@ is a subcomplex, and twists >= 1 its quotient, with no residue block into 0:
     ambient    rows_log, nbhd:<key>      rows_constant    coker_u_rows
     divisor    rows_semisimplicial_log   rows_sum_strata  coker_v_rows
 
+Residue sets come from the strata lattice: along a stratum C, each stratum T
+under it (StrataAtlas.descendants) has the residue sets (I_T - I_C) + S for
+S a subset of I_C, so the work follows the lattice, not the 2^m subsets of
+the components.  Within one builder call each distinct Chern, Gysin or
+restriction block is built once and negated once, a twist only re-keys its
+types, every term pair gets its own dict, and a residue or Cech step lands
+on a term already built.
+
 Simplex convention: every term names the stratum whose Cech simplex or
 punctured neighborhood it sits on.  Constant and log terms sit on the
 ambient stratum, a divisor term on its own stratum, and a term of the
@@ -60,7 +68,7 @@ from .errors import (
     NotChainMap,
     UnknownStratum,
 )
-from .linalg import RationalMatrix, Vector, rank, unit_vector
+from .linalg import RationalMatrix, Vector, rank
 from .rings import Bidegree
 
 TermBlock = dict[Bidegree, RationalMatrix]  # keyed by twisted (a, b)
@@ -126,12 +134,6 @@ def term_slices(atlas: StrataAtlas, term: PureTerm) -> tuple[tuple[Bidegree, int
     )
 
 
-def scale_block(block: TermBlock, sign: int) -> TermBlock:
-    if sign == 1:
-        return dict(block)
-    return {ab: mat.scale(sign) for ab, mat in block.items()}
-
-
 def identity_term_block(atlas: StrataAtlas, term: PureTerm) -> TermBlock:
     return {ab: RationalMatrix.identity(d) for ab, d in term_slices(atlas, term)}
 
@@ -146,16 +148,33 @@ def map_term_block(raw: BlockMap, j: int, twist: int) -> TermBlock:
     return out
 
 
-def _chern_block(atlas, a: int, tkey, j, twist) -> TermBlock:
-    ring = atlas.ring(tkey)
-    cls = atlas.divisor_class(a, tkey)
-    out: TermBlock = {}
-    for (ab, d) in ring.slices(j):
-        target = ring.slice_dim(j + 2, (ab[0] + 1, ab[1] + 1))
-        if target == 0:
-            continue
-        out[(ab[0] + twist, ab[1] + twist)] = ring.mult_operator(2, (1, 1), cls, j, ab)
-    return out
+def _block_maker(atlas: StrataAtlas):
+    """`block(kind, s, t, j, twist, sign)`: the degree-j block of the Chern
+    class of component t on stratum s ("c"), of the Gysin map s -> t ("g") or
+    of the restriction s -> t ("r"), keyed by twisted type, times the sign, in
+    a fresh dict.  Each distinct block is made once, and its matrices negated
+    once, per maker; a maker lives for one builder call, and it does not call
+    itself, so no reference cycle keeps its memo alive after the call."""
+    made: dict[tuple, TermBlock] = {}
+
+    def block(kind, s, t, j: int, twist: int, sign: int) -> TermBlock:
+        got = made.get((kind, s, t, j, sign))
+        if got is None:
+            got = made.get((kind, s, t, j, 1))
+            if got is None:
+                if kind == "c":  # into the degree j + 2 slices that exist
+                    ring, cls = atlas.ring(s), atlas.divisor_class(t, s)
+                    got = {ab: ring.mult_operator(2, (1, 1), cls, j, ab) for ab, _ in ring.slices(j)
+                           if ring.slice_dim(j + 2, (ab[0] + 1, ab[1] + 1))}
+                else:
+                    maps = atlas.gysin_map if kind == "g" else atlas.rho
+                    got = map_term_block(maps(s, t), j, 0)
+                made[(kind, s, t, j, 1)] = got
+            if sign < 0:
+                got = made[(kind, s, t, j, -1)] = {ab: mat.scale(-1) for ab, mat in got.items()}
+        return {(a + twist, b + twist): mat for (a, b), mat in got.items()}
+
+    return block
 
 
 class WeightRow:
@@ -191,25 +210,26 @@ def _place_blocks(
 ) -> dict[tuple[int, int, Bidegree], RationalMatrix]:
     """Sum term-to-term blocks into one matrix per (q, source degree, type),
     placing each block at its terms' offsets in the source and target rows."""
-    placed: dict[tuple[int, int, Bidegree], tuple[tuple[int, int], list]] = {}
+    placed: dict[tuple[int, int, Bidegree], tuple[int, list]] = {}  # -> (m2, parts)
     for (t1, t2), block in blocks.items():
         q, m1, m2 = t1.q, t1.m, t2.m
-        src_row = source.row(q)
-        dst_row = target.row(t2.q)
+        src_row, dst_row = source.row(q), target.row(t2.q)
+        src, dst = src_row.layout, dst_row.layout
         for ab, mat in block.items():
-            off1, d1 = src_row.offset(m1, t1, ab)
-            off2, d2 = dst_row.offset(m2, t2, ab)
+            # a missing slice is named by offset()
+            off1, d1 = src.get((m1, ab), {}).get(t1) or src_row.offset(m1, t1, ab)
+            off2, d2 = dst.get((m2, ab), {}).get(t2) or dst_row.offset(m2, t2, ab)
             if mat.shape != (d2, d1):
                 raise DimensionMismatch(
                     f"block {t1.describe()} -> {t2.describe()} at {ab}: "
                     f"shape {mat.shape}, expected {(d2, d1)}"
                 )
-            shape = (dst_row.dims[(m2, ab)], src_row.dims[(m1, ab)])
-            _, parts = placed.setdefault((q, m1, ab), (shape, []))
-            parts.append((off2, off1, mat))
+            placed.setdefault((q, m1, ab), (m2, []))[1].append((off2, off1, mat))
     return {
-        key: RationalMatrix.from_blocks(*shape, parts)
-        for key, (shape, parts) in placed.items()
+        (q, m1, ab): RationalMatrix.from_blocks(
+            target.rows[q].dims[(m2, ab)], source.rows[q].dims[(m1, ab)], parts
+        )
+        for (q, m1, ab), (m2, parts) in placed.items()
     }
 
 
@@ -315,13 +335,6 @@ class RowFamily:
                 out[(terms[k], ab)] = tuple(Fraction(image.get(i, 0)) for i in range(off, off + d))
         return out
 
-    def iter_basis(self):
-        """Yield (q, m, ab, elem) for every basis vector of every slot."""
-        for q, m, ab in self.slots():
-            for t, (off, d) in self.rows[q].layout[(m, ab)].items():
-                for i in range(d):
-                    yield q, m, ab, {(t, ab): unit_vector(d, i)}
-
     def differentials_square_to_zero(self) -> bool:
         for q, m, ab in self.slots():
             row = self.rows[q]
@@ -416,7 +429,7 @@ class _Cone(RowFamily):
         src, tgt, f = mor.source.blocks, mor.target.blocks, mor.blocks
         ends = ((src, s, s, 1), (tgt, t, t, -1), (f, s, t, 1))
         return {
-            (left[t1], right[t2]): scale_block(block, sign)
+            (left[t1], right[t2]): {ab: mat.scale(sign) for ab, mat in block.items()}
             for blocks, left, right, sign in ends
             for (t1, t2), block in blocks.items()
         }
@@ -440,59 +453,76 @@ def cone_rows(morphism: RowMorphism) -> RowFamily:
 # -- the seven builders -------------------------------------------------------
 
 
-def _cech_blocks(atlas: StrataAtlas, terms):
+def _cech_blocks(atlas: StrataAtlas, terms, targets):
     """One Cech step out of each term's simplex: restrict to the meet of each
-    child simplex with the term's stratum, landing on the child's level
-    (level 0 from the ambient)."""
+    child simplex with the term's stratum, landing among `targets` on the
+    child's level (level 0 from the ambient)."""
+    block = _block_maker(atlas)
+    found = {(t.stratum, t.j, t.k, t.simp, t.res): t for t in targets}
+    steps: dict[tuple[StratumKey, StratumKey], list] = {}  # (simp, stratum) -> steps
     blocks: dict[tuple[PureTerm, PureTerm], TermBlock] = {}
     for t in terms:
-        carried = set(t.simp[0])
-        for b in range(len(atlas.components)):
-            if b in carried:
-                continue
-            sign = -1 if sum(1 for i in carried if i < b) % 2 else 1
-            for c2 in atlas.children.get((t.simp, b), ()):
-                for wkey in atlas.meet(c2, t.stratum):
-                    block = map_term_block(atlas.rho(t.stratum, wkey), t.j, t.k)
-                    if block:
-                        level = len(c2[0]) - 1
-                        t2 = PureTerm(wkey, t.j, t.k, level, simp=c2, res=t.res)
-                        blocks[(t, t2)] = scale_block(block, sign)
+        carried = t.simp[0]
+        here = steps.get((t.simp, t.stratum))
+        if here is None:
+            here = steps[(t.simp, t.stratum)] = [
+                (-1 if sum(1 for i in carried if i < b) % 2 else 1, c2, wkey)
+                for b in range(len(atlas.components))
+                if b not in carried
+                for c2 in atlas.children.get((t.simp, b), ())
+                for wkey in atlas.meet(c2, t.stratum)
+            ]
+        for sign, c2, wkey in here:
+            made = block("r", t.stratum, wkey, t.j, t.k, sign)
+            if made:
+                blocks[(t, found[(wkey, t.j, t.k, c2, t.res)])] = made
     return blocks
 
 
-def _stratum_log_data(atlas: StrataAtlas, ckey: StratumKey, p: int, twists: range):
-    """Terms and residue-direction blocks of the log family along one stratum,
-    for the residue sets whose sizes (twists) lie in `twists`.  A residue
-    block lowers the twist by one, so a block into a twist below the range
-    is dropped: that takes the quotient by the lower twists."""
-    carried = set(ckey[0])
-    ncomp = len(atlas.components)
-    terms = []
-    for size in twists:
-        for J in itertools.combinations(range(ncomp), size):
-            for tkey in atlas.intersection_components(carried | set(J), [ckey]):
-                for j in atlas.ring(tkey).degrees():
-                    terms.append(PureTerm(tkey, j, size, p, simp=ckey, res=J))
+def _stratum_log_data(atlas: StrataAtlas, levels, twists: range):
+    """Terms and residue-direction blocks of the log family along each
+    stratum C of `levels`, (C, Cech level p) pairs, for the residue sets whose
+    sizes (twists) lie in `twists`.  A residue block lowers the twist by one,
+    so a block into a twist below the range is dropped: that takes the
+    quotient by the lower twists."""
+    block = _block_maker(atlas)
+    terms: list[PureTerm] = []
     blocks: dict[tuple[PureTerm, PureTerm], TermBlock] = {}
-    for t in terms:
-        if t.k - 1 not in twists:
-            continue
-        for r, a in enumerate(t.res):
-            rest = tuple(x for x in t.res if x != a)
-            if a in carried:
-                block = _chern_block(atlas, a, t.stratum, t.j, t.k)
-                tkey = t.stratum
-            else:
-                tkey = atlas.parent[(t.stratum, a)]
-                if not atlas.leq(tkey, ckey):
-                    raise LatticeError(
-                        f"stratum {tkey} escapes {ckey} while removing {a}"
-                    )
-                block = map_term_block(atlas.gysin_map(t.stratum, tkey), t.j, t.k)
-            if block:
-                t2 = PureTerm(tkey, t.j + 2, t.k - 1, p, simp=ckey, res=rest)
-                blocks[(t, t2)] = scale_block(block, -1 if (r + p) % 2 else 1)
+    for ckey, p in levels:
+        carried, under = ckey[0], atlas.descendants(ckey)
+        # the residue sets J with I_C + J = I_T of each stratum T under C are
+        # (I_T - I_C) + S for S a subset of I_C; terms go by |J|, J, T, degree
+        sets = sorted(
+            (len(J), J, tkey)
+            for tkey in under
+            for n in range(len(carried) + 1)
+            for S in itertools.combinations(carried, n)
+            for J in [tuple(sorted(set(tkey[0]).difference(carried).union(S)))]
+            if len(J) in twists
+        )
+        here = {
+            (tkey, j, J): PureTerm(tkey, j, size, p, simp=ckey, res=J)
+            for size, J, tkey in sets
+            for j in atlas.ring(tkey).degrees()
+        }
+        for t in here.values():
+            if t.k - 1 not in twists:
+                continue
+            for r, a in enumerate(t.res):
+                sign = -1 if (r + p) % 2 else 1
+                if a in carried:
+                    tkey, made = t.stratum, block("c", t.stratum, a, t.j, t.k, sign)
+                else:
+                    tkey = atlas.parent[(t.stratum, a)]
+                    if tkey not in under:
+                        raise LatticeError(
+                            f"stratum {tkey} escapes {ckey} while removing {a}"
+                        )
+                    made = block("g", t.stratum, tkey, t.j, t.k, sign)
+                if made:
+                    rest = t.res[:r] + t.res[r + 1:]
+                    blocks[(t, here[(tkey, t.j + 2, rest)])] = made
+        terms.extend(here.values())
     return tuple(terms), blocks
 
 
@@ -500,10 +530,8 @@ def _divisor_log_data(atlas: StrataAtlas, twists: range):
     """Terms and blocks of the log family over the semisimplicial divisor:
     each component meet's stratum-log terms at its Cech level (none if empty)."""
     levels = [(ckey, len(ckey[0]) - 1) for ckey in atlas.keys_sorted() if ckey[0]]
-    data = [_stratum_log_data(atlas, ckey, p, twists) for ckey, p in levels]
-    terms = tuple(t for more, _ in data for t in more)
-    blocks = {pair: block for _, more in data for pair, block in more.items()}
-    return terms, {**blocks, **_cech_blocks(atlas, terms)}
+    terms, blocks = _stratum_log_data(atlas, levels, twists)
+    return terms, {**blocks, **_cech_blocks(atlas, terms, terms)}
 
 
 def _twists(atlas: StrataAtlas, lowest: int) -> range:
@@ -513,7 +541,7 @@ def _twists(atlas: StrataAtlas, lowest: int) -> range:
 
 def rows_constant(atlas: StrataAtlas) -> RowFamily:
     """Cohomology of the ambient space: the twist-zero log terms."""
-    return RowFamily(atlas, "X", *_stratum_log_data(atlas, atlas.x_key, 0, range(1)))
+    return RowFamily(atlas, "X", *_stratum_log_data(atlas, [(atlas.x_key, 0)], range(1)))
 
 
 def rows_sum_strata(atlas: StrataAtlas) -> RowFamily:
@@ -524,7 +552,7 @@ def rows_sum_strata(atlas: StrataAtlas) -> RowFamily:
 def rows_log(atlas: StrataAtlas) -> RowFamily:
     """Weight rows of the open complement: the punctured neighborhood of the
     ambient stratum, with residues along every deeper stratum."""
-    data = _stratum_log_data(atlas, atlas.x_key, 0, _twists(atlas, 0))
+    data = _stratum_log_data(atlas, [(atlas.x_key, 0)], _twists(atlas, 0))
     return RowFamily(atlas, "log", *data)
 
 
@@ -532,7 +560,7 @@ def rows_stratum_log(atlas: StrataAtlas, ckey: StratumKey) -> RowFamily:
     """Weight rows of a punctured neighborhood of one closed stratum."""
     if ckey not in atlas.strata:
         raise UnknownStratum(f"no stratum {ckey} in atlas")
-    data = _stratum_log_data(atlas, ckey, 0, _twists(atlas, 0))
+    data = _stratum_log_data(atlas, [(ckey, 0)], _twists(atlas, 0))
     return RowFamily(atlas, f"nbhd:{key_to_string(ckey)}", *data)
 
 
@@ -544,7 +572,7 @@ def rows_semisimplicial_log(atlas: StrataAtlas) -> RowFamily:
 def coker_u_rows(atlas: StrataAtlas) -> RowFamily:
     """rows_log modulo the image of the constant rows, its positive twists;
     H^{m-1} of this family is the local cohomology H^m_D of the ambient space."""
-    data = _stratum_log_data(atlas, atlas.x_key, 0, _twists(atlas, 1))
+    data = _stratum_log_data(atlas, [(atlas.x_key, 0)], _twists(atlas, 1))
     return RowFamily(atlas, "coker(u)", *data)
 
 
@@ -558,7 +586,7 @@ def coker_v_rows(atlas: StrataAtlas) -> RowFamily:
 
 def morphism_i_star(atlas: StrataAtlas, fx: RowFamily, fd: RowFamily) -> RowMorphism:
     """Restriction from the ambient space to the divisor components."""
-    return RowMorphism(fx, fd, _cech_blocks(atlas, fx.terms), label="i*")
+    return RowMorphism(fx, fd, _cech_blocks(atlas, fx.terms, fd.terms), label="i*")
 
 
 def _inclusion(
@@ -583,7 +611,7 @@ def morphism_log_restriction(
     atlas: StrataAtlas, flog: RowFamily, fss: RowFamily
 ) -> RowMorphism:
     """Restrict log rows to the level-zero semisimplicial pieces."""
-    blocks = _cech_blocks(atlas, flog.terms)
+    blocks = _cech_blocks(atlas, flog.terms, fss.terms)
     return RowMorphism(flog, fss, blocks, label="restriction")
 
 

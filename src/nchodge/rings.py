@@ -103,14 +103,17 @@ class PureHodgeRing:
     def mult_operator(
         self, j1: int, ab1: Bidegree, x: Vector, j2: int, ab2: Bidegree
     ) -> RationalMatrix:
-        """Matrix of `x * -` from slice (j2, ab2) to the target slice."""
+        """Matrix of `x * -` from slice (j2, ab2) to the target slice: the
+        stored sheets, each times its coordinate of x, summed."""
         target_dim = self.slice_dim(j1 + j2, (ab1[0] + ab2[0], ab1[1] + ab2[1]))
         right_dim = self.slice_dim(j2, ab2)
-        columns = [
-            self.mult_apply(j1, ab1, x, j2, ab2, unit_vector(right_dim, m))
-            for m in range(right_dim)
-        ]
-        return RationalMatrix.from_columns(columns, target_dim)
+        tensors = self.mult.get(((j1, ab1[0], ab1[1]), (j2, ab2[0], ab2[1])))
+        if tensors is None or target_dim == 0 or right_dim == 0:
+            return RationalMatrix.zeros(target_dim, right_dim)
+        if len(x) != len(tensors):
+            raise DimensionMismatch("left factor length disagrees with slice")
+        sheets = [(0, 0, sheet.scale(c)) for c, sheet in zip(x, tensors) if c]
+        return RationalMatrix.from_blocks(target_dim, right_dim, sheets)
 
     def product(self, x: GradedVector, y: GradedVector) -> GradedVector:
         """x*y in the slice it lands in (zeros if that slice is absent)."""

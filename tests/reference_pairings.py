@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import weakref
 
+from family_basis import iter_basis
 from reference_linalg import solve
 
 from nchodge.atlas import StrataAtlas, restrict
@@ -108,10 +109,10 @@ def evaluate(pairing: GradedPairing, left_elem: Element, right_elem: Element) ->
 
 def chain_map_check(pairing: GradedPairing) -> bool:
     """Leibniz identity d(xy) = dx.y + (-1)^deg(x) x.dy on every basis pair."""
-    left_basis = list(pairing.left.iter_basis())
+    left_basis = list(iter_basis(pairing.left))
     right_basis = [
         (q2, m2, ab2, e2, pairing.right.apply_d(q2, m2, e2))
-        for q2, m2, ab2, e2 in pairing.right.iter_basis()
+        for q2, m2, ab2, e2 in iter_basis(pairing.right)
     ]
     for q1, m1, ab1, e1 in left_basis:
         de1 = pairing.left.apply_d(q1, m1, e1)

@@ -1,14 +1,18 @@
 import dataclasses
 import functools
+import gc
 import hashlib
 import math
+import random
 import re
 from fractions import Fraction
 
 import pytest
 
 import reference_tables as ref
-from nchodge.atlas import generic_arrangement, key_to_string
+from family_basis import iter_basis
+from nchodge.atlas import StrataAtlas, generic_arrangement, key_to_string
+from nchodge.cli import main
 from nchodge.complexes import (
     SELECTORS,
     PureTerm,
@@ -27,7 +31,6 @@ from nchodge.complexes import (
     rows_semisimplicial_log,
     rows_stratum_log,
     rows_sum_strata,
-    scale_block,
     term_slices,
 )
 from nchodge.errors import (
@@ -38,7 +41,8 @@ from nchodge.errors import (
     UnknownStratum,
 )
 from nchodge.fixtures import BUILTIN_NAMES, builtin_atlas
-from nchodge.linalg import RationalMatrix
+from nchodge.linalg import RationalMatrix, vector
+from nchodge.rings import PureHodgeRing, _unit_tensors
 from nchodge.tables import compute_table, euler_check
 from test_atlas import _conic_and_line
 
@@ -81,7 +85,7 @@ class TestDifferentials:
 
 def _scaled(blocks, pair, factor):
     """The block dict with the one block at `pair` scaled by `factor`."""
-    return {**blocks, pair: scale_block(blocks[pair], factor)}
+    return {**blocks, pair: ref.scale_block(blocks[pair], factor)}
 
 
 def _failures_under_doubling(family):
@@ -571,7 +575,7 @@ TWIST_ATLASES = [
     for name in BUILTIN_NAMES
 ] + [
     pytest.param(functools.partial(generic_arrangement, n, m), id=f"generic({n},{m})")
-    for n, m in [(2, 4), (3, 4), (2, 0)]
+    for n, m in [(2, 4), (3, 4), (2, 0), (3, 5)]
 ] + [pytest.param(_conic_and_line, id="conic+line")]
 
 TWIST_BUILDERS = {
@@ -612,6 +616,150 @@ class TestTwistRanges:
         assert len(placed) == 2
 
 
+FROZEN_BUILDERS = {
+    "log": (rows_log, ref.rows_log),
+    "sslog": (rows_semisimplicial_log, ref.rows_semisimplicial_log),
+    **{
+        selector: (functools.partial(build, selector=selector),
+                   functools.partial(ref.build, selector=selector))
+        for selector in ref.CONES
+    },
+}
+
+
+class TestFrozenBuilders:
+    """The builders equal the frozen 2^m-scan generators, column-by-column
+    ring operator and sign copies they replace (tests/reference_tables.py);
+    TestTwistRanges compares X, D, coker(u) and coker(v) on the same atlases."""
+
+    @pytest.mark.parametrize("name", list(FROZEN_BUILDERS))
+    @pytest.mark.parametrize("make", TWIST_ATLASES)
+    def test_matches_reference_builder(self, make, name):
+        atlas = make()
+        build_rows, reference = FROZEN_BUILDERS[name]
+        TestConeAssembly.assert_same_cone(build_rows(atlas), reference(atlas))
+
+    @pytest.mark.parametrize("make", TWIST_ATLASES)
+    def test_every_neighborhood_matches_reference(self, make):
+        atlas = make()
+        for key in atlas.keys_sorted():
+            TestConeAssembly.assert_same_cone(
+                rows_stratum_log(atlas, key), ref.rows_stratum_log(atlas, key)
+            )
+
+    @staticmethod
+    def assert_mult_operator_matches(ring, rng, classes=()):
+        """On every pair of ring slices, with seeded random vectors (zeros
+        among their entries) and, on H^2 of type (1,1), `classes` as left
+        factors."""
+        slices = [(j, ab, d) for j in ring.degrees() for ab, d in ring.slices(j)]
+        for j1, ab1, d1 in slices:
+            lefts = [
+                tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(d1))
+                for _ in range(3)
+            ]
+            if (j1, ab1) == (2, (1, 1)):
+                lefts += list(classes)
+            for x in lefts:
+                for j2, ab2, _ in slices:
+                    got = ring.mult_operator(j1, ab1, x, j2, ab2)
+                    want = ref.mult_operator(ring, j1, ab1, x, j2, ab2)
+                    assert got == want, (j1, ab1, x, j2, ab2)
+
+    @pytest.mark.parametrize("make", TWIST_ATLASES)
+    def test_mult_operator_matches_reference(self, make):
+        atlas = make()
+        rng = random.Random(5)
+        for key in atlas.keys_sorted():
+            classes = [atlas.divisor_class(a, key) for a in range(len(atlas.components))]
+            self.assert_mult_operator_matches(atlas.ring(key), rng, classes)
+
+    def test_mult_operator_sums_every_sheet(self):
+        """The atlases' slices are one-dimensional, so each has one sheet;
+        on P^1 x P^1, H^2 has two, and their order and sum show."""
+        hodge = {0: {(0, 0): 1}, 2: {(1, 1): 2}, 4: {(2, 2): 1}}
+        mult = _unit_tensors(hodge)
+        # the rulings a, b: a.a = b.b = 0 and a.b = b.a = the point
+        mult[((2, 1, 1), (2, 1, 1))] = [RationalMatrix([[0, 1]]), RationalMatrix([[1, 0]])]
+        ring = PureHodgeRing(2, hodge, mult, vector([1]), vector([1]))
+        self.assert_mult_operator_matches(ring, random.Random(5))
+
+    @pytest.mark.parametrize("make", TWIST_ATLASES)
+    def test_no_two_term_pairs_share_a_block(self, make):
+        """Each term pair owns its block dict, so a test may replace one
+        pair's block without touching another's."""
+        atlas = make()
+        for name, (build_rows, _) in {**TWIST_BUILDERS, **FROZEN_BUILDERS}.items():
+            blocks = build_rows(atlas).blocks.values()
+            assert len({id(block) for block in blocks}) == len(blocks), name
+
+
+    def test_builds_leave_no_reference_cycles(self):
+        """A builder's memo dies with its call: building every family leaves
+        nothing for the cycle collector to free."""
+        atlas = generic_arrangement(3, 5)
+        gc.collect()
+        gc.disable()
+        try:
+            for selector in SELECTORS + ("sslog",):
+                build(atlas, selector)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+class TestManyComponents:
+    """Forty points on the projective line: residue sets come from the
+    strata under each simplex, not from the 2^40 subsets of components."""
+
+    @pytest.fixture(scope="class")
+    def atlas(self):
+        return generic_arrangement(1, 40)
+
+    def test_every_selector(self, atlas):
+        got = {selector: entries(atlas, selector) for selector in SELECTORS + ("sslog",)}
+        # Orlik-Solomon: b0 = 1, and b1 = 39 of weight 2 and type (1,1)
+        assert got["log"] == {0: ((0, (0, 0), 1),), 1: ((2, (1, 1), 39),)}
+        assert got["X"] == {0: ((0, (0, 0), 1),), 2: ((2, (1, 1), 1),)}
+        assert got["D"] == {0: ((0, (0, 0), 40),)}
+        assert got["XD"] == {1: ((0, (0, 0), 39),), 2: ((2, (1, 1), 1),)}
+        assert got["locD"] == {2: ((2, (1, 1), 40),)}
+        assert got["XD-tilde"] == got["XD"]
+        assert got["locD-tilde"] == got["locD"]
+        # a punctured disk around each point
+        assert got["sslog"] == {0: ((0, (0, 0), 40),), 1: ((2, (1, 1), 40),)}
+
+    def test_neighborhoods(self, atlas):
+        assert entries(atlas, "nbhd:") == entries(atlas, "log")
+        for key in ("0", "39"):
+            # a punctured disk
+            got = entries(atlas, f"nbhd:{key}")
+            assert got == {0: ((0, (0, 0), 1),), 1: ((2, (1, 1), 1),)}, key
+
+    def test_verify_all(self, atlas, capsys):
+        argv = "verify --family generic --dim 1 --hyperplanes 40 --suite all"
+        assert main(argv.split()) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
+    def test_lattice_queries_follow_the_lattice(self, monkeypatch):
+        """rows_log asks the lattice at most (number of strata)^2 questions;
+        a scan of every residue set asks one per subset of the 16 points."""
+        atlas = generic_arrangement(1, 16)
+        calls = []
+
+        def counted(query):
+            def wrapper(*args):
+                calls.append(query.__name__)
+                return query(*args)
+            return wrapper
+
+        for name in ("components_of", "intersection_components", "leq", "meet", "descendants"):
+            monkeypatch.setattr(StrataAtlas, name, counted(getattr(StrataAtlas, name)))
+        family = rows_log(atlas)
+        assert len(family.terms) == 2 + 16
+        assert 0 < len(calls) <= len(atlas.strata) ** 2
+
+
 class TestUnflattenLength:
     """unflatten, like flatten, rejects a vector of the wrong length for its
     slot, on a plain slot and on a cone slot."""
@@ -646,7 +794,7 @@ class TestSparseApplyD:
 
         family = cup_log_XD(generic_arrangement(3, 4)).target
         count = 0
-        for q, m, ab, elem in family.iter_basis():
+        for q, m, ab, elem in iter_basis(family):
             got = family.apply_d(q, m, elem)
             assert got == self.dense(family, q, m, elem)
             assert all(type(x) is Fraction for v in got.values() for x in v)

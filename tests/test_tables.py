@@ -13,7 +13,6 @@ from nchodge.complexes import (
     build,
     cone_morphism,
     cone_rows,
-    scale_block,
 )
 from nchodge.errors import NCHodgeError
 from nchodge.fixtures import BUILTIN_NAMES, builtin_atlas
@@ -198,7 +197,7 @@ def _doubled_ends(morphism):
     for end in ("source", "target"):
         family = getattr(morphism, end)
         for pair, block in family.blocks.items():
-            blocks = {**family.blocks, pair: scale_block(block, 2)}
+            blocks = {**family.blocks, pair: ref.scale_block(block, 2)}
             broken = RowFamily(family.atlas, family.label, family.terms, blocks)
             yield dataclasses.replace(morphism, **{end: broken})
 

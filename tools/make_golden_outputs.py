@@ -16,13 +16,15 @@ and 3.  The commands above build their atlas from `--family`; so that the
 document reader is covered too, `compute --config fixtures/<name>.json` runs
 every selector in json on the four committed fixture documents, and one
 larger `compute --family generic --dim 3 --hyperplanes 5 --complex XD-tilde`
-follows.  Five commands close the corpus: `verify --family generic --dim 3
+follows.  Five more follow: `verify --family generic --dim 3
 --hyperplanes 4 --suite les --format json` and the same with `--suite
 fujiki`, `--suite cup` and `--suite consistency`, an arrangement whose cone
 slots hold many terms, and `verify --family generic --dim 4 --hyperplanes 7
---suite les --format json`, the largest run of the sequence checks.  Every
-command runs from the repository root.  tests/test_golden_outputs.py reruns
-them and compares.
+--suite les --format json`, the largest run of the sequence checks.  Two
+more pin the semisimplicial log builders on the largest rung:
+`compute --family generic --dim 4 --hyperplanes 7 --complex XD-tilde
+--format json` and the same for `locD-tilde`.  Every command runs from the
+repository root.  tests/test_golden_outputs.py reruns them and compares.
 """
 
 import contextlib
@@ -96,6 +98,11 @@ def commands() -> list[str]:
     out.append(
         "verify --family generic --dim 4 --hyperplanes 7 --suite les --format json"
     )
+    for selector in ("XD-tilde", "locD-tilde"):
+        out.append(
+            f"compute --family generic --dim 4 --hyperplanes 7 --complex {selector} "
+            "--format json"
+        )
     return out
 
 
