@@ -338,9 +338,13 @@ class StrataAtlas:
     def _compose_path(
         self, skey: StratumKey, path: tuple[tuple[StratumKey, StratumKey], ...]
     ) -> BlockMap:
-        """The restrictions along a path of covers out of `skey`, composed."""
+        """The restrictions along a path of covers out of `skey`, composed from
+        the first cover's blocks on the slices of `skey`'s ring, in order."""
         bm = identity_blockmap(self.ring(skey))
-        for cover in path:
+        if path:
+            first = self.restrictions[path[0]]
+            bm = {key: first[key] for key in bm if key in first}
+        for cover in path[1:]:
             bm = compose_blockmaps(self.restrictions[cover], bm)
         return bm
 

@@ -82,8 +82,8 @@ class PureTerm:
     simp is the stratum whose Cech simplex or neighborhood the piece sits on
     (at simplicial level p), res the residue index set it remembers, side
     the path of cone ends ("s" source, "t" target) holding it, outermost
-    first, and shift its cones' degree shift.  Total degree is j + k + p +
-    shift; the intrinsic weight j + 2k never includes the shift.
+    first, and shift its cones' degree shift.  The total degree m = j + k + p +
+    shift and the weight q = j + 2k, which never includes the shift, are set once.
     """
 
     stratum: StratumKey
@@ -95,21 +95,13 @@ class PureTerm:
     side: str = ""
     shift: int = 0
 
-    def __post_init__(self):
-        # hash the generated __hash__'s tuple once; vars() would give each term a dict
-        fields = (self.stratum, self.j, self.k, self.p, self.simp, self.res)
-        object.__setattr__(self, "_hash", hash((*fields, self.side, self.shift)))
+    def __init__(self, stratum, j, k, p, simp, res=(), side="", shift=0):
+        self.__dict__.update(stratum=stratum, j=j, k=k, p=p, simp=simp, res=res, side=side,
+                             shift=shift, m=j + k + p + shift, q=j + 2 * k,
+                             _hash=hash((stratum, j, k, p, simp, res, side, shift)))
 
     def __hash__(self) -> int:
         return self._hash
-
-    @property
-    def m(self) -> int:
-        return self.j + self.k + self.p + self.shift
-
-    @property
-    def q(self) -> int:
-        return self.j + 2 * self.k
 
     def sort_key(self):
         fields = (self.k, self.p, self.res, self.simp, self.stratum, self.j)
@@ -261,13 +253,16 @@ class RowFamily:
         self.terms = terms
         self.rows: dict[int, WeightRow] = {}
         grouped: dict[int, dict[int, list[PureTerm]]] = {}
+        slices: dict[tuple, tuple] = {}  # (stratum, j, k) -> its terms' slices
         for term in terms:
             grouped.setdefault(term.q, {}).setdefault(term.m, []).append(term)
         for q, per_degree in grouped.items():
             row = self.rows[q] = WeightRow(q)
             for m, ts in per_degree.items():
                 for t in sorted(ts, key=PureTerm.sort_key):
-                    for ab, d in term_slices(atlas, t):
+                    if (t.stratum, t.j, t.k) not in slices:
+                        slices[(t.stratum, t.j, t.k)] = term_slices(atlas, t)
+                    for ab, d in slices[(t.stratum, t.j, t.k)]:
                         offset = row.dims.get((m, ab), 0)
                         row.layout.setdefault((m, ab), {})[t] = (offset, d)
                         row.dims[(m, ab)] = offset + d
@@ -397,15 +392,14 @@ class _Cone(RowFamily):
 
     def __init__(self, morphism: RowMorphism):
         source, target = morphism.source, morphism.target
-        terms = (
-            *(PureTerm(t.stratum, t.j, t.k, t.p, t.simp, t.res, "s" + t.side, t.shift)
-              for t in source.terms),
-            *(PureTerm(t.stratum, t.j, t.k, t.p, t.simp, t.res, "t" + t.side, t.shift + 1)
-              for t in target.terms),
-        )
+        # one rename per side: X's terms equal log's twist-0 terms under u
+        s = {x: PureTerm(x.stratum, x.j, x.k, x.p, x.simp, x.res, "s" + x.side, x.shift)
+             for x in source.terms}
+        t = {x: PureTerm(x.stratum, x.j, x.k, x.p, x.simp, x.res, "t" + x.side, x.shift + 1)
+             for x in target.terms}
         label = f"cone({morphism.label})" if morphism.label else "cone"
-        self._lay_out(source.atlas, label, terms)
-        self.morphism = morphism
+        self._lay_out(source.atlas, label, (*s.values(), *t.values()))
+        self.morphism, self._renamed = morphism, (s, t)
         # d(x, y) = (d_src x, f x - d_tgt y), source slot m over target slot m-1
         for q, row in self.rows.items():
             src, tgt = source.row(q), target.row(q)
@@ -422,10 +416,7 @@ class _Cone(RowFamily):
     @functools.cached_property
     def blocks(self) -> dict[tuple[PureTerm, PureTerm], TermBlock]:
         """The source's, target's (negated) and morphism's blocks, relabelled."""
-        mor = self.morphism
-        split = len(mor.source.terms)
-        s = dict(zip(mor.source.terms, self.terms[:split]))
-        t = dict(zip(mor.target.terms, self.terms[split:]))
+        mor, (s, t) = self.morphism, self._renamed
         src, tgt, f = mor.source.blocks, mor.target.blocks, mor.blocks
         ends = ((src, s, s, 1), (tgt, t, t, -1), (f, s, t, 1))
         return {

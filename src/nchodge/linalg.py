@@ -318,16 +318,16 @@ class EchelonSpan:
         self.length = length
         self._basis: dict[int, SparseRow] = {}
 
-    def _row(self, v: Sequence) -> SparseRow:
-        if len(v) != self.length:
-            raise DimensionMismatch("vector length disagrees with span arity")
-        return _sparse(v)
+    def _row(self, v: dict) -> SparseRow:
+        if v and not 0 <= min(v) <= max(v) < self.length:
+            raise DimensionMismatch(f"columns {sorted(v)} reach outside 0..{self.length - 1}")
+        return _nonzero(v.items())
 
-    def add(self, v: Sequence) -> bool:
-        """Add `v` to the span; True iff it was independent of the span."""
+    def add(self, v: dict) -> bool:
+        """Add the row `v`, {column: value}; True iff it was independent of the span."""
         return _absorb(self._basis, self._row(v))
 
-    def contains(self, v: Sequence) -> bool:
+    def contains(self, v: dict) -> bool:
         return not _residual(self._basis, self._row(v))
 
     @property

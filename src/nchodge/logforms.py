@@ -34,7 +34,8 @@ disjoint masks, for `wedge` and `residue`), `d` (B -> (field, shift, key
 delta, sign) per live i outside B, for `exterior_d`), `poles` (B -> count
 and guard bits of B's divisor indices, for `weight_level`) and `pool`
 (degree -> the packed `_exponent_pool`).  `_slice_chart` keeps each
-`chart.restrict(I)`.  None of them holds a form or a result.
+`chart.restrict(I)`.  None of them holds a form or a result.  A form keeps
+its degree once it is found.
 
 The public `LogPolyForm(chart, terms)` checks and converts caller data, and
 every function that takes caller data goes through it: `form`, `xi`,
@@ -48,7 +49,10 @@ adds a live index missing from the basis and lowers only a positive
 exponent; `residue` keeps the monomials that vanish on the slice and strips
 the sliced indices; and the random forms and the claim's generators draw
 live bases and exponents from the packed pool, which skips every omitted
-coordinate.
+coordinate.  `_draw` (each monomial and coefficient) and `_sample` (each
+basis and pick) read `rng.getrandbits` through `_below`, as the stdlib's
+`randrange`, `choice` and `sample` read it, so a seed draws the same forms
+from the same stream at less cost.
 """
 
 from __future__ import annotations
@@ -306,7 +310,7 @@ _set = object.__setattr__
 class LogPolyForm:
     """Finite sum of poly * xi_B terms on one chart."""
 
-    __slots__ = ("chart", "_nums", "_den")
+    __slots__ = ("chart", "_nums", "_den", "_degree")
 
     def __init__(self, chart: LogChart, terms: dict):
         n = chart.n
@@ -377,12 +381,14 @@ class LogPolyForm:
         return not self._nums
 
     def degree(self) -> int | None:
-        """Form degree; None for the zero form."""
-        mask = (1 << self.chart.n) - 1
-        sizes = {(key & mask).bit_count() for key in self._nums}
-        if len(sizes) > 1:
-            raise NonHomogeneous(f"mixed form degrees {sorted(sizes)}")
-        return sizes.pop() if sizes else None
+        """Form degree; None for the zero form.  A form keeps it once found."""
+        if not hasattr(self, "_degree"):
+            mask = (1 << self.chart.n) - 1
+            sizes = {(key & mask).bit_count() for key in self._nums}
+            if len(sizes) > 1:
+                raise NonHomogeneous(f"mixed form degrees {sorted(sizes)}")
+            _set(self, "_degree", sizes.pop() if sizes else None)
+        return self._degree
 
     def monomials(self):
         """Yield (B, exponents, coefficient) over all monomial terms."""
@@ -613,20 +619,6 @@ def _exponent_pool(n: int, degree: int, omitted: frozenset[int]) -> tuple[Expone
     )
 
 
-def _monomial_index(a: LogPolyForm, index: dict) -> None:
-    for key in a._nums:
-        index.setdefault(key, len(index))
-
-
-def _flatten(a: LogPolyForm, index: dict) -> list:
-    """The form's numerators at its keys' places in `index`: a multiple of
-    its coefficient vector by the denominator, so the same line."""
-    vec = [0] * len(index)
-    for key, v in a._nums.items():
-        vec[index[key]] = v
-    return vec
-
-
 def ideal_weight_generators(chart: LogChart, p: int, degree_bound: int):
     """Monomial forms z^E xi_B spanning (ideal * forms) cap W_k in degree p,
     with coefficient degree at most `degree_bound`."""
@@ -642,7 +634,7 @@ def ideal_weight_generators(chart: LogChart, p: int, degree_bound: int):
 
 def _claim_target_span(chart: LogChart, p: int, degree_bound: int):
     """Span of z_j * (regular forms) + dz_j * (regular forms), j in J2, on
-    the residue slice; returned as an index map plus an echelon span."""
+    the residue slice: its generators, and each key they hold to a column."""
     sliced = _slice_chart(chart, chart.residue_set)
     live = sorted(sliced.live_indices)
     generators: list[LogPolyForm] = []
@@ -658,10 +650,8 @@ def _claim_target_span(chart: LogChart, p: int, degree_bound: int):
                     gen = wedge(lead, wedge(coeff, base))
                     if not gen.is_zero():
                         generators.append(gen)
-    index: dict = {}
-    for gen in generators:
-        _monomial_index(gen, index)
-    return generators, index
+    keys = dict.fromkeys(key for gen in generators for key in gen._nums)
+    return generators, {key: n for n, key in enumerate(keys)}
 
 
 def claim_forward_check(
@@ -688,7 +678,7 @@ def claim_forward_check(
     residues = [residue(g, chart.residue_set) for g in candidates]
     rng = random.Random(seed)
     for _ in range(combos):
-        picks = rng.sample(range(len(candidates)), min(3, len(candidates)))
+        picks = _sample(rng, range(len(candidates)), min(3, len(candidates)))
         combo = zero_form(chart)
         for i in picks:
             combo = combo + candidates[i].scale(
@@ -697,12 +687,12 @@ def claim_forward_check(
         if combo.is_zero():
             continue
         residues.append(residue(combo, chart.residue_set))
-    for res in residues:
-        _monomial_index(res, index)
+    for key in (key for res in residues for key in res._nums):
+        index.setdefault(key, len(index))
     span = EchelonSpan(len(index))
     for gen in generators:
-        span.add(_flatten(gen, index))
-    return all(span.contains(_flatten(res, index)) for res in residues)
+        span.add({index[key]: v for key, v in gen._nums.items()})
+    return all(span.contains({index[key]: v for key, v in res._nums.items()}) for res in residues)
 
 
 @dataclass
@@ -801,13 +791,39 @@ def claim_witness(
 # -- random forms for fuzzing ----------------------------------------------------
 
 
-# num/den -> the numerator over 6 of num/den, for every pair `random_poly` can
-# draw (6 is the least common multiple of the denominators 1 to 3)
-_DRAWN = {
-    (num, den): num * 6 // den
-    for num in range(-4, 5)
-    for den in range(1, 4)
-}
+def _below(rng: random.Random, n: int) -> int:
+    """`rng._randbelow(n)`, n >= 1, as Python 3.10 to 3.13 read `getrandbits`,
+    so `_draw` and `_sample` read the stream that `rng.randrange`, `rng.choice`
+    and `rng.sample` would."""
+    k = n.bit_length()
+    while (r := rng.getrandbits(k)) >= n:
+        pass
+    return r
+
+
+def _sample(rng: random.Random, population, k: int) -> list:
+    """`rng.sample(population, k)` drawn through `_below`: the stdlib's pool
+    branch up to its set size, its set branch above, and its own errors."""
+    n, out, seen = len(population), [], set()
+    if not 0 <= k <= n:
+        return rng.sample(population, k)
+    if n <= 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0):
+        pool = list(population)
+        for i in range(k):
+            j = _below(rng, n - i)
+            out.append(pool[j])
+            pool[j] = pool[n - i - 1]
+        return out
+    while len(out) < k:  # a drawn index is drawn again, as the stdlib does
+        j = _below(rng, n)
+        if j not in seen:
+            seen.add(j)
+            out.append(population[j])
+    return out
+
+
+# at 3 (num + 4) + den - 1, num/den as a numerator over 6, the lcm of 1 to 3
+_DRAWN = tuple(num * 6 // den for num in range(-4, 5) for den in range(1, 4))
 
 
 def _draw(rng: random.Random, pool: tuple[int, ...], acc: dict[int, int], bmask: int,
@@ -816,9 +832,11 @@ def _draw(rng: random.Random, pool: tuple[int, ...], acc: dict[int, int], bmask:
     `bmask`, with a coefficient num/den added as its numerator over 6.
     `random_poly` and `random_form` both draw through it, so it alone fixes
     the order of rng calls that the golden draws pin."""
+    if terms > 0 and not pool:
+        rng.choice(pool)  # the stdlib's IndexError: `_below(rng, 0)` never returns
     for _ in range(terms):
-        key = rng.choice(pool) | bmask
-        acc[key] = acc.get(key, 0) + _DRAWN[rng.randrange(-4, 5), rng.randrange(1, 4)]
+        key = pool[_below(rng, len(pool))] | bmask
+        acc[key] = acc.get(key, 0) + _DRAWN[3 * _below(rng, 9) + _below(rng, 3)]
 
 
 def random_poly(rng: random.Random, chart: LogChart, degree: int = 2,
@@ -838,7 +856,7 @@ def random_form(rng: random.Random, chart: LogChart, p: int, degree: int = 2,
     acc: dict[int, int] = {}
     for _ in range(terms):
         # sampling the live bits draws what sampling the live indices draws
-        _draw(rng, lay.pool[degree], acc, sum(rng.sample(lay.live, p)), 2)
+        _draw(rng, lay.pool[degree], acc, sum(_sample(rng, lay.live, p)), 2)
     return LogPolyForm._built(chart, acc, 6)
 
 

@@ -10,14 +10,15 @@ factors: the shuffle sign of the two residue index sets, a Koszul factor
 residue symbols of the right one, and the level sign (-1)^((j1+k1)*(p+shift))
 for moving it past a level-p piece.  A cone target carries shift 1, which
 absorbs the cone's own sign rule a.(x, y) = (a.x, (-1)^deg(a) a.y).  None of
-this is taken on faith: products come from one table of basis products, each
-term pair compiled once, and chain_map_check verifies the Leibniz identity on
-every pair of basis vectors from that table, the factors' stored
-differentials and the target's apply_d.
+this is taken on faith: products come from one table of basis products on the
+families' numbered bases, each ring-level block made once, and
+chain_map_check verifies the Leibniz identity on every basis pair from that
+table, the factors' stored differentials and the target's apply_d.
 """
 
 from __future__ import annotations
 
+import bisect
 import collections
 import functools
 import itertools
@@ -64,8 +65,8 @@ class GradedPairing:
     The resolver gives the (target term, sign) list of a term pair, and may
     return only targets of the rule's shape (others raise DimensionMismatch):
     chain_map_check resolves only the term pairs product_pairs lists.  Each
-    term pair is compiled on first use into its basis products, which
-    evaluate and chain_map_check read.
+    term pair is compiled on first use into one table of basis products on
+    the families' numbered bases, which evaluate and chain_map_check read.
     """
 
     def __init__(self, atlas: StrataAtlas, left: RowFamily, right: RowFamily,
@@ -76,8 +77,10 @@ class GradedPairing:
         self.target = target
         self.label = label
         self._resolver = resolver
-        self._compiled: dict[tuple[PureTerm, PureTerm], dict] = {}
         self._target_terms = {t: t for t in target.terms}
+        numbered = {f: _numbering(f) for f in dict.fromkeys((left, right, target))}
+        self._numbers = [numbered[f] for f in (left, right, target)]
+        self._table, self._blocks, self._placed = {}, {}, set()
 
     def _targets(self, t1: PureTerm, t2: PureTerm) -> list:
         """The resolved targets that are target terms, as the target's own."""
@@ -91,45 +94,85 @@ class GradedPairing:
                 out.append((own, sign))
         return out
 
-    def _products(self, t1: PureTerm, t2: PureTerm) -> dict:
-        """The basis products of t1 x t2, compiled on first use: (ab1, ab2,
-        i1, i2) -> {(t3, ab3, w): value}, nonzero and integer-first.  A value
-        is sign . (column i1 of t1's restriction to t3) . (the ring's
-        tensors) . (column i2 of t2's restriction to t3)."""
-        if (t1, t2) in self._compiled:
-            return self._compiled[(t1, t2)]
-        sums, rho = collections.defaultdict(int), self.atlas.rho
-        for t3, sign in self._targets(t1, t2):
-            mult = self.atlas.ring(t3.stratum).mult
-            left = map_term_block(rho(t1.stratum, t3.stratum), t1.j, 0).items()
-            right = map_term_block(rho(t2.stratum, t3.stratum), t2.j, 0).items()
-            for (x1, r1), (y1, r2) in itertools.product(left, right):
-                tensors = mult.get(((t1.j, *x1), (t2.j, *y1)), ())
-                ab1, ab2 = (x1[0] + t1.k, x1[1] + t1.k), (y1[0] + t2.k, y1[1] + t2.k)
-                ab3 = (ab1[0] + ab2[0], ab1[1] + ab2[1])
-                for u, i1, x in r1.entries() if tensors else ():
-                    for w, i2, c in (tensors[u] @ r2).entries():
-                        sums[(ab1, ab2, i1, i2), (t3, ab3, w)] += sign * x * c
-        table = self._compiled[(t1, t2)] = {}
-        for (basis, at), x in sums.items():
-            if x:
-                table.setdefault(basis, {})[at] = int_first(x)
-        return table
+    def _products(self, pairs) -> dict:
+        """{left number: {right number: {target number: value}}}, with each
+        pair of `pairs` placed on first use: the _ring_block of each (left
+        stratum, j1, right stratum, j2, meet piece), made once, at the pair's
+        numbers with its sign and twist."""
+        (at1, *_), (at2, *_), (at3, *_) = self._numbers
+        for t1, t2 in pairs:
+            if (t1, t2) in self._placed:
+                continue
+            for t3, sign in self._targets(t1, t2):
+                key = (t1.stratum, t1.j, t2.stratum, t2.j, t3.stratum)
+                if key not in self._blocks:
+                    self._blocks[key] = _ring_block(self.atlas, *key)
+                for (a1, b1), (a2, b2), entries in self._blocks[key]:
+                    c1 = at1[(t1, (a1 + t1.k, b1 + t1.k))]
+                    c2 = at2[(t2, (a2 + t2.k, b2 + t2.k))]
+                    c3 = at3[(t3, (a1 + a2 + t3.k, b1 + b2 + t3.k))]
+                    for i1, i2, w, x in entries:
+                        at = self._table.setdefault(c1 + i1, {}).setdefault(c2 + i2, {})
+                        at[c3 + w] = at.get(c3 + w, 0) + sign * x
+            self._placed.add((t1, t2))
+        return self._table
 
     def evaluate(self, left_elem: Element, right_elem: Element) -> Element:
+        for family, elem in ((self.left, left_elem), (self.right, right_elem)):
+            for (t, ab), v in elem.items():
+                row = family.rows.get(t.q)
+                place = row.layout.get((t.m, ab), {}).get(t) if row is not None else None
+                if place is None or len(v) != place[1]:
+                    raise DimensionMismatch(f"{self.label}: {t.describe()} {ab} of length "
+                                            f"{len(v)} is not a slice of {family.label}")
+        table =self._products([(t1, t2) for t1, _ in left_elem for t2, _ in right_elem])
+        (at1, *_), (at2, *_), (*_, where) = self._numbers
+        ys = [(at2[key] + i, y) for key, v in right_elem.items() for i, y in enumerate(v) if y]
         sums = collections.defaultdict(int)
-        for (t1, ab1), x in left_elem.items():
-            for (t2, ab2), y in right_elem.items():
-                for (a1, a2, i1, i2), product in self._products(t1, t2).items():
-                    if (a1, a2) == (ab1, ab2) and x[i1] and y[i2]:
-                        for at, c in product.items():
-                            sums[at] += x[i1] * c * y[i2]
+        for key, v in left_elem.items():
+            for i, x in enumerate(v):
+                row = table.get(at1[key] + i) if x else None
+                for c2, y in ys if row else ():
+                    for c3, c in row.get(c2, {}).items():
+                        sums[c3] += x * c * y
         out: dict = {}
-        for (t3, ab3, w), c in sums.items():
+        for c3, c in sums.items():
             if c:
+                t3, ab3, w = where(c3)
                 d = self.target.row(t3.q).layout[(t3.m, ab3)][t3][1]
                 out.setdefault((t3, ab3), [Fraction(0)] * d)[w] = Fraction(c)
         return {key: tuple(vec) for key, vec in out.items()}
+
+
+def _numbering(family: RowFamily) -> tuple:
+    """The basis numbered slot by slot in slots() order, terms in layout order:
+    {each slot (q, m, ab), then each of its (term, ab): the number of its first
+    vector}, the count, and number -> (term, ab, index) by the last key at or below."""
+    first, n = {}, 0
+    for q, m, ab in family.slots():
+        first[(q, m, ab)] = n
+        for t, (off, _) in family.rows[q].layout[(m, ab)].items():
+            first[(t, ab)] = n + off
+        n += family.rows[q].dims[(m, ab)]
+    keys, starts = list(first), list(first.values())
+    return first, n, lambda c: (*keys[(k := bisect.bisect_right(starts, c) - 1)], c - starts[k])
+
+
+def _ring_block(atlas: StrataAtlas, s1, j1: int, s2, j2: int, s3) -> list:
+    """[(type 1, type 2, [(i1, i2, w, value)])] by pair of untwisted types: the
+    nonzero products in H(s3) of the restrictions of columns i1 of H^j1(s1)
+    and i2 of H^j2(s2), at column w."""
+    rho, mult, out = atlas.rho, atlas.ring(s3).mult, []
+    left = map_term_block(rho(s1, s3), j1, 0).items()
+    right = map_term_block(rho(s2, s3), j2, 0).items()
+    for (x1, r1), (y1, r2) in itertools.product(left, right):
+        tensors, sums = mult.get(((j1, *x1), (j2, *y1))), collections.defaultdict(int)
+        for u, i1, x in r1.entries() if tensors else ():
+            for w, i2, c in (tensors[u] @ r2).entries():
+                sums[(i1, i2, w)] += x * c
+        if any(sums.values()):
+            out.append((x1, y1, [(*at, int_first(x)) for at, x in sums.items() if x]))
+    return out
 
 
 def _shape(t: PureTerm) -> tuple:
@@ -159,9 +202,16 @@ def product_terms(atlas: StrataAtlas, t1: PureTerm, t2: PureTerm) -> list:
 
 def product_pairs(left, right, target) -> list:
     """The term pairs (t1, t2) whose product can have a target by the rule:
-    some target term has their _product_key."""
-    shapes = {_shape(t) for t in target}
-    return [(t1, t2) for t2 in right for t1 in left if _product_key(t1, t2) in shapes]
+    some target term has their _product_key.  The target shapes with t2's
+    (p, simp, side, shift) name the (j, k, res) of its left factors."""
+    tails, out = collections.defaultdict(set), []
+    for t in target:
+        tails[t.p, t.simp, t.side, t.shift].add((t.j, t.k, t.res))
+    for t2 in right:
+        need = {(j - t2.j, k - t2.k, tuple(a for a in res if a not in t2.res))
+                for j, k, res in tails[t2.p, t2.simp, t2.side, t2.shift] if set(t2.res) <= set(res)}
+        out += ((t1, t2) for t1 in left if (t1.j, t1.k, t1.res) in need)
+    return out
 
 
 def cup_log_XD(atlas: StrataAtlas) -> GradedPairing:
@@ -197,54 +247,45 @@ def cup_extraordinary(atlas: StrataAtlas) -> GradedPairing:
     return GradedPairing(atlas, fcu, fd, fcv, rule, "locD x D -> locD")
 
 
-def _preimages(family: RowFamily) -> dict:
-    """The stored differentials transposed: each coordinate (term, ab, index)
-    to the [(coordinate, value)] whose d reaches it."""
-    out = collections.defaultdict(list)
-    for row in family.rows.values():
-        for (m, ab), mat in row.diff.items():
-            here, there = (
-                [(t, ab, i) for t, (_, d) in row.layout.get(key, {}).items()
-                 for i in range(d)]
-                for key in ((m, ab), (m + 1, ab))
-            )
-            for r, c, x in mat.entries():
-                out[there[r]].append((here[c], x))
-    return out
-
-
-def _d_column(family: RowFamily, t: PureTerm, ab: Bidegree, i: int) -> list:
-    """d of the basis vector at coordinate (t, ab, i), by the family's
-    apply_d, as [(coordinate, value)]."""
+def _d_column(family: RowFamily, first: dict, t: PureTerm, ab: Bidegree, i: int) -> list:
+    """d of the basis vector at (t, ab, i), by the family's apply_d, as
+    [(number, value)] on the numbers `first` of its _numbering."""
     unit = {(t, ab): unit_vector(family.row(t.q).layout[(t.m, ab)][t][1], i)}
     image = family.apply_d(t.q, t.m, unit).items()
-    return [((*key, w), int_first(x)) for key, v in image for w, x in enumerate(v) if x]
+    return [(first[key] + w, int_first(x)) for key, v in image for w, x in enumerate(v) if x]
 
 
 def chain_map_check(pairing: GradedPairing) -> bool:
     """Leibniz identity d(xy) = dx.y + (-1)^deg(x) x.dy on every basis pair.
 
-    Each compiled basis product xy of the listed term pairs is read once:
-    d(xy) sums apply_d of each target basis vector it reaches, taken once,
-    and dx.y and x.dy scatter xy through the factors' transposed stored
-    differentials.  lhs - rhs must vanish on every pair: 0 = 0 where no sum
-    reaches, whatever the pair's own product."""
-    d_left, d_right = _preimages(pairing.left), _preimages(pairing.right)
-    columns, residual = {}, collections.defaultdict(int)
+    Each compiled basis product xy is read once: d(xy) sums apply_d of each
+    target basis vector it reaches, taken once, and dx.y and x.dy scatter xy
+    through the factors' transposed stored differentials, into a residual
+    keyed (x |right| + y) |target| + z on the numbered bases.  lhs - rhs
+    must vanish on every pair: 0 = 0 where no sum reaches."""
     terms = (pairing.left.terms, pairing.right.terms, pairing.target.terms)
-    for t1, t2 in product_pairs(*terms):
-        sign = -1 if t1.m % 2 else 1
-        for (ab1, ab2, i1, i2), product in pairing._products(t1, t2).items():
-            k1, k2 = (t1, ab1, i1), (t2, ab2, i2)
-            for at, x in product.items():
-                if at not in columns:
-                    columns[at] = _d_column(pairing.target, *at)
-                for k, y in columns[at]:
-                    residual[(k1, k2, k)] += x * y
-                for i, c in d_left.get(k1, ()):
-                    residual[(i, k2, at)] -= c * x
-                for j, c in d_right.get(k2, ()):
-                    residual[(k1, j, at)] -= sign * c * x
+    table = pairing._products(product_pairs(*terms))
+    (at1, _, where1), (at2, n2, _), (at3, n3, where3) = pairing._numbers
+    # per factor, each number to the [(number, value)] whose stored d reaches it
+    back = collections.defaultdict(list), collections.defaultdict(list)
+    for into, family, first in zip(back, (pairing.left, pairing.right), (at1, at2)):
+        for q, m, ab in family.slots():
+            for r, c, x in family.rows[q].d(m, ab).entries():
+                into[first[(q, m + 1, ab)] + r].append((first[(q, m, ab)] + c, x))
+    columns, residual = {}, collections.defaultdict(int)
+    for c1, row in table.items():
+        sign, d_left = -1 if where1(c1)[0].m % 2 else 1, back[0].get(c1, ())
+        for c2, product in row.items():
+            here = (c1 * n2 + c2) * n3
+            for c3, x in product.items():
+                if c3 not in columns:
+                    columns[c3] = _d_column(pairing.target, at3, *where3(c3))
+                for k, y in columns[c3]:
+                    residual[here + k] += x * y
+                for i, c in d_left:
+                    residual[(i * n2 + c2) * n3 + c3] -= c * x
+                for j, c in back[1].get(c2, ()):
+                    residual[here + (j - c2) * n3 + c3] -= sign * c * x
     return not any(residual.values())
 
 

@@ -15,6 +15,7 @@ from .errors import BadParams
 from .logforms import (
     LogChart,
     LogPolyForm,
+    _sample,
     claim_forward_check,
     claim_witness,
     exterior_d,
@@ -156,7 +157,7 @@ def _random_lift(rng: random.Random, chart: LogChart, degree: int) -> LogPolyFor
     for _ in range(2):
         if degree > len(live):
             break
-        b = frozenset(rng.sample(live, degree))
+        b = frozenset(_sample(rng, live, degree))
         terms[b] = random_poly(rng, chart, degree=1, terms=2)
     return from_regular(chart, terms)
 

@@ -8,7 +8,9 @@ import reference_atlas as ref
 from nchodge.atlas import (
     Stratum,
     StrataAtlas,
+    compose_blockmaps,
     generic_arrangement,
+    identity_blockmap,
     key_from_string,
     key_to_string,
     validate_atlas,
@@ -692,3 +694,23 @@ class TestBraceSafeMessages:
         assert str(report) == "atlas invalid:\n" + "\n".join(
             f"  - {v}" for v in BRACED
         )
+
+
+RHO_ATLASES = [*BUILTIN_NAMES, (2, 4), (3, 4), (3, 5)]
+
+
+@pytest.mark.parametrize("name", RHO_ATLASES, ids=str)
+def test_rho_is_the_identity_composed_path(name):
+    """rho starts from the first cover's blocks on the source ring's slices:
+    the restrictions composed after the identity, key for key and in the
+    same order, for every stratum and every stratum below it."""
+    atlas = generic_arrangement(*name) if isinstance(name, tuple) else builtin_atlas(name)
+    pairs = 0
+    for skey in atlas.keys_sorted():
+        for tkey in sorted(atlas.descendants(skey)):
+            want = identity_blockmap(atlas.ring(skey))
+            for cover in atlas._rho_path(skey, tkey, ascending=True):
+                want = compose_blockmaps(atlas.restrictions[cover], want)
+            assert list(atlas.rho(skey, tkey).items()) == list(want.items()), (skey, tkey)
+            pairs += 1
+    assert pairs > len(atlas.strata)

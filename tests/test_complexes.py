@@ -901,3 +901,75 @@ class TestTermHash:
         assert digest.hexdigest() == (
             "f3e3744441c167464ce659cd88c2c6097abfad8ec3e32b674d31a4599929d9ca"
         )
+
+
+def _assert_slots_from_ends(cone):
+    """Each cone slot (m, ab) is the source slot (m, ab), then the target slot
+    (m - 1, ab) with its offsets moved up by the source slot's dim, and there
+    is no other slot."""
+    mor = cone.morphism
+    for q, row in cone.rows.items():
+        src, tgt = mor.source.rows.get(q), mor.target.rows.get(q)
+        src_slots = src.layout if src else {}
+        tgt_slots = {(m + 1, ab): slot for (m, ab), slot in (tgt.layout if tgt else {}).items()}
+        assert set(row.layout) == set(src_slots) | set(tgt_slots), q
+        for key, slot in row.layout.items():
+            n_src = sum(d for _, d in src_slots.get(key, {}).values())
+            want = [(dataclasses.replace(x, side="s" + x.side), at)
+                    for x, at in src_slots.get(key, {}).items()]
+            want += [(dataclasses.replace(x, side="t" + x.side, shift=x.shift + 1), (off + n_src, d))
+                     for x, (off, d) in tgt_slots.get(key, {}).items()]
+            assert list(slot.items()) == want, (q, key)
+            assert row.dims[key] == n_src + sum(d for _, d in tgt_slots.get(key, {}).values())
+
+
+class TestConeLayout:
+    """Sorting a cone's terms puts each slot's source terms first, so every
+    cone slot is the source slot followed by the target slot one degree down."""
+
+    @pytest.mark.parametrize("make", REFERENCE_ATLASES)
+    def test_cone_slots_come_from_its_ends(self, make):
+        atlas = make()
+        for selector in ("XD", "XD-tilde", "locD", "locD-tilde"):
+            _assert_slots_from_ends(build(atlas, selector))
+
+    @pytest.mark.parametrize("make", REFERENCE_ATLASES)
+    def test_cones_of_cones(self, make):
+        """Cones of the identity of every cone, two deep."""
+        atlas = make()
+        for selector in ("XD", "XD-tilde", "locD", "locD-tilde"):
+            family = build(atlas, selector)
+            for depth in range(2):
+                blocks = {(t, t): identity_term_block(atlas, t) for t in family.terms}
+                family = cone_rows(RowMorphism(family, family, blocks, "id"))
+                _assert_slots_from_ends(family)
+
+    def test_x_and_log_terms_are_renamed_apart(self, triangle):
+        """X's terms equal log's twist-0 terms, so under u each side of the
+        cone renames its own."""
+        morphism = cone_morphism(triangle, "locD")
+        shared = set(morphism.source.terms) & set(morphism.target.terms)
+        assert shared
+        cone = cone_rows(morphism)
+        assert len(set(cone.terms)) == len(morphism.source.terms) + len(morphism.target.terms)
+        for t in shared:
+            assert dataclasses.replace(t, side="s" + t.side) in cone.terms
+            assert dataclasses.replace(t, side="t" + t.side, shift=t.shift + 1) in cone.terms
+
+
+class TestPureTermFields:
+    def test_dataclass_behaviour_is_kept(self):
+        key = ((0,), "")
+        t = PureTerm(key, 1, 2, 3, key, (0,), "s", 1)
+        assert (t.m, t.q) == (1 + 2 + 3 + 1, 1 + 2 * 2)
+        assert [f.name for f in dataclasses.fields(t)] == [
+            "stratum", "j", "k", "p", "simp", "res", "side", "shift"]
+        moved = dataclasses.replace(t, k=0, shift=0)
+        assert (moved.m, moved.q, moved.res) == (1 + 3, 1, (0,))
+        assert t == PureTerm(key, 1, 2, 3, simp=key, res=(0,), side="s", shift=1)
+        assert hash(t) == hash((key, 1, 2, 3, key, (0,), "s", 1)) != hash(moved)
+        assert PureTerm(key, 1, 0, 0, key) == PureTerm(key, 1, 0, 0, key, (), "", 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.j = 5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.m = 5

@@ -346,20 +346,23 @@ class TestSolve:
 
 
 class TestEchelonSpan:
+    """The span takes {column: value} rows."""
+
     def test_membership(self):
         span = EchelonSpan(3)
-        assert span.add(vector([1, 1, 0]))
-        assert span.add(vector([0, 1, 1]))
-        assert not span.add(vector([1, 2, 1]))
+        assert span.add({0: 1, 1: 1})
+        assert span.add({1: 1, 2: 1})
+        assert not span.add({0: 1, 1: 2, 2: 1})
         assert span.rank == 2
-        assert span.contains(vector([2, 3, 1]))
-        assert not span.contains(vector([0, 0, 1]))
+        assert span.contains({0: 2, 1: 3, 2: 1})
+        assert not span.contains({2: 1})
 
     def test_zero_vector_never_added(self):
         span = EchelonSpan(2)
-        assert not span.add(vector([0, 0]))
+        assert not span.add({})
+        assert not span.add({0: 0, 1: Fraction(0)})
         assert span.rank == 0
-        assert span.contains(vector([0, 0]))
+        assert span.contains({})
 
     def test_matches_matrix_rank(self):
         rng = random.Random(7)
@@ -367,8 +370,16 @@ class TestEchelonSpan:
             vecs = [vector([rng.randint(-2, 2) for _ in range(4)]) for _ in range(6)]
             span = EchelonSpan(4)
             for v in vecs:
-                span.add(v)
+                span.add(dict(enumerate(v)))
             assert span.rank == rank(RationalMatrix(list(vecs), ncols=4))
+
+    @pytest.mark.parametrize("row", [{3: 1}, {-1: 1}, {0: 1, 5: 2}])
+    def test_column_outside_the_span_is_refused(self, row):
+        span = EchelonSpan(3)
+        with pytest.raises(DimensionMismatch):
+            span.add(row)
+        with pytest.raises(DimensionMismatch):
+            span.contains(row)
 
 
 class TestCohomology:

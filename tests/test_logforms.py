@@ -25,6 +25,7 @@ from nchodge.logforms import (
     monomial,
     poly_const,
     random_form,
+    random_poly,
     random_ideal_form,
     residue,
     weight_level,
@@ -416,3 +417,76 @@ class TestPolyHelpers:
     def test_scale_by_fraction(self):
         a = xi(C33, 1).scale(Fraction(1, 2))
         assert (a + a) == xi(C33, 1)
+
+
+class TestSampler:
+    """`_below` and `_sample` read `getrandbits` as the running stdlib's
+    `randrange`, `choice` and `sample` do: the same results, and the
+    generator left in the same state, for every n and k below and 200 seeds."""
+
+    @staticmethod
+    def _populations(n):
+        return [list(range(10, 10 + n)), tuple("abcdefghijklmnopqrstuvwxyz0123456789ABCD"[:n]),
+                range(-n, 0)]
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_draws_equal_the_stdlib(self, n):
+        for seed in range(200):
+            got, want = random.Random(seed), random.Random(seed)
+            pool = self._populations(n)[seed % 3]
+            assert logforms._below(got, n) == want.randrange(0, n)
+            assert -3 + logforms._below(got, n) == want.randrange(-3, n - 3)
+            assert pool[logforms._below(got, n)] == want.choice(pool)
+            for k in range(min(n, 12) + 1):
+                assert logforms._sample(got, pool, k) == want.sample(pool, k), (seed, k)
+            assert got.getstate() == want.getstate(), seed
+
+    def test_both_branches_of_sample_are_reached(self):
+        """Up to 21 (plus 4^ceil(log4(3k)) past k = 5) the stdlib samples a
+        list, above it a set of drawn indices, which may repeat."""
+        for n, k in [(21, 5), (22, 5), (40, 3), (85, 6), (86, 6), (300, 12)]:
+            for seed in range(50):
+                got, want = random.Random(seed), random.Random(seed)
+                assert logforms._sample(got, range(n), k) == want.sample(range(n), k)
+                assert got.getstate() == want.getstate()
+
+    @pytest.mark.parametrize("population, k", [(range(0), 1), ([1, 2], 3), ([1, 2], -1)])
+    def test_a_bad_sample_raises_the_stdlib_error(self, population, k):
+        got, want = random.Random(5), random.Random(5)
+        with pytest.raises(ValueError) as want_exc:
+            want.sample(population, k)
+        with pytest.raises(ValueError) as got_exc:
+            logforms._sample(got, population, k)
+        assert str(got_exc.value) == str(want_exc.value)
+        assert got.getstate() == want.getstate() == random.Random(5).getstate()
+
+    def test_an_empty_draw_raises_the_stdlib_error(self):
+        """`getrandbits(0)` is 0, so `_below(rng, 0)` would loop for ever:
+        `_draw` raises `choice`'s own error on an empty pool instead, and
+        nothing is drawn, nor by a sample of none."""
+        got, want = random.Random(5), random.Random(5)
+        with pytest.raises(IndexError) as want_exc:
+            want.choice(())
+        with pytest.raises(IndexError) as got_exc:
+            random_poly(got, C33, degree=-1)
+        assert str(got_exc.value) == str(want_exc.value)
+        acc = {}
+        logforms._draw(got, (), acc, 0, 0)
+        assert acc == {} and logforms._sample(got, [], 0) == [] == logforms._sample(got, range(5), 0)
+        assert got.getstate() == random.Random(5).getstate()
+
+
+class TestKeptDegree:
+    def test_degree_is_kept_and_is_not_part_of_equality(self):
+        a = form(C33, {frozenset({1}): 1, frozenset({2}): 3})
+        b = form(C33, {frozenset({2}): 3, frozenset({1}): 1})
+        assert a.degree() == 1 and a.degree() == 1
+        assert a == b and hash(a) == hash(b)
+        c = form(C33, {frozenset({3}): 2})
+        assert wedge(a, c).degree() == 2 and zero_form(C33).degree() is None
+
+    def test_mixed_degrees_raise_on_every_ask(self):
+        mixed = form(C33, {frozenset(): 1, frozenset({1}): 1})
+        for _ in range(2):
+            with pytest.raises(NonHomogeneous):
+                mixed.degree()

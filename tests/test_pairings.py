@@ -8,7 +8,7 @@ from family_basis import iter_basis
 
 from nchodge import pairings
 from nchodge.atlas import generic_arrangement
-from nchodge.complexes import build, morphism_u, morphism_v, rows_constant, rows_log, rows_semisimplicial_log, rows_sum_strata, term_slices
+from nchodge.complexes import PureTerm, build, morphism_u, morphism_v, rows_constant, rows_log, rows_semisimplicial_log, rows_sum_strata, term_slices
 from nchodge.errors import DimensionMismatch, EmptyDivisor
 from nchodge.linalg import RationalMatrix, rank
 from nchodge.pairings import (
@@ -195,6 +195,50 @@ class TestCompiledProducts:
         assert len(set(listed)) == len(listed)
         assert set(listed) == brute
 
+    @pytest.mark.parametrize("rule", sorted(RULES))
+    @pytest.mark.parametrize("name", CASES + ["generic_3_5"])
+    def test_listed_pairs_keep_the_order_of_the_definition(self, name, rule):
+        """The shape index lists what testing every pair against the set of
+        target shapes lists, in the same order: right terms outer."""
+        pairing = RULES[rule](atlas_by_name(name))
+        left, right, target = pairing.left.terms, pairing.right.terms, pairing.target.terms
+        shapes = {pairings._shape(t) for t in target}
+        brute = [(t1, t2) for t2 in right for t1 in left
+                 if pairings._product_key(t1, t2) in shapes]
+        assert product_pairs(left, right, target) == brute
+
+    @pytest.mark.parametrize("name", ["triangle", "elliptic_1pt", "generic_2_4"])
+    def test_numbering_follows_the_slots(self, name):
+        """Each family's basis is numbered slot by slot in slots() order,
+        terms in layout order, and each number reads back its vector."""
+        pairing = cup_extraordinary(atlas_by_name(name))
+        for family, (first, count, where) in zip(
+            (pairing.left, pairing.right, pairing.target), pairing._numbers
+        ):
+            basis = [
+                (t, ab, i)
+                for q, m, ab in family.slots()
+                for t, (_, d) in family.rows[q].layout[(m, ab)].items()
+                for i in range(d)
+            ]
+            assert count == len(basis)
+            assert [where(c) for c in range(count)] == basis
+            assert all(first[(t, ab)] + i == c for c, (t, ab, i) in enumerate(basis))
+
+    @pytest.mark.parametrize("product", sorted(PRODUCTS))
+    @pytest.mark.parametrize("name", ["triangle", "generic_2_4"])
+    def test_evaluate_before_the_check_shares_its_table(self, name, product):
+        """Pairs evaluate placed stay in the one table the check reads; a
+        broken product is still caught."""
+        pairing = PRODUCTS[product](atlas_by_name(name))
+        mutant = _with_resolver(pairing, next(iter(BROKEN_RESOLVERS[product].values())))
+        for p in (pairing, mutant):
+            for _, _, _, e1 in list(iter_basis(p.left))[::3]:
+                for _, _, _, e2 in list(iter_basis(p.right))[::5]:
+                    assert p.evaluate(e1, e2) == ref.evaluate(p, e1, e2)
+        assert chain_map_check(pairing) is True
+        assert chain_map_check(mutant) is ref.chain_map_check(mutant)
+
     def test_target_off_the_rules_shape_is_refused(self, triangle):
         """A resolver target of another shape than the rule gives would be
         used by evaluate on a pair chain_map_check never lists: refused."""
@@ -260,6 +304,22 @@ class TestCompiledProducts:
         assert pairing.evaluate(x, x) == ref.evaluate(pairing, x, x) == {}
         a, b = ({key: vec} for key, vec in x.items())
         assert pairing.evaluate(a, b) == ref.evaluate(pairing, a, b) != {}
+
+    def test_evaluate_refuses_a_piece_off_the_family(self, elliptic):
+        """A piece longer or shorter than its slice, or on a slice the family
+        lacks, would spill onto another term's numbers: refused on either side."""
+        pairing = log_x_log(elliptic)
+        (h1,) = [t for t in pairing.left.terms if t.j == 1 and not t.res]
+        ab, d = term_slices(elliptic, h1)[0]
+        good = {(h1, ab): (Fraction(1),) * d}
+        stranger = PureTerm(h1.stratum, h1.j, h1.k, h1.p, h1.simp, h1.res, "zz", h1.shift)
+        for bad in ({(h1, ab): (1,) * (d + 1)}, {(h1, ab): (1,) * (d - 1)},
+                    {(h1, (7, 7)): (1,)}, {(stranger, ab): (1,) * d}):
+            with pytest.raises(DimensionMismatch):
+                pairing.evaluate(bad, good)
+            with pytest.raises(DimensionMismatch):
+                pairing.evaluate(good, bad)
+        assert pairing.evaluate(good, good) == ref.evaluate(pairing, good, good)
 
 
 class TestProductRule:
