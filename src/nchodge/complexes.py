@@ -54,7 +54,6 @@ with d(x, y) = (dx, f(x) - dy).
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -387,19 +386,18 @@ class RowMorphism:
 
 class _Cone(RowFamily):
     """The cone of a chain map: each slot's differential is one sum of the
-    placed matrices of its ends and the morphism, and the term blocks are
-    built when first read."""
+    placed matrices of its ends and the morphism."""
 
     def __init__(self, morphism: RowMorphism):
         source, target = morphism.source, morphism.target
         # one rename per side: X's terms equal log's twist-0 terms under u
-        s = {x: PureTerm(x.stratum, x.j, x.k, x.p, x.simp, x.res, "s" + x.side, x.shift)
-             for x in source.terms}
-        t = {x: PureTerm(x.stratum, x.j, x.k, x.p, x.simp, x.res, "t" + x.side, x.shift + 1)
-             for x in target.terms}
+        s = [PureTerm(x.stratum, x.j, x.k, x.p, x.simp, x.res, "s" + x.side, x.shift)
+             for x in source.terms]
+        t = [PureTerm(x.stratum, x.j, x.k, x.p, x.simp, x.res, "t" + x.side, x.shift + 1)
+             for x in target.terms]
         label = f"cone({morphism.label})" if morphism.label else "cone"
-        self._lay_out(source.atlas, label, (*s.values(), *t.values()))
-        self.morphism, self._renamed = morphism, (s, t)
+        self._lay_out(source.atlas, label, (*s, *t))
+        self.morphism = morphism
         # d(x, y) = (d_src x, f x - d_tgt y), source slot m over target slot m-1
         for q, row in self.rows.items():
             src, tgt = source.row(q), target.row(q)
@@ -412,18 +410,6 @@ class _Cone(RowFamily):
                 ]
                 shape = (row.dim(m + 1, ab), row.dim(m, ab))
                 row.diff[(m, ab)] = RationalMatrix.from_blocks(*shape, parts)
-
-    @functools.cached_property
-    def blocks(self) -> dict[tuple[PureTerm, PureTerm], TermBlock]:
-        """The source's, target's (negated) and morphism's blocks, relabelled."""
-        mor, (s, t) = self.morphism, self._renamed
-        src, tgt, f = mor.source.blocks, mor.target.blocks, mor.blocks
-        ends = ((src, s, s, 1), (tgt, t, t, -1), (f, s, t, 1))
-        return {
-            (left[t1], right[t2]): {ab: mat.scale(sign) for ab, mat in block.items()}
-            for blocks, left, right, sign in ends
-            for (t1, t2), block in blocks.items()
-        }
 
 
 def cone_rows(morphism: RowMorphism) -> RowFamily:

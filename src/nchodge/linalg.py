@@ -398,8 +398,3 @@ def cohomology_at(d_in: RationalMatrix, d_out: RationalMatrix) -> CohomologySpac
         representatives=representatives,
         boundaries=tuple(_dense(b, here) for b in boundaries),
     )
-
-
-def pairing_perfect(matrix: RationalMatrix) -> bool:
-    """True iff the bilinear pairing encoded by `matrix` is perfect."""
-    return matrix.nrows == matrix.ncols and rank(matrix) == matrix.nrows

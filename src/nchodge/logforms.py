@@ -605,13 +605,10 @@ def _monomials_up_to(n: int, degree: int):
             yield tuple(exps)
 
 
-@functools.lru_cache(maxsize=32)
 def _exponent_pool(n: int, degree: int, omitted: frozenset[int]) -> tuple[Exponents, ...]:
     """The exponent tuples of `_monomials_up_to` that vanish on `omitted`, in
-    the same order; `random_poly` draws from it packed, so the order fixes
-    what a seed produces.  One `verify --suite logforms` run asks for 7 to
-    12 keys.
-    """
+    the same order; the random forms draw from it packed, through each
+    chart's layout, so the order fixes what a seed produces."""
     return tuple(
         e
         for e in _monomials_up_to(n, degree)
@@ -739,53 +736,35 @@ def claim_witness(
         piece = wedge(dz_form(chart, j), eta_j) + wedge(_z(chart, j), zeta_j)
         omega = omega + wedge(front, piece)
 
-    lines = []
-    lines.append(
-        CheckLine(
-            "omega lies in the ideal subcomplex",
-            omega.is_zero() or in_ideal_subcomplex(omega),
+    level = weight_level(omega)
+    if level <= chart.k:
+        sliced = _slice_chart(chart, chart.residue_set)
+        expected = zero_form(sliced)
+        for j in sorted(chart.j2):
+            eta_cut = LogPolyForm(sliced, eta.get(j, zero_form(chart)).terms)
+            zeta_cut = LogPolyForm(sliced, zeta.get(j, zero_form(chart)).terms)
+            expected = expected + wedge(dz_form(sliced, j), eta_cut)
+            expected = expected + wedge(_z(sliced, j), zeta_cut)
+        along = residue(omega, chart.residue_set) == expected
+        others = all(
+            residue(omega, other).is_zero()
+            for other in itertools.combinations(sorted(chart.log_indices), chart.k)
+            if frozenset(other) != chart.residue_set
         )
-    )
-    in_wk = weight_level(omega) <= chart.k
-    lines.append(
-        CheckLine(
-            f"omega lies in W_{chart.k}",
-            in_wk,
-            f"weight {weight_level(omega)}",
-        )
-    )
-    if not in_wk:
+        detail = ""
+    else:
         # size-k residues are only defined on W_k; a lift with extra poles
         # fails here instead of crashing
+        along = others = False
         detail = "skipped: omega lies outside the filtration"
-        lines.append(
-            CheckLine("residue along {1..k} equals sum dz_j^eta_j + z_j zeta_j", False, detail)
-        )
-        lines.append(CheckLine("all other residues of size k vanish", False, detail))
-        return WitnessResult(omega, CheckReport("residue claim witness", tuple(lines)))
-    sliced = _slice_chart(chart, chart.residue_set)
-    expected = zero_form(sliced)
-    for j in sorted(chart.j2):
-        eta_j = eta.get(j, zero_form(chart))
-        zeta_j = zeta.get(j, zero_form(chart))
-        eta_cut = LogPolyForm(sliced, eta_j.terms)
-        zeta_cut = LogPolyForm(sliced, zeta_j.terms)
-        expected = expected + wedge(dz_form(sliced, j), eta_cut) + wedge(_z(sliced, j), zeta_cut)
-    lines.append(
-        CheckLine(
-            "residue along {1..k} equals sum dz_j^eta_j + z_j zeta_j",
-            residue(omega, chart.residue_set) == expected,
-        )
+    lines = (
+        CheckLine("omega lies in the ideal subcomplex",
+                  omega.is_zero() or in_ideal_subcomplex(omega)),
+        CheckLine(f"omega lies in W_{chart.k}", level <= chart.k, f"weight {level}"),
+        CheckLine("residue along {1..k} equals sum dz_j^eta_j + z_j zeta_j", along, detail),
+        CheckLine("all other residues of size k vanish", others, detail),
     )
-    others_ok = True
-    for other in itertools.combinations(sorted(chart.log_indices), chart.k):
-        if frozenset(other) == chart.residue_set:
-            continue
-        if not residue(omega, other).is_zero():
-            others_ok = False
-            break
-    lines.append(CheckLine("all other residues of size k vanish", others_ok))
-    return WitnessResult(omega, CheckReport("residue claim witness", tuple(lines)))
+    return WitnessResult(omega, CheckReport("residue claim witness", lines))
 
 
 # -- random forms for fuzzing ----------------------------------------------------
@@ -828,28 +807,21 @@ _DRAWN = tuple(num * 6 // den for num in range(-4, 5) for den in range(1, 4))
 
 def _draw(rng: random.Random, pool: tuple[int, ...], acc: dict[int, int], bmask: int,
           terms: int) -> None:
-    """Add `terms` draws into `acc`: each a key of `pool` given the basis
-    `bmask`, with a coefficient num/den added as its numerator over 6.
-    `random_poly` and `random_form` both draw through it, so it alone fixes
-    the order of rng calls that the golden draws pin."""
+    """Add `terms` draws into `acc`: each a key of `pool` plus `bmask` (a
+    basis mask, or the key of dz_B), with a coefficient num/den added as its
+    numerator over 6.  `random_form` and `random_lift` both draw through it,
+    so it alone fixes the order of rng calls that the golden draws pin."""
     if terms > 0 and not pool:
         rng.choice(pool)  # the stdlib's IndexError: `_below(rng, 0)` never returns
     for _ in range(terms):
-        key = pool[_below(rng, len(pool))] | bmask
+        key = pool[_below(rng, len(pool))] + bmask
         acc[key] = acc.get(key, 0) + _DRAWN[3 * _below(rng, 9) + _below(rng, 3)]
-
-
-def random_poly(rng: random.Random, chart: LogChart, degree: int = 2,
-                terms: int = 3) -> Poly:
-    acc: dict[int, int] = {}
-    _draw(rng, _layout(chart).pool[degree], acc, 0, terms)
-    return dict(LogPolyForm._built(chart, acc, 6).terms.get(frozenset(), {}))
 
 
 def random_form(rng: random.Random, chart: LogChart, p: int, degree: int = 2,
                 terms: int = 3) -> LogPolyForm:
-    """`terms` random bases of size p, each with the coefficient that
-    `random_poly(rng, chart, degree, 2)` would draw."""
+    """`terms` random bases of size p, each with two random monomials of
+    coefficient degree at most `degree`."""
     lay = _layout(chart)
     if p > len(lay.live):
         return zero_form(chart)
@@ -858,6 +830,24 @@ def random_form(rng: random.Random, chart: LogChart, p: int, degree: int = 2,
         # sampling the live bits draws what sampling the live indices draws
         _draw(rng, lay.pool[degree], acc, sum(_sample(rng, lay.live, p)), 2)
     return LogPolyForm._built(chart, acc, 6)
+
+
+def random_lift(rng: random.Random, chart: LogChart, degree: int) -> LogPolyForm:
+    """Random regular form of form degree `degree` on the whole chart: two
+    random bases B, each with a poly * dz_B of two monomials of degree at
+    most 1; a basis drawn twice keeps its second poly."""
+    lay = _layout(chart)
+    drawn: dict[int, dict[int, int]] = {}
+    for _ in range(2):
+        if degree > len(lay.live):
+            break
+        bmask = sum(_sample(rng, lay.live, degree))
+        # dz_i is z_i xi_i on a divisor branch: one more on z_i's exponent
+        dz = bmask + sum(1 << _shift(chart.n, i) for i in chart.log_indices if bmask >> (i - 1) & 1)
+        drawn[bmask] = acc = {}
+        _draw(rng, lay.pool[1], acc, dz, 2)
+    nums = {key: v for acc in drawn.values() for key, v in acc.items()}
+    return LogPolyForm._built(chart, nums, 6)
 
 
 def random_ideal_form(rng: random.Random, chart: LogChart, p: int,

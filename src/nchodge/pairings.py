@@ -327,17 +327,13 @@ def _perfect_into_top(
     dr = right_table.dim(mj, q2, ab2)
     top = block.ncols
     # row (i, j) of the block is the product of left class i and right class j
-    pairs = block.rows
-    left_flat = RationalMatrix(
-        [[x for j in range(dr) for x in pairs[i * dr + j]] for i in range(dl)],
-        ncols=dr * top,
-    )
-    right_flat = RationalMatrix(
-        [[x for i in range(dl) for x in pairs[i * dr + j]] for j in range(dr)],
-        ncols=dl * top,
-    )
-    r_left = rank(left_flat)
-    ok = r_left == dl and rank(right_flat) == dr
+    left = [[0] * (dr * top) for _ in range(dl)]
+    right = [[0] * (dl * top) for _ in range(dr)]
+    for row, c, x in block.entries():
+        i, j = divmod(row, dr)
+        left[i][j * top + c] = right[j][i * top + c] = x
+    r_left = rank(RationalMatrix(left, ncols=dr * top))
+    ok = r_left == dl and rank(RationalMatrix(right, ncols=dl * top)) == dr
     if top == 1:
         return ok, f"rank {r_left} of {dl}"
     return ok, f"two-sided injectivity into a {top} dimensional top block"

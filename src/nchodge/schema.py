@@ -8,7 +8,8 @@ strings ("-3/2", "0.5", "7"), so files round-trip exactly; an exponent
 ("1e3") is an error, as its few bytes can spell a huge integer.  Stratum
 references use the printable key form from atlas.key_to_string: "0,2" or
 "0,2|East", with the ambient space as "".  Two keys of one object that
-parse equal (" 0,0,0" and "0,0,0") are an error at the second.  One load
+parse equal (" 0,0,0" and "0,0,0") are an error at the second, and so is a
+key spelled twice, which plain `json.loads` would keep the last of.  One load
 parses each distinct string once, through tables that load alone owns
 (`_Parsed`): rational string -> value, an int when integral (matrices take
 it as is, vectors as a Fraction); stratum key string -> StratumKey; slice
@@ -344,13 +345,23 @@ def save_atlas(atlas: StrataAtlas, path) -> None:
     Path(path).write_text(dumps_atlas(atlas), encoding="utf-8")
 
 
+def _distinct_keys(pairs: list) -> dict:
+    """`object_pairs_hook` for one JSON object: a key spelled twice is an error."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise SchemaError(f"invalid JSON: duplicate key {key!r}")
+        out[key] = value
+    return out
+
+
 def load_atlas(path) -> StrataAtlas:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise SchemaError(f"atlas document is not UTF-8: {exc}") from None
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_distinct_keys)
     except ValueError as exc:  # a JSONDecodeError, or an int of too many digits
         raise SchemaError(f"invalid JSON: {exc}") from None
     except RecursionError:

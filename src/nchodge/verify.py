@@ -14,16 +14,13 @@ from .complexes import SELECTORS, build, cone_morphism
 from .errors import BadParams
 from .logforms import (
     LogChart,
-    LogPolyForm,
-    _sample,
     claim_forward_check,
     claim_witness,
     exterior_d,
-    from_regular,
     in_ideal_subcomplex,
     random_form,
     random_ideal_form,
-    random_poly,
+    random_lift,
     weight_level,
     wedge,
 )
@@ -81,18 +78,10 @@ def suite_consistency(atlas: StrataAtlas) -> CheckReport:
         tables[sel] = table
         lines.append(CheckLine(f"euler count on {sel}", euler_check(family, table)))
 
-    diff = compare_tables(tables["XD"], tables["XD-tilde"])
-    lines.append(
-        CheckLine(
-            "XD agrees with XD-tilde", diff.equal, "; ".join(diff.differences[:3])
-        )
-    )
-    diff = compare_tables(tables["locD"], tables["locD-tilde"])
-    lines.append(
-        CheckLine(
-            "locD agrees with locD-tilde", diff.equal, "; ".join(diff.differences[:3])
-        )
-    )
+    for model, tilde in (("XD", "XD-tilde"), ("locD", "locD-tilde")):
+        diff = compare_tables(tables[model], tables[tilde])
+        detail = "; ".join(diff.differences[:3])
+        lines.append(CheckLine(f"{model} agrees with {tilde}", diff.equal, detail))
     if not atlas.components:
         for sel in ("XD", "log"):
             diff = compare_tables(tables[sel], tables["X"])
@@ -148,18 +137,6 @@ def suite_cup(atlas: StrataAtlas) -> CheckReport:
 def _chart_name(chart: LogChart) -> str:
     ideal = ",".join(str(j) for j in sorted(chart.ideal))
     return f"chart(n={chart.n},l={chart.l},k={chart.k},J={{{ideal}}})"
-
-
-def _random_lift(rng: random.Random, chart: LogChart, degree: int) -> LogPolyForm:
-    """Random regular form of the given form degree on the whole chart."""
-    live = sorted(chart.live_indices)
-    terms = {}
-    for _ in range(2):
-        if degree > len(live):
-            break
-        b = frozenset(_sample(rng, live, degree))
-        terms[b] = random_poly(rng, chart, degree=1, terms=2)
-    return from_regular(chart, terms)
 
 
 def suite_logforms(seed: int = 0, trials: int = 100, degree_bound: int = 2) -> CheckReport:
@@ -218,11 +195,11 @@ def suite_logforms(seed: int = 0, trials: int = 100, degree_bound: int = 2) -> C
                 if p > chart.n:
                     continue
                 eta = {
-                    j: _random_lift(rng, chart, p - chart.k - 1)
+                    j: random_lift(rng, chart, p - chart.k - 1)
                     for j in sorted(chart.j2)
                 }
                 zeta = {
-                    j: _random_lift(rng, chart, p - chart.k)
+                    j: random_lift(rng, chart, p - chart.k)
                     for j in sorted(chart.j2)
                 }
                 if not claim_witness(chart, p, eta, zeta).ok:

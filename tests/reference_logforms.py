@@ -2,7 +2,7 @@
 
 These are the `Fraction`-per-term versions of the polynomial helpers,
 `LogPolyForm` construction, `wedge`, `exterior_d`, `residue`,
-`weight_level` and the seeded random forms (with `_random_lift` from
+`weight_level` and the seeded random forms (with `_random_lift`, then in
 `nchodge.verify`) as they stood before the kernel went integer-first and
 in-place, kept verbatim as an oracle for `test_logforms_oracle.py`.  Every
 coefficient here is a `Fraction`; the library may hold the same values as

@@ -12,8 +12,9 @@ the end's side prefixed to the term's own ("s" + side, "t" + side), as in the
 library, where it had been "s" or "t" alone; that flattened the sides of a
 cone of cones, so distinct terms of its ends collapsed into one.  Otherwise
 both are kept verbatim as oracles, so the library's dims, representatives,
-boundaries, cone matrices and cone blocks must equal theirs, and a broken
-input must fail at the same slot.
+boundaries and cone matrices must equal theirs, and a broken input must fail
+at the same slot.  A library cone keeps no term blocks, so the oracle for a
+cone of cones is built on the reference's own inner cone.
 
 `_stratum_log_data`, `_divisor_log_data`, `_cech_blocks`, `_chern_block`
 and `scale_block` are the log term generators as they stood before they were

@@ -10,7 +10,6 @@ from nchodge.linalg import (
     EchelonSpan,
     RationalMatrix,
     cohomology_at,
-    pairing_perfect,
     rank,
     reduce,
     solve,
@@ -422,17 +421,3 @@ class TestCohomology:
             assert h.dim == mid - rank(d_in) - rank(d_out)
             for r in h.representatives:
                 assert all(x == 0 for x in d_out.apply(r))
-
-
-class TestPairingPerfect:
-    def test_identity_perfect(self):
-        assert pairing_perfect(RationalMatrix.identity(3))
-
-    def test_singular_not_perfect(self):
-        assert not pairing_perfect(M([[1, 1], [1, 1]]))
-
-    def test_rectangular_not_perfect(self):
-        assert not pairing_perfect(M([[1, 0]]))
-
-    def test_empty_perfect(self):
-        assert pairing_perfect(RationalMatrix([], ncols=0))

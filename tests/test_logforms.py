@@ -25,7 +25,6 @@ from nchodge.logforms import (
     monomial,
     poly_const,
     random_form,
-    random_poly,
     random_ideal_form,
     residue,
     weight_level,
@@ -330,6 +329,28 @@ class TestWitness:
         line = next(l for l in result.checks.lines if "W_1" in l.name)
         assert not line.ok
 
+    WITNESS_CHECKS = [
+        "omega lies in the ideal subcomplex",
+        "omega lies in W_1",
+        "residue along {1..k} equals sum dz_j^eta_j + z_j zeta_j",
+        "all other residues of size k vanish",
+    ]
+
+    def test_passing_witness_names_each_check_once(self):
+        eta = {2: form(C33, {frozenset(): poly_const(3, 1)})}
+        lines = claim_witness(C33, 2, eta, {}).checks.lines
+        assert [line.name for line in lines] == self.WITNESS_CHECKS
+        assert all(line.ok for line in lines)
+        assert [line.detail for line in lines[2:]] == ["", ""]
+
+    def test_witness_outside_w_k_skips_both_residue_checks(self):
+        lines = claim_witness(C33, 2, {}, {2: xi(C33, 3)}).checks.lines
+        assert [line.name for line in lines] == self.WITNESS_CHECKS
+        assert [line.ok for line in lines[1:]] == [False, False, False]
+        assert lines[1].detail == "weight 2"
+        skipped = "skipped: omega lies outside the filtration"
+        assert [line.detail for line in lines[2:]] == [skipped, skipped]
+
     def test_degree_mismatch(self):
         with pytest.raises(DegreeMismatch):
             claim_witness(C33, 2, {2: xi(C33, 1, 2)}, {})
@@ -468,7 +489,7 @@ class TestSampler:
         with pytest.raises(IndexError) as want_exc:
             want.choice(())
         with pytest.raises(IndexError) as got_exc:
-            random_poly(got, C33, degree=-1)
+            random_form(got, C33, 0, degree=-1)
         assert str(got_exc.value) == str(want_exc.value)
         acc = {}
         logforms._draw(got, (), acc, 0, 0)

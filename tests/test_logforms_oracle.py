@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import reference_logforms as ref
 from nchodge import logforms as lf
-from nchodge.verify import FUZZ_CHARTS, _random_lift
+from nchodge.verify import FUZZ_CHARTS
 
 # Every fuzz chart and its residue slice (every fuzz chart has k >= 1); two
 # fuzz charts share a slice.
@@ -185,7 +185,7 @@ def test_seeded_draws_match_reference(chart, seed):
         got, exc = outcome(lambda: lf.random_ideal_form(got_rng, chart, p))
         want, want_exc = outcome(lambda: ref.random_ideal_form(want_rng, chart, p))
         assert (str(got), exc) == (str(want), want_exc)
-        got = _random_lift(got_rng, chart, p)
+        got = lf.random_lift(got_rng, chart, p)
         assert str(got) == str(ref._random_lift(want_rng, chart, p))
     assert got_rng.getstate() == want_rng.getstate()
 
@@ -223,6 +223,7 @@ def test_kernel_outputs_pass_the_constructor_unchanged(case):
     rng = random.Random(seed)
     for p in range(len(chart.live_indices) + 1):
         outputs.append(lf.random_form(rng, chart, p))
+        outputs.append(lf.random_lift(rng, chart, p))
         got, _ = outcome(lambda: lf.random_ideal_form(rng, chart, p))
         if got is not None:
             outputs.append(got)
@@ -272,7 +273,7 @@ def test_suite_draws_match_reference(chart, seed):
     """Values, not only verdicts: the forms the logforms suite draws and
     computes print the reference's bytes, and the generator ends where the
     reference's does."""
-    assert replay_suite_draws(lf, _random_lift, chart, seed) == replay_suite_draws(
+    assert replay_suite_draws(lf, lf.random_lift, chart, seed) == replay_suite_draws(
         ref, ref._random_lift, chart, seed
     )
 

@@ -355,6 +355,34 @@ class TestRepeatedKeys:
         assert message in capsys.readouterr().err
 
 
+SPELLED_TWICE = {
+    "block": (lambda data: data["gysin"][0]["blocks"], "0,0,0", [["2"]]),
+    "mult": (lambda data: data["strata"][0]["mult"], "0,0,0|0,0,0", [[["2"]]]),
+    "field": (lambda data: data, "components", ["H0", "H1", "H3"]),
+}
+
+
+class TestKeySpelledTwice:
+    """A key written twice in one object, which plain `json.loads` would
+    read as its last value, is an error naming the key."""
+
+    @pytest.mark.parametrize("kind", sorted(SPELLED_TWICE))
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--complex", "XD"],
+        ["compute", "--complex", "log"],
+        ["verify", "--suite", "les"],
+    ])
+    def test_cli_exits_two_naming_the_key(self, kind, argv, tmp_path, capsys):
+        place, key, value = SPELLED_TWICE[kind]
+        data = atlas_to_json(builtin_atlas("triangle"))
+        assert key in place(data)
+        place(data)["spelled-twice"] = value  # written after the first spelling
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps(data).replace('"spelled-twice"', json.dumps(key)))
+        assert main([*argv, "--config", str(path)]) == 2
+        assert f"error: invalid JSON: duplicate key {key!r}\n" == capsys.readouterr().err
+
+
 def _slice_dim(d):
     def edit(stratum):
         stratum["hodge"]["0"] = [[0, 0, d]]
