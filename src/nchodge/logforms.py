@@ -32,10 +32,10 @@ its ideal and of its omitted variables among them) and dicts that fill an
 entry on first lookup: `sign` (front << n | back -> the sign of sorting two
 disjoint masks, for `wedge` and `residue`), `d` (B -> (field, shift, key
 delta, sign) per live i outside B, for `exterior_d`), `poles` (B -> count
-and guard bits of B's divisor indices, for `weight_level`) and `pool`
-(degree -> the packed `_exponent_pool`).  `_slice_chart` keeps each
-`chart.restrict(I)`.  None of them holds a form or a result.  A form keeps
-its degree once it is found.
+and guard bits of B's divisor indices, for `weight_level`), `dz` (B -> the
+key of dz_B) and `pool` (degree -> the packed `_exponent_pool`).
+`_slice_chart` keeps each `chart.restrict(I)`.  None of them holds a form
+or a result.  A form keeps its degree once it is found.
 
 The public `LogPolyForm(chart, terms)` checks and converts caller data, and
 every function that takes caller data goes through it: `form`, `xi`,
@@ -49,10 +49,10 @@ adds a live index missing from the basis and lowers only a positive
 exponent; `residue` keeps the monomials that vanish on the slice and strips
 the sliced indices; and the random forms and the claim's generators draw
 live bases and exponents from the packed pool, which skips every omitted
-coordinate.  `_draw` (each monomial and coefficient) and `_sample` (each
-basis and pick) read `rng.getrandbits` through `_below`, as the stdlib's
-`randrange`, `choice` and `sample` read it, so a seed draws the same forms
-from the same stream at less cost.
+coordinate.  `_draw` (each monomial and coefficient) and `random_form` (each
+basis) read `rng.getrandbits` inline, the other draws through `_below` or
+`_sample`; `_below` states that each reads the stream as the stdlib's
+`randrange`, `choice` and `sample` do, so a seed draws the same forms.
 """
 
 from __future__ import annotations
@@ -259,7 +259,7 @@ class _Layout:
     """The masks and lazily filled tables of one chart; see the module notes."""
 
     __slots__ = ("n", "mask", "live", "guard", "limit", "ideal", "omitted", "sign", "d",
-                 "poles", "pool")
+                 "poles", "pool", "dz")
 
     def __init__(self, chart: LogChart):
         n, mask = chart.n, (1 << chart.n) - 1
@@ -285,6 +285,7 @@ class _Layout:
         self.ideal, self.omitted = fields(chart.ideal), fields(chart.omitted)
         self.sign = _Table(lambda pair: _shuffle_sign(pair >> n, pair & mask))
         self.d, self.poles = _Table(d_entry), _Table(poles)
+        self.dz = _Table(lambda b: b + fields([i for i in logs if b >> (i - 1) & 1], 1))
         self.pool = _Table(lambda degree: tuple(
             _pack(n, e) for e in _exponent_pool(n, degree, chart.omitted)))
 
@@ -621,8 +622,7 @@ def ideal_weight_generators(chart: LogChart, p: int, degree_bound: int):
     with coefficient degree at most `degree_bound`."""
     lay = _layout(chart)
     exps = [e for e in lay.pool[degree_bound] if e & lay.ideal]
-    for b in itertools.combinations(sorted(chart.live_indices), p):
-        bmask = _mask(b)
+    for bmask in map(sum, itertools.combinations(lay.live, p)):
         guards = lay.poles[bmask][1]
         for e in exps:
             if (guards & ~(e + lay.limit)).bit_count() <= chart.k:
@@ -631,24 +631,35 @@ def ideal_weight_generators(chart: LogChart, p: int, degree_bound: int):
 
 def _claim_target_span(chart: LogChart, p: int, degree_bound: int):
     """Span of z_j * (regular forms) + dz_j * (regular forms), j in J2, on
-    the residue slice: its generators, and each key they hold to a column."""
+    the residue slice: its one-monomial generators, and each key to a column."""
     sliced = _slice_chart(chart, chart.residue_set)
-    live = sorted(sliced.live_indices)
+    lay = _layout(sliced)
     generators: list[LogPolyForm] = []
-    exps = _layout(sliced).pool[degree_bound]
-    for j in sorted(chart.j2):
-        for r, lead in ((p - chart.k, _z(sliced, j)), (p - chart.k - 1, dz_form(sliced, j))):
+    exps = lay.pool[degree_bound]
+    for j in sorted(chart.j2 - sliced.omitted):  # z_j = dz_j = 0 where z_j is omitted
+        z_j, dz_j = 1 << _shift(chart.n, j), lay.dz[1 << (j - 1)]
+        for r, lead in ((p - chart.k, z_j), (p - chart.k - 1, dz_j)):
             if r < 0:
                 continue
-            for b in itertools.combinations(live, r):
-                base = from_regular(sliced, {frozenset(b): 1})
+            # dz_j ^ dz_B = 0 for j in B
+            for bmask in (b for b in map(sum, itertools.combinations(lay.live, r)) if not lead & b):
+                sign, base = lay.sign[(lead & lay.mask) << chart.n | bmask], lead + lay.dz[bmask]
                 for e in exps:
-                    coeff = LogPolyForm._built(sliced, {e: 1}, 1)
-                    gen = wedge(lead, wedge(coeff, base))
-                    if not gen.is_zero():
-                        generators.append(gen)
+                    if (base + e) & lay.guard:
+                        raise BadParams(f"wedge product has an exponent above the limit {_LIMIT}")
+                    generators.append(LogPolyForm._built(sliced, {base + e: sign}, 1))
     keys = dict.fromkeys(key for gen in generators for key in gen._nums)
     return generators, {key: n for n, key in enumerate(keys)}
+
+
+def _claim_combos(rng: random.Random, chart: LogChart, keys: list[int], combos: int):
+    """`combos` sums of up to three of the distinct monomials `keys`, each
+    times `randrange(-3, 4) / randrange(1, 4)`, as numerators over 6."""
+    for _ in range(combos):
+        acc = {}
+        for i in _sample(rng, range(len(keys)), min(3, len(keys))):
+            acc[keys[i]] = (_below(rng, 7) - 3) * 6 // (_below(rng, 3) + 1)
+        yield LogPolyForm._built(chart, acc, 6)
 
 
 def claim_forward_check(
@@ -672,18 +683,12 @@ def claim_forward_check(
         )
     generators, index = _claim_target_span(chart, p, degree_bound + 1)
     candidates = list(ideal_weight_generators(chart, p, degree_bound))
-    residues = [residue(g, chart.residue_set) for g in candidates]
-    rng = random.Random(seed)
-    for _ in range(combos):
-        picks = _sample(rng, range(len(candidates)), min(3, len(candidates)))
-        combo = zero_form(chart)
-        for i in picks:
-            combo = combo + candidates[i].scale(
-                Fraction(rng.randrange(-3, 4), rng.randrange(1, 4))
-            )
-        if combo.is_zero():
-            continue
-        residues.append(residue(combo, chart.residue_set))
+    keys = [key for g in candidates for key in g._nums]  # one monomial each
+    forms = candidates + list(_claim_combos(random.Random(seed), chart, keys, combos))
+    for g in forms:  # each a sum of monomials of degree p
+        _set(g, "_degree", p if g._nums else None)
+    at = chart.residue_set
+    residues = [residue(g, at) for g in forms if not g.is_zero()]
     for key in (key for res in residues for key in res._nums):
         index.setdefault(key, len(index))
     span = EchelonSpan(len(index))
@@ -771,9 +776,9 @@ def claim_witness(
 
 
 def _below(rng: random.Random, n: int) -> int:
-    """`rng._randbelow(n)`, n >= 1, as Python 3.10 to 3.13 read `getrandbits`,
-    so `_draw` and `_sample` read the stream that `rng.randrange`, `rng.choice`
-    and `rng.sample` would."""
+    """`rng._randbelow(n)`, n >= 1, as Python 3.10 to 3.13 read `getrandbits`:
+    each draw here reads the stream that `rng.randrange`, `rng.choice` and
+    `rng.sample` would, through it or with its loop written inline."""
     k = n.bit_length()
     while (r := rng.getrandbits(k)) >= n:
         pass
@@ -810,12 +815,19 @@ def _draw(rng: random.Random, pool: tuple[int, ...], acc: dict[int, int], bmask:
     """Add `terms` draws into `acc`: each a key of `pool` plus `bmask` (a
     basis mask, or the key of dz_B), with a coefficient num/den added as its
     numerator over 6.  `random_form` and `random_lift` both draw through it,
-    so it alone fixes the order of rng calls that the golden draws pin."""
+    so it alone fixes the order of the monomial draws that the golden draws pin."""
     if terms > 0 and not pool:
         rng.choice(pool)  # the stdlib's IndexError: `_below(rng, 0)` never returns
+    bits, size, width = rng.getrandbits, len(pool), len(pool).bit_length()
     for _ in range(terms):
-        key = pool[_below(rng, len(pool))] + bmask
-        acc[key] = acc.get(key, 0) + _DRAWN[3 * _below(rng, 9) + _below(rng, 3)]
+        while (i := bits(width)) >= size:  # `_below` inline, as below
+            pass
+        while (num := bits(4)) >= 9:
+            pass
+        while (den := bits(2)) >= 3:
+            pass
+        key = pool[i] + bmask
+        acc[key] = acc.get(key, 0) + _DRAWN[3 * num + den]
 
 
 def random_form(rng: random.Random, chart: LogChart, p: int, degree: int = 2,
@@ -823,13 +835,22 @@ def random_form(rng: random.Random, chart: LogChart, p: int, degree: int = 2,
     """`terms` random bases of size p, each with two random monomials of
     coefficient degree at most `degree`."""
     lay = _layout(chart)
-    if p > len(lay.live):
+    live, count = lay.live, len(lay.live)
+    if p > count:
         return zero_form(chart)
-    acc: dict[int, int] = {}
-    for _ in range(terms):
-        # sampling the live bits draws what sampling the live indices draws
-        _draw(rng, lay.pool[degree], acc, sum(_sample(rng, lay.live, p)), 2)
-    return LogPolyForm._built(chart, acc, 6)
+    bits, acc, pool = rng.getrandbits, {}, lay.pool[degree]
+    for _ in range(terms if p else 1):  # with no basis to draw, one call draws every monomial
+        # `_sample` of the live bits (as of the live indices), its list branch inline
+        left, bmask = live[:], 0 if count <= 21 and p >= 0 else sum(_sample(rng, live, p))
+        for m in range(count, count - p, -1) if count <= 21 else ():
+            while (j := bits(m.bit_length())) >= m:
+                pass
+            bmask += left[j]
+            left[j] = left[m - 1]
+        _draw(rng, pool, acc, bmask, 2 if p else 2 * terms)
+    drawn = LogPolyForm._built(chart, acc, 6)
+    _set(drawn, "_degree", p if drawn._nums else None)  # each basis drawn has p indices
+    return drawn
 
 
 def random_lift(rng: random.Random, chart: LogChart, degree: int) -> LogPolyForm:
@@ -842,10 +863,8 @@ def random_lift(rng: random.Random, chart: LogChart, degree: int) -> LogPolyForm
         if degree > len(lay.live):
             break
         bmask = sum(_sample(rng, lay.live, degree))
-        # dz_i is z_i xi_i on a divisor branch: one more on z_i's exponent
-        dz = bmask + sum(1 << _shift(chart.n, i) for i in chart.log_indices if bmask >> (i - 1) & 1)
         drawn[bmask] = acc = {}
-        _draw(rng, lay.pool[1], acc, dz, 2)
+        _draw(rng, lay.pool[1], acc, lay.dz[bmask], 2)
     nums = {key: v for acc in drawn.values() for key, v in acc.items()}
     return LogPolyForm._built(chart, nums, 6)
 
@@ -856,5 +875,12 @@ def random_ideal_form(rng: random.Random, chart: LogChart, p: int,
     if not chart.ideal:
         raise BadParams("chart has an empty ideal")
     base = random_form(rng, chart, p, degree, terms)
-    j = rng.choice(sorted(chart.ideal))
-    return wedge(_z(chart, j), base)
+    j = sorted(chart.ideal)[_below(rng, len(chart.ideal))]  # as `rng.choice` picks it
+    if j in chart.omitted:  # z_j ^ base is zero where z_j is zero
+        return zero_form(chart)
+    z_j = 1 << _shift(chart.n, j)  # z_j ^ base: base, new and so free to reuse, one higher in z_j
+    _set(base, "_nums", {key + z_j: v for key, v in base._nums.items()})
+    # base's exponents are at most `degree`: only from `_LIMIT` on can one carry
+    if degree >= _LIMIT and any(map(_layout(chart).guard.__and__, base._nums)):
+        raise BadParams(f"wedge product has an exponent above the limit {_LIMIT}")
+    return base

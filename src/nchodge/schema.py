@@ -361,7 +361,10 @@ def load_atlas(path) -> StrataAtlas:
     except UnicodeDecodeError as exc:
         raise SchemaError(f"atlas document is not UTF-8: {exc}") from None
     try:
-        data = json.loads(text, object_pairs_hook=_distinct_keys)
+        sizes: list[int] = []  # each key takes one colon, a string may add more
+        data = json.loads(text, object_hook=lambda obj: sizes.append(len(obj)) or obj)
+        if sum(sizes) != text.count(":"):  # a key was dropped, or a string holds a colon
+            data = json.loads(text, object_pairs_hook=_distinct_keys)
     except ValueError as exc:  # a JSONDecodeError, or an int of too many digits
         raise SchemaError(f"invalid JSON: {exc}") from None
     except RecursionError:

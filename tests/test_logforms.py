@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -299,6 +300,117 @@ class TestClaim:
             assert in_ideal_subcomplex(g)
             assert weight_level(g) <= C33.k
             assert g.degree() == 2
+
+
+def _wedged_ideal_form(rng, chart, p, **kwargs):
+    """An ideal form built as z_j ^ base through `wedge`: the base form, then
+    `rng.choice` of the ideal index j."""
+    base = logforms.random_form(rng, chart, p, **kwargs)
+    return wedge(logforms._z(chart, rng.choice(sorted(chart.ideal))), base)
+
+
+class TestShiftedIdealForm:
+    """`random_ideal_form` raises each key of its base form by z_j instead of
+    calling `wedge`: form for form and draw for draw it is z_j ^ base."""
+
+    OMITTED = LogChart(3, 3, 0, {1}, omitted={1})
+
+    @pytest.mark.parametrize("chart", FUZZ_CHARTS + (OMITTED,), ids=str)
+    def test_equals_the_wedge_by_z_j(self, chart):
+        for seed in range(8):
+            got_rng, want_rng = random.Random(seed), random.Random(seed)
+            for p in range(chart.n + 1):
+                got = random_ideal_form(got_rng, chart, p)
+                want = _wedged_ideal_form(want_rng, chart, p)
+                assert got == want and str(got) == str(want)
+                assert got.degree() == want.degree()
+            assert got_rng.getstate() == want_rng.getstate()
+
+    def test_an_omitted_ideal_index_gives_the_zero_form(self):
+        rng = random.Random(3)
+        for p in range(4):
+            assert random_ideal_form(rng, self.OMITTED, p) == zero_form(self.OMITTED)
+        assert rng.getstate() != random.Random(3).getstate()  # the base was still drawn
+
+    def test_an_empty_ideal_raises_before_any_draw(self):
+        rng = random.Random(7)
+        with pytest.raises(BadParams, match="empty ideal"):
+            random_ideal_form(rng, LogChart(3, 3, 1, frozenset()), 1)
+        assert rng.getstate() == random.Random(7).getstate()
+
+    def test_an_exponent_at_the_limit_raises_as_wedge_does(self, monkeypatch):
+        """Below degree `_LIMIT` no drawn exponent reaches the limit, so only
+        there is a raised key checked: a base at the limit raises `wedge`'s
+        error."""
+        chart, limit = LogChart(2, 2, 1, {1, 2}), logforms._LIMIT
+        rng = random.Random(1)
+        for degree in range(4):
+            drawn = random_form(rng, chart, 1, degree=degree)
+            assert all(max(e) <= degree for _, e, _ in drawn.monomials())
+        at_limit = {(2,): {(limit, 0): 1, (0, limit): 2}}
+        monkeypatch.setattr(logforms, "random_form", lambda *a, **k: LogPolyForm(chart, at_limit))
+        for seed in range(4):  # either index j overflows
+            for build in (random_ideal_form, _wedged_ideal_form):
+                with pytest.raises(BadParams, match=f"above the limit {limit}"):
+                    build(random.Random(seed), chart, 1, degree=limit)
+
+
+def _claim_ps(chart):
+    return range(chart.k, min(chart.n, chart.k + 2) + 1)
+
+
+class TestPackedForwardCheck:
+    """`claim_forward_check` builds its random combinations and its target
+    span as packed monomials; both equal the forms that sums of scaled
+    candidates and `from_regular`/`wedge` products give."""
+
+    @staticmethod
+    def _scaled_sums(rng, chart, candidates, combos):
+        out = []
+        for _ in range(combos):
+            combo = zero_form(chart)
+            for i in rng.sample(range(len(candidates)), min(3, len(candidates))):
+                coeff = Fraction(rng.randrange(-3, 4), rng.randrange(1, 4))
+                combo = combo + candidates[i].scale(coeff)
+            out.append(combo)
+        return out
+
+    @pytest.mark.parametrize("chart", FUZZ_CHARTS, ids=str)
+    def test_combinations_equal_the_scaled_sums(self, chart):
+        for p in _claim_ps(chart):
+            candidates = list(ideal_weight_generators(chart, p, 2))
+            keys = [key for g in candidates for key in g._nums]
+            assert len(keys) == len(candidates)
+            for seed in range(24):
+                got_rng, want_rng = random.Random(seed), random.Random(seed)
+                got = list(logforms._claim_combos(got_rng, chart, keys, 25))
+                assert got == self._scaled_sums(want_rng, chart, candidates, 25)
+                assert got_rng.getstate() == want_rng.getstate()
+
+    @staticmethod
+    def _wedged_span(chart, p, degree_bound):
+        sliced = chart.restrict(chart.residue_set)
+        pool = logforms._exponent_pool(chart.n, degree_bound, sliced.omitted)
+        generators = []
+        for j in sorted(chart.j2):
+            for r, lead in ((p - chart.k, logforms._z(sliced, j)),
+                            (p - chart.k - 1, dz_form(sliced, j))):
+                for b in itertools.combinations(sorted(sliced.live_indices), max(r, 0)):
+                    base = from_regular(sliced, {frozenset(b): 1})
+                    for e in pool if r >= 0 else ():
+                        gen = wedge(lead, wedge(form(sliced, {frozenset(): {e: 1}}), base))
+                        if not gen.is_zero():
+                            generators.append(gen)
+        return generators
+
+    @pytest.mark.parametrize("chart", FUZZ_CHARTS, ids=str)
+    def test_target_span_equals_the_wedged_generators(self, chart):
+        for p in range(chart.n + 2):
+            for bound in range(4):
+                generators, index = logforms._claim_target_span(chart, p, bound)
+                assert generators == self._wedged_span(chart, p, bound), (p, bound)
+                keys = dict.fromkeys(key for g in generators for key in g._nums)
+                assert list(index) == list(keys) and list(index.values()) == list(range(len(keys)))
 
 
 class TestWitness:

@@ -13,6 +13,7 @@ constructor's checks must be what the constructor makes of its terms.
 
 import itertools
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 
 import reference_logforms as ref
 from nchodge import logforms as lf
+from nchodge import verify
 from nchodge.verify import FUZZ_CHARTS
 
 # Every fuzz chart and its residue slice (every fuzz chart has k >= 1); two
@@ -276,6 +278,27 @@ def test_suite_draws_match_reference(chart, seed):
     assert replay_suite_draws(lf, lf.random_lift, chart, seed) == replay_suite_draws(
         ref, ref._random_lift, chart, seed
     )
+
+
+def test_the_suite_at_its_full_trials_draws_the_reference(monkeypatch):
+    """One seed at the suite's own 100 trials per chart, witness lifts
+    included: the forms print the reference's bytes, and each generator that
+    `suite_logforms` seeds for a chart ends where the reference's does, so
+    every draw the suite reads is pinned where the suite reads it."""
+    seed, made = 7, []
+
+    class Recorded(random.Random):
+        def __init__(self, x):
+            super().__init__(x)
+            made.append(self)
+
+    monkeypatch.setattr(verify, "random", types.SimpleNamespace(Random=Recorded))
+    assert verify.suite_logforms(seed=seed).ok
+    assert len(made) == len(FUZZ_CHARTS)
+    for chart, rng in zip(FUZZ_CHARTS, made):
+        want = replay_suite_draws(ref, ref._random_lift, chart, seed, trials=100)
+        assert replay_suite_draws(lf, lf.random_lift, chart, seed, trials=100) == want
+        assert rng.getstate() == want[1]
 
 
 # Every fuzz chart and every slice `chart.restrict(I)` of it, I a nonempty

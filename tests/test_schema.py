@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from nchodge import schema
 from nchodge.atlas import generic_arrangement, key_from_string, validate_atlas
 from nchodge.cli import main
 from nchodge.errors import DimensionMismatch, SchemaError
@@ -381,6 +382,59 @@ class TestKeySpelledTwice:
         path.write_text(json.dumps(data).replace('"spelled-twice"', json.dumps(key)))
         assert main([*argv, "--config", str(path)]) == 2
         assert f"error: invalid JSON: duplicate key {key!r}\n" == capsys.readouterr().err
+
+
+class TestColonInAString:
+    """`load_atlas` parses once, counting the keys of every object, and parses
+    again checking each object's pairs only when fewer keys than colons were
+    read: a colon inside a string, here a stratum label, sends a document
+    through the second parse, which still names a key spelled twice."""
+
+    @staticmethod
+    def _pair_checks(monkeypatch):
+        calls = []
+        real = schema._distinct_keys
+        monkeypatch.setattr(schema, "_distinct_keys", lambda pairs: calls.append(1) or real(pairs))
+        return calls
+
+    @staticmethod
+    def _labelled(label="pt: the point"):
+        """p1_1pt with its point stratum labelled, each reference renamed."""
+        data = atlas_to_json(builtin_atlas("p1_1pt"))
+        assert data["strata"][1]["indices"] == [0]
+        data["strata"][1]["label"] = label
+        for entry in data["restrictions"] + data["gysin"] + data["divisor_classes"]:
+            for field in ("from", "to", "stratum"):
+                if entry.get(field) == "0":
+                    entry[field] = f"0|{label}"
+        return data
+
+    def test_the_bench_documents_are_parsed_once(self, tmp_path, monkeypatch):
+        for name in BUILTIN_NAMES:
+            (tmp_path / f"{name}.json").write_text(dumps_atlas(builtin_atlas(name)))
+        for n, m in ((3, 5), (3, 4), (4, 7), (2, 4)):
+            path = str(tmp_path / f"generic_{n}_{m}.json")
+            assert main(["gen", "--dim", str(n), "--hyperplanes", str(m), "-o", path]) == 0
+        calls = self._pair_checks(monkeypatch)
+        for path in sorted(tmp_path.glob("*.json")):
+            load_atlas(path)
+        assert calls == []
+
+    def test_a_colon_in_a_label_loads_through_the_pair_checks(self, tmp_path, monkeypatch):
+        data = self._labelled()
+        path = tmp_path / "colon.json"
+        path.write_text(json.dumps(data))
+        calls = self._pair_checks(monkeypatch)
+        assert atlas_to_json(load_atlas(path)) == data
+        assert calls
+
+    def test_a_key_spelled_twice_beside_it_is_named(self, tmp_path, capsys):
+        data = self._labelled()
+        data["strata"][1]["spelled-twice"] = 3  # written after the first spelling
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps(data).replace('"spelled-twice"', '"dimension"'))
+        assert main(["compute", "--complex", "XD", "--config", str(path)]) == 2
+        assert "error: invalid JSON: duplicate key 'dimension'\n" == capsys.readouterr().err
 
 
 def _slice_dim(d):
