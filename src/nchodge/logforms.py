@@ -26,16 +26,17 @@ raises.  `LogPolyForm.terms` decodes the keys into the caller's view
 when integral, else a Fraction), which `str()` and `monomials` print.
 
 What the kernel needs to know about a basis depends only on the chart, so
-`_layout(chart)`, one `functools.lru_cache` keyed by the frozen `LogChart`
-(equal charts built apart share it), holds the chart's masks (the fields of
-its ideal and of its omitted variables among them) and dicts that fill an
-entry on first lookup: `sign` (front << n | back -> the sign of sorting two
-disjoint masks, for `wedge` and `residue`), `d` (B -> (field, shift, key
-delta, sign) per live i outside B, for `exterior_d`), `poles` (B -> count
-and guard bits of B's divisor indices, for `weight_level`), `dz` (B -> the
-key of dz_B) and `pool` (degree -> the packed `_exponent_pool`).
-`_slice_chart` keeps each `chart.restrict(I)`.  None of them holds a form
-or a result.  A form keeps its degree once it is found.
+each `LogChart` holds it, worked out in `__post_init__` beside its index
+sets: the masks (the fields of its ideal and of its omitted variables among
+them) and dicts that fill an entry on first lookup: `sign` (front << n |
+back -> the sign of sorting two disjoint masks, for `wedge` and `residue`),
+`d` (B -> (field, shift, key delta, sign) per live i outside B, for
+`exterior_d`), `poles` (B -> count and guard bits of B's divisor indices,
+for `weight_level`), `dz` (B -> the key of dz_B), `pool` (degree -> the
+packed `_exponent_pool`) and `slices` (I -> `chart.restrict(I)`).  None of
+them holds a form or a result, and `==` and `hash` read only the five
+fields, so equal charts built apart compare and hash equal, each with its
+own tables.  A form keeps its degree once it is found.
 
 The public `LogPolyForm(chart, terms)` checks and converts caller data, and
 every function that takes caller data goes through it: `form`, `xi`,
@@ -51,13 +52,12 @@ the sliced indices; and the random forms and the claim's generators draw
 live bases and exponents from the packed pool, which skips every omitted
 coordinate.  `_draw` (each monomial and coefficient) and `random_form` (each
 basis) read `rng.getrandbits` inline, the other draws through `_below` or
-`_sample`; `_below` states that each reads the stream as the stdlib's
+`rng.sample`; `_below` states that each reads the stream as the stdlib's
 `randrange`, `choice` and `sample` do, so a seed draws the same forms.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
@@ -174,71 +174,7 @@ def _shuffle_sign(front: int, back: int) -> int:
 # -- charts --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LogChart:
-    """Local model: coordinates z_1..z_n, divisor z_1...z_l = 0, residue
-    indices {1..k}, closed stratum cut out by the z_j with j in `ideal`."""
-
-    n: int
-    l: int
-    k: int
-    ideal: frozenset[int]
-    omitted: frozenset[int] = frozenset()
-
-    def __post_init__(self):
-        object.__setattr__(self, "ideal", frozenset(self.ideal))
-        object.__setattr__(self, "omitted", frozenset(self.omitted))
-        if not (0 <= self.k <= self.l <= self.n):
-            raise BadParams(f"need k <= l <= n, got k={self.k} l={self.l} n={self.n}")
-        if not all(1 <= j <= self.l for j in self.ideal):
-            raise BadParams("ideal indices must cut divisor branches (1..l)")
-        if not all(1 <= i <= self.n for i in self.omitted):
-            raise BadParams("omitted indices outside 1..n")
-        if self.residue_set & self.omitted:
-            raise BadParams("residue indices were already set to zero")
-        # every kernel call looks its chart's layout up by hash
-        object.__setattr__(
-            self, "_hash", hash((self.n, self.l, self.k, self.ideal, self.omitted))
-        )
-
-    def __hash__(self):
-        return self._hash
-
-    @property
-    def residue_set(self) -> frozenset[int]:
-        return frozenset(range(1, self.k + 1))
-
-    @property
-    def j1(self) -> frozenset[int]:
-        return self.ideal & self.residue_set
-
-    @property
-    def j2(self) -> frozenset[int]:
-        return self.ideal - self.residue_set
-
-    @property
-    def log_indices(self) -> frozenset[int]:
-        return frozenset(range(1, self.l + 1)) - self.omitted
-
-    @property
-    def live_indices(self) -> frozenset[int]:
-        return frozenset(range(1, self.n + 1)) - self.omitted
-
-    def restrict(self, indices) -> "LogChart":
-        """Chart of the slice z_i = 0 for i in `indices`."""
-        indices = frozenset(indices)
-        if not indices <= self.live_indices:
-            raise BadParams("cannot restrict to an index already zero or out of range")
-        return LogChart(
-            n=self.n,
-            l=self.l,
-            k=0,
-            ideal=self.ideal - indices,
-            omitted=self.omitted | indices,
-        )
-
-
-# -- the per-chart layout --------------------------------------------------------
+_set = object.__setattr__
 
 
 class _Table(dict):
@@ -255,22 +191,46 @@ class _Table(dict):
         return value
 
 
-class _Layout:
-    """The masks and lazily filled tables of one chart; see the module notes."""
+@dataclass(frozen=True)
+class LogChart:
+    """Local model: coordinates z_1..z_n, divisor z_1...z_l = 0, residue
+    indices {1..k}, closed stratum cut out by the z_j with j in `ideal`.
 
-    __slots__ = ("n", "mask", "live", "guard", "limit", "ideal", "omitted", "sign", "d",
-                 "poles", "pool", "dz")
+    Beside the five fields, `__post_init__` sets the index sets and the
+    layout the kernel reads (see the module notes): `mask` (the basis bits),
+    `live_bits` (one bit per live index, ascending), `guard` and `limit`
+    (every guard bit, every value bit), `ideal_fields` and `omitted_fields`,
+    and the tables `sign`, `d`, `poles`, `dz`, `pool` and `slices`."""
 
-    def __init__(self, chart: LogChart):
-        n, mask = chart.n, (1 << chart.n) - 1
-        live, logs = sorted(chart.live_indices), sorted(chart.log_indices)
+    n: int
+    l: int
+    k: int
+    ideal: frozenset[int]
+    omitted: frozenset[int] = frozenset()
+
+    def __post_init__(self):
+        n, l, ideal, omitted = self.n, self.l, frozenset(self.ideal), frozenset(self.omitted)
+        _set(self, "ideal", ideal)
+        _set(self, "omitted", omitted)
+        if not (0 <= self.k <= l <= n):
+            raise BadParams(f"need k <= l <= n, got k={self.k} l={l} n={n}")
+        if not all(1 <= j <= l for j in ideal):
+            raise BadParams("ideal indices must cut divisor branches (1..l)")
+        if not all(1 <= i <= n for i in omitted):
+            raise BadParams("omitted indices outside 1..n")
+        residue_set = frozenset(range(1, self.k + 1))
+        if residue_set & omitted:
+            raise BadParams("residue indices were already set to zero")
+        live = [i for i in range(1, n + 1) if i not in omitted]
+        logs = [i for i in live if i <= l]
+        mask = (1 << n) - 1
 
         def fields(indices, bits=_LIMIT):
             return sum(bits << _shift(n, i) for i in indices)
 
         def d_entry(b):
             return tuple(
-                (fields([i]), _shift(n, i), (1 << (i - 1)) - (i > chart.l) * fields([i], 1),
+                (fields([i]), _shift(n, i), (1 << (i - 1)) - (i > l) * fields([i], 1),
                  _shuffle_sign(1 << (i - 1), b))
                 for i in live if not b >> (i - 1) & 1
             )
@@ -280,32 +240,47 @@ class _Layout:
             at = [i for i in logs if b >> (i - 1) & 1]
             return len(at), fields(at, _GUARD)
 
-        self.n, self.mask, self.live = n, mask, [1 << (i - 1) for i in live]
-        self.guard, self.limit = fields(range(1, n + 1), _GUARD), fields(range(1, n + 1))
-        self.ideal, self.omitted = fields(chart.ideal), fields(chart.omitted)
-        self.sign = _Table(lambda pair: _shuffle_sign(pair >> n, pair & mask))
-        self.d, self.poles = _Table(d_entry), _Table(poles)
-        self.dz = _Table(lambda b: b + fields([i for i in logs if b >> (i - 1) & 1], 1))
-        self.pool = _Table(lambda degree: tuple(
-            _pack(n, e) for e in _exponent_pool(n, degree, chart.omitted)))
+        # set beside the fields: `==`, `hash` and `repr` read the five fields only
+        vars(self).update(
+            residue_set=residue_set,
+            j1=ideal & residue_set,
+            j2=ideal - residue_set,
+            log_indices=frozenset(logs),
+            live_indices=frozenset(live),
+            mask=mask,
+            live_bits=tuple(1 << (i - 1) for i in live),
+            guard=fields(range(1, n + 1), _GUARD),
+            limit=fields(range(1, n + 1)),
+            ideal_fields=fields(ideal),
+            omitted_fields=fields(omitted),
+            sign=_Table(lambda pair: _shuffle_sign(pair >> n, pair & mask)),
+            d=_Table(d_entry),
+            poles=_Table(poles),
+            dz=_Table(lambda b: b + fields([i for i in logs if b >> (i - 1) & 1], 1)),
+            pool=_Table(lambda degree: tuple(
+                _pack(n, e) for e in _exponent_pool(n, degree, omitted))),
+            slices=_Table(self.restrict),
+        )
 
+    def __reduce__(self):
+        # the tables hold closures, which do not pickle: a copy builds its own
+        return LogChart, (self.n, self.l, self.k, self.ideal, self.omitted)
 
-@functools.lru_cache(maxsize=32)
-def _layout(chart: LogChart) -> _Layout:
-    """The one layout of `chart`, shared by every equal chart."""
-    return _Layout(chart)
-
-
-@functools.lru_cache(maxsize=32)
-def _slice_chart(chart: LogChart, indices: frozenset[int]) -> LogChart:
-    """`chart.restrict(indices)`, built and checked once."""
-    return chart.restrict(indices)
+    def restrict(self, indices) -> "LogChart":
+        """Chart of the slice z_i = 0 for i in `indices`."""
+        indices = frozenset(indices)
+        if not indices <= self.live_indices:
+            raise BadParams("cannot restrict to an index already zero or out of range")
+        return LogChart(
+            n=self.n,
+            l=self.l,
+            k=0,
+            ideal=self.ideal - indices,
+            omitted=self.omitted | indices,
+        )
 
 
 # -- forms ---------------------------------------------------------------------
-
-
-_set = object.__setattr__
 
 
 class LogPolyForm:
@@ -314,8 +289,7 @@ class LogPolyForm:
     __slots__ = ("chart", "_nums", "_den", "_degree")
 
     def __init__(self, chart: LogChart, terms: dict):
-        n = chart.n
-        omitted = _layout(chart).omitted
+        n, omitted = chart.n, chart.omitted_fields
         exact: dict[int, int | Fraction] = {}
         for b, poly in terms.items():
             b = frozenset(b)
@@ -384,7 +358,7 @@ class LogPolyForm:
     def degree(self) -> int | None:
         """Form degree; None for the zero form.  A form keeps it once found."""
         if not hasattr(self, "_degree"):
-            mask = (1 << self.chart.n) - 1
+            mask = self.chart.mask
             sizes = {(key & mask).bit_count() for key in self._nums}
             if len(sizes) > 1:
                 raise NonHomogeneous(f"mixed form degrees {sorted(sizes)}")
@@ -468,7 +442,7 @@ def zero_form(chart: LogChart) -> LogPolyForm:
 def _z(chart: LogChart, j: int) -> LogPolyForm:
     """The coordinate z_j as a 0-form: zero when z_j is zero on the chart."""
     key = 1 << _shift(chart.n, j)
-    return LogPolyForm._built(chart, {} if key & _layout(chart).omitted else {key: 1}, 1)
+    return LogPolyForm._built(chart, {} if key & chart.omitted_fields else {key: 1}, 1)
 
 
 def xi(chart: LogChart, *indices: int) -> LogPolyForm:
@@ -508,8 +482,8 @@ def from_regular(chart: LogChart, terms: dict) -> LogPolyForm:
 
 def wedge(a: LogPolyForm, b: LogPolyForm) -> LogPolyForm:
     _same_chart(a, b)
-    lay = _layout(a.chart)
-    n, mask, guard, sign = lay.n, lay.mask, lay.guard, lay.sign
+    chart = a.chart
+    n, mask, guard, sign = chart.n, chart.mask, chart.guard, chart.sign
     out: dict[int, int] = {}
     get = out.get
     for k1, c1 in a._nums.items():
@@ -529,8 +503,7 @@ def wedge(a: LogPolyForm, b: LogPolyForm) -> LogPolyForm:
 def exterior_d(a: LogPolyForm) -> LogPolyForm:
     """d(f xi_B) = sum_i c_i xi_i ^ xi_B, with c_i = z_i df/dz_i on divisor
     branches (keeping coefficients polynomial) and df/dz_i above."""
-    lay = _layout(a.chart)
-    d_of, mask = lay.d, lay.mask
+    d_of, mask = a.chart.d, a.chart.mask
     out: dict[int, int] = {}
     get = out.get
     for key, c in a._nums.items():
@@ -544,8 +517,7 @@ def exterior_d(a: LogPolyForm) -> LogPolyForm:
 def weight_level(a: LogPolyForm) -> int:
     """Smallest w with every monomial pole count at most w."""
     a.degree()
-    lay = _layout(a.chart)
-    poles_of, mask, limit = lay.poles, lay.mask, lay.limit
+    poles_of, mask, limit = a.chart.poles, a.chart.mask, a.chart.limit
     level = 0
     for key in a._nums:
         count, guards = poles_of[key & mask]
@@ -559,7 +531,7 @@ def weight_level(a: LogPolyForm) -> int:
 
 def in_ideal_subcomplex(a: LogPolyForm) -> bool:
     """True iff every coefficient lies in the chart's monomial ideal."""
-    return all(map(_layout(a.chart).ideal.__and__, a._nums))
+    return all(map(a.chart.ideal_fields.__and__, a._nums))
 
 
 def residue(a: LogPolyForm, indices) -> LogPolyForm:
@@ -578,8 +550,7 @@ def residue(a: LogPolyForm, indices) -> LogPolyForm:
     level = weight_level(a)
     if level > k:
         raise WeightTooLow(f"form has weight {level}, residue needs at most {k}")
-    lay = _layout(chart)
-    n, mask, sign = lay.n, lay.mask, lay.sign
+    n, mask, sign = chart.n, chart.mask, chart.sign
     front = _mask(idx)
     cut = sum(_LIMIT << _shift(n, i) for i in idx)
     out: dict[int, int] = {}
@@ -587,89 +558,87 @@ def residue(a: LogPolyForm, indices) -> LogPolyForm:
         if key & front == front and not key & cut:
             rest = key - front
             out[rest] = c * sign[front << n | rest & mask]
-    return LogPolyForm._built(_slice_chart(chart, idx), out, a._den)
+    return LogPolyForm._built(chart.slices[idx], out, a._den)
 
 
 # -- the two inclusions of the residue claim ------------------------------------
 
 
-def _monomials_up_to(n: int, degree: int):
-    """All exponent tuples of total degree <= degree, ascending."""
-    for total in range(degree + 1):
-        for cuts in itertools.combinations(range(total + n - 1), n - 1):
-            exps = []
-            prev = -1
-            for c in cuts:
-                exps.append(c - prev - 1)
-                prev = c
-            exps.append(total + n - 2 - prev)
-            yield tuple(exps)
-
-
 def _exponent_pool(n: int, degree: int, omitted: frozenset[int]) -> tuple[Exponents, ...]:
-    """The exponent tuples of `_monomials_up_to` that vanish on `omitted`, in
-    the same order; the random forms draw from it packed, through each
-    chart's layout, so the order fixes what a seed produces."""
-    return tuple(
-        e
-        for e in _monomials_up_to(n, degree)
-        if all(e[i - 1] == 0 for i in omitted)
-    )
+    """The exponent tuples of total degree at most `degree` that vanish on
+    `omitted`: by total, and ascending within a total.  The random forms draw
+    from them packed, through each chart's `pool`, so the order fixes what a
+    seed produces."""
+    live = [i for i in range(n) if i + 1 not in omitted]
+    if not live:
+        return ((0,) * n,) if degree >= 0 else ()
+
+    def spread(i, total):
+        # the exponents of z_(i+1)..z_n that sum to `total`, ascending: an
+        # omitted one is 0 and the last live one takes what is left
+        if i == live[-1]:
+            yield (total,) + (0,) * (n - 1 - i)
+            return
+        for x in range(total + 1) if i in live else (0,):
+            for rest in spread(i + 1, total - x):
+                yield (x,) + rest
+
+    return tuple(e for total in range(degree + 1) for e in spread(0, total))
 
 
 def ideal_weight_generators(chart: LogChart, p: int, degree_bound: int):
     """Monomial forms z^E xi_B spanning (ideal * forms) cap W_k in degree p,
     with coefficient degree at most `degree_bound`."""
-    lay = _layout(chart)
-    exps = [e for e in lay.pool[degree_bound] if e & lay.ideal]
-    for bmask in map(sum, itertools.combinations(lay.live, p)):
-        guards = lay.poles[bmask][1]
+    exps = [e for e in chart.pool[degree_bound] if e & chart.ideal_fields]
+    for bmask in map(sum, itertools.combinations(chart.live_bits, p)):
+        guards = chart.poles[bmask][1]
         for e in exps:
-            if (guards & ~(e + lay.limit)).bit_count() <= chart.k:
+            if (guards & ~(e + chart.limit)).bit_count() <= chart.k:
                 yield LogPolyForm._built(chart, {bmask | e: 1}, 1)
 
 
 def _claim_target_span(chart: LogChart, p: int, degree_bound: int):
     """Span of z_j * (regular forms) + dz_j * (regular forms), j in J2, on
     the residue slice: its one-monomial generators, and each key to a column."""
-    sliced = _slice_chart(chart, chart.residue_set)
-    lay = _layout(sliced)
+    sliced = chart.slices[chart.residue_set]
     generators: list[LogPolyForm] = []
-    exps = lay.pool[degree_bound]
+    exps = sliced.pool[degree_bound]
     for j in sorted(chart.j2 - sliced.omitted):  # z_j = dz_j = 0 where z_j is omitted
-        z_j, dz_j = 1 << _shift(chart.n, j), lay.dz[1 << (j - 1)]
+        z_j, dz_j = 1 << _shift(chart.n, j), sliced.dz[1 << (j - 1)]
         for r, lead in ((p - chart.k, z_j), (p - chart.k - 1, dz_j)):
             if r < 0:
                 continue
             # dz_j ^ dz_B = 0 for j in B
-            for bmask in (b for b in map(sum, itertools.combinations(lay.live, r)) if not lead & b):
-                sign, base = lay.sign[(lead & lay.mask) << chart.n | bmask], lead + lay.dz[bmask]
+            bases = map(sum, itertools.combinations(sliced.live_bits, r))
+            for bmask in (b for b in bases if not lead & b):
+                sign = sliced.sign[(lead & sliced.mask) << chart.n | bmask]
+                base = lead + sliced.dz[bmask]
                 for e in exps:
-                    if (base + e) & lay.guard:
+                    if (base + e) & sliced.guard:
                         raise BadParams(f"wedge product has an exponent above the limit {_LIMIT}")
                     generators.append(LogPolyForm._built(sliced, {base + e: sign}, 1))
     keys = dict.fromkeys(key for gen in generators for key in gen._nums)
     return generators, {key: n for n, key in enumerate(keys)}
 
 
-def _claim_combos(rng: random.Random, chart: LogChart, keys: list[int], combos: int):
-    """`combos` sums of up to three of the distinct monomials `keys`, each
-    times `randrange(-3, 4) / randrange(1, 4)`, as numerators over 6."""
-    for _ in range(combos):
+def _claim_combos(rng: random.Random, chart: LogChart, keys: list[int]):
+    """25 sums of up to three of the distinct monomials `keys`, each times
+    `randrange(-3, 4) / randrange(1, 4)`, as numerators over 6."""
+    for _ in range(25):
         acc = {}
-        for i in _sample(rng, range(len(keys)), min(3, len(keys))):
+        for i in rng.sample(range(len(keys)), min(3, len(keys))):
             acc[keys[i]] = (_below(rng, 7) - 3) * 6 // (_below(rng, 3) + 1)
         yield LogPolyForm._built(chart, acc, 6)
 
 
 def claim_forward_check(
-    chart: LogChart, p: int, seed: int = 0, degree_bound: int = 2, combos: int = 25
+    chart: LogChart, p: int, seed: int = 0, degree_bound: int = 2
 ) -> bool:
     """Residues of ideal forms of weight at most k land in the span of
     z_j * forms and dz_j ^ forms on the slice, j running over J2.
 
     Checks every monomial generator with coefficient degree at most the
-    bound, then seeded random combinations of them.
+    bound, then 25 seeded random combinations of them.
     """
     if chart.k == 0:
         # no residue to take
@@ -684,7 +653,7 @@ def claim_forward_check(
     generators, index = _claim_target_span(chart, p, degree_bound + 1)
     candidates = list(ideal_weight_generators(chart, p, degree_bound))
     keys = [key for g in candidates for key in g._nums]  # one monomial each
-    forms = candidates + list(_claim_combos(random.Random(seed), chart, keys, combos))
+    forms = candidates + list(_claim_combos(random.Random(seed), chart, keys))
     for g in forms:  # each a sum of monomials of degree p
         _set(g, "_degree", p if g._nums else None)
     at = chart.residue_set
@@ -743,7 +712,7 @@ def claim_witness(
 
     level = weight_level(omega)
     if level <= chart.k:
-        sliced = _slice_chart(chart, chart.residue_set)
+        sliced = chart.slices[chart.residue_set]
         expected = zero_form(sliced)
         for j in sorted(chart.j2):
             eta_cut = LogPolyForm(sliced, eta.get(j, zero_form(chart)).terms)
@@ -777,33 +746,13 @@ def claim_witness(
 
 def _below(rng: random.Random, n: int) -> int:
     """`rng._randbelow(n)`, n >= 1, as Python 3.10 to 3.13 read `getrandbits`:
-    each draw here reads the stream that `rng.randrange`, `rng.choice` and
-    `rng.sample` would, through it or with its loop written inline."""
+    each draw here that does not call the stdlib reads the stream that
+    `rng.randrange`, `rng.choice` and `rng.sample` would, through it or with
+    its loop written inline."""
     k = n.bit_length()
     while (r := rng.getrandbits(k)) >= n:
         pass
     return r
-
-
-def _sample(rng: random.Random, population, k: int) -> list:
-    """`rng.sample(population, k)` drawn through `_below`: the stdlib's pool
-    branch up to its set size, its set branch above, and its own errors."""
-    n, out, seen = len(population), [], set()
-    if not 0 <= k <= n:
-        return rng.sample(population, k)
-    if n <= 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0):
-        pool = list(population)
-        for i in range(k):
-            j = _below(rng, n - i)
-            out.append(pool[j])
-            pool[j] = pool[n - i - 1]
-        return out
-    while len(out) < k:  # a drawn index is drawn again, as the stdlib does
-        j = _below(rng, n)
-        if j not in seen:
-            seen.add(j)
-            out.append(population[j])
-    return out
 
 
 # at 3 (num + 4) + den - 1, num/den as a numerator over 6, the lcm of 1 to 3
@@ -830,24 +779,22 @@ def _draw(rng: random.Random, pool: tuple[int, ...], acc: dict[int, int], bmask:
         acc[key] = acc.get(key, 0) + _DRAWN[3 * num + den]
 
 
-def random_form(rng: random.Random, chart: LogChart, p: int, degree: int = 2,
-                terms: int = 3) -> LogPolyForm:
-    """`terms` random bases of size p, each with two random monomials of
+def random_form(rng: random.Random, chart: LogChart, p: int, degree: int = 2) -> LogPolyForm:
+    """Three random bases of size p, each with two random monomials of
     coefficient degree at most `degree`."""
-    lay = _layout(chart)
-    live, count = lay.live, len(lay.live)
+    live, count = chart.live_bits, len(chart.live_bits)
     if p > count:
         return zero_form(chart)
-    bits, acc, pool = rng.getrandbits, {}, lay.pool[degree]
-    for _ in range(terms if p else 1):  # with no basis to draw, one call draws every monomial
-        # `_sample` of the live bits (as of the live indices), its list branch inline
-        left, bmask = live[:], 0 if count <= 21 and p >= 0 else sum(_sample(rng, live, p))
+    bits, acc, pool = rng.getrandbits, {}, chart.pool[degree]
+    for _ in range(3 if p else 1):  # with no basis to draw, one call draws all six monomials
+        # `rng.sample` of the live bits (as of the live indices), its list branch inline
+        left, bmask = list(live), 0 if count <= 21 and p >= 0 else sum(rng.sample(live, p))
         for m in range(count, count - p, -1) if count <= 21 else ():
             while (j := bits(m.bit_length())) >= m:
                 pass
             bmask += left[j]
             left[j] = left[m - 1]
-        _draw(rng, pool, acc, bmask, 2 if p else 2 * terms)
+        _draw(rng, pool, acc, bmask, 2 if p else 6)
     drawn = LogPolyForm._built(chart, acc, 6)
     _set(drawn, "_degree", p if drawn._nums else None)  # each basis drawn has p indices
     return drawn
@@ -857,30 +804,29 @@ def random_lift(rng: random.Random, chart: LogChart, degree: int) -> LogPolyForm
     """Random regular form of form degree `degree` on the whole chart: two
     random bases B, each with a poly * dz_B of two monomials of degree at
     most 1; a basis drawn twice keeps its second poly."""
-    lay = _layout(chart)
     drawn: dict[int, dict[int, int]] = {}
     for _ in range(2):
-        if degree > len(lay.live):
+        if degree > len(chart.live_bits):
             break
-        bmask = sum(_sample(rng, lay.live, degree))
+        bmask = sum(rng.sample(chart.live_bits, degree))
         drawn[bmask] = acc = {}
-        _draw(rng, lay.pool[1], acc, lay.dz[bmask], 2)
+        _draw(rng, chart.pool[1], acc, chart.dz[bmask], 2)
     nums = {key: v for acc in drawn.values() for key, v in acc.items()}
     return LogPolyForm._built(chart, nums, 6)
 
 
 def random_ideal_form(rng: random.Random, chart: LogChart, p: int,
-                      degree: int = 2, terms: int = 3) -> LogPolyForm:
+                      degree: int = 2) -> LogPolyForm:
     """Random form with every coefficient inside the chart's ideal."""
     if not chart.ideal:
         raise BadParams("chart has an empty ideal")
-    base = random_form(rng, chart, p, degree, terms)
+    base = random_form(rng, chart, p, degree)
     j = sorted(chart.ideal)[_below(rng, len(chart.ideal))]  # as `rng.choice` picks it
     if j in chart.omitted:  # z_j ^ base is zero where z_j is zero
         return zero_form(chart)
     z_j = 1 << _shift(chart.n, j)  # z_j ^ base: base, new and so free to reuse, one higher in z_j
     _set(base, "_nums", {key + z_j: v for key, v in base._nums.items()})
     # base's exponents are at most `degree`: only from `_LIMIT` on can one carry
-    if degree >= _LIMIT and any(map(_layout(chart).guard.__and__, base._nums)):
+    if degree >= _LIMIT and any(map(chart.guard.__and__, base._nums)):
         raise BadParams(f"wedge product has an exponent above the limit {_LIMIT}")
     return base

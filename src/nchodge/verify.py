@@ -13,6 +13,7 @@ from .atlas import StrataAtlas, key_to_string, validate_atlas
 from .complexes import SELECTORS, build, cone_morphism
 from .errors import BadParams
 from .logforms import (
+    _LIMIT,
     LogChart,
     _below,
     claim_forward_check,
@@ -224,6 +225,10 @@ def run_suite(
     if name in ("logforms", "all") and degree_bound < 1:
         # Below 1 there are no ideal forms to take residues of: nothing to check.
         raise BadParams(f"suite {name!r} needs a degree bound >= 1, got {degree_bound}")
+    if name in ("logforms", "all") and degree_bound + 1 > _LIMIT:
+        # the claim's target span reaches one degree past the bound
+        raise BadParams(f"suite {name!r} needs a degree bound below the exponent limit "
+                        f"{_LIMIT}, got {degree_bound}")
     if name == "logforms":
         return suite_logforms(seed=seed, degree_bound=degree_bound)
     if atlas is None:

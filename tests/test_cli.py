@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -228,6 +229,20 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert f"got {bound}" in err
+
+    @pytest.mark.parametrize("suite", ["logforms", "all"])
+    @pytest.mark.parametrize("bound", ["32767", "40000"])
+    def test_degree_bound_past_the_exponent_limit_rejected(self, capsys, suite, bound):
+        # the claim's span reaches one degree past the bound, and an exponent stops at
+        # 32767: the bound is refused before any draw, not left to exhaust memory
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--family", "p1_1pt",
+                             "--suite", suite, "--degree-bound", bound)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert f"exponent limit 32767, got {bound}" in err
+        assert "Traceback" not in err
 
     def test_failing_check_exits_one(self, tmp_path, capsys):
         broken = tmp_path / "broken.json"

@@ -1,6 +1,7 @@
-"""The package's imports, read from its source with `ast`: `nchodge.__all__`
-is exactly what `__init__` imports and every name in it resolves, and no
-module keeps an import it never reads."""
+"""The package's imports and private names, read from its source with
+`ast`: `nchodge.__all__` is exactly what `__init__` imports and every name
+in it resolves, no module keeps an import it never reads, and no module
+keeps a private function, class or method that no module reads."""
 
 import ast
 import pathlib
@@ -37,6 +38,32 @@ def read_names(tree: ast.Module) -> set[str]:
     return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Each private module-level function or class, and each private method
+    of a module-level class, with its line: a name with a leading underscore
+    that is not a dunder."""
+    nodes = list(tree.body)
+    nodes += [item for node in tree.body if isinstance(node, ast.ClassDef) for item in node.body]
+    return {
+        node.name: node.lineno
+        for node in nodes
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    }
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    """Every name the module reads: bare, as an attribute, or imported."""
+    names = read_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
 def test_all_resolves():
     missing = [name for name in nchodge.__all__ if not hasattr(nchodge, name)]
     assert missing == []
@@ -53,3 +80,15 @@ def test_no_unread_import(name):
     read = read_names(tree)
     unread = {n: line for n, line in imported_names(tree).items() if n not in read}
     assert unread == {}, f"{name} imports names it never reads"
+
+
+def test_no_unread_private_definition():
+    trees = {name: parse(name) for name in MODULES}
+    read = set().union(*map(used_names, trees.values()))
+    unread = {
+        f"{name}:{line} {private}"
+        for name, tree in trees.items()
+        for private, line in private_definitions(tree).items()
+        if private not in read
+    }
+    assert unread == set(), "private names that no module of the package reads"

@@ -1,9 +1,13 @@
+import copy
 import itertools
+import pickle
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+import reference_logforms as ref
 from nchodge import logforms
 from nchodge.errors import (
     BadParams,
@@ -62,6 +66,18 @@ class TestChart:
         assert sliced.ideal == frozenset({2})
         with pytest.raises(BadParams):
             sliced.restrict({1})
+
+    @pytest.mark.parametrize("copy_chart", [lambda c: pickle.loads(pickle.dumps(c)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_a_copy_is_an_equal_chart_with_its_own_tables(self, copy_chart):
+        """The tables hold closures, which do not pickle: a chart is copied
+        from its five fields, and the copy builds its own tables."""
+        chart = C33.restrict({3})
+        chart.slices[frozenset({1})]
+        twin = copy_chart(chart)
+        assert twin == chart and hash(twin) == hash(chart) and twin.j2 == chart.j2
+        assert not twin.slices and twin.slices[frozenset({1})] == chart.slices[frozenset({1})]
+        assert wedge(xi(twin, 1), xi(twin, 2)) == xi(chart, 1, 2)
 
 
 class TestForms:
@@ -383,7 +399,7 @@ class TestPackedForwardCheck:
             assert len(keys) == len(candidates)
             for seed in range(24):
                 got_rng, want_rng = random.Random(seed), random.Random(seed)
-                got = list(logforms._claim_combos(got_rng, chart, keys, 25))
+                got = list(logforms._claim_combos(got_rng, chart, keys))
                 assert got == self._scaled_sums(want_rng, chart, candidates, 25)
                 assert got_rng.getstate() == want_rng.getstate()
 
@@ -520,8 +536,8 @@ class TestPackedLimits:
         assert wedge(left, right).terms == {frozenset({3}): {(self.LIMIT, 5, 0): 2}}
 
     def test_many_variables_build_no_table_up_front(self):
-        """n = 24: the layout fills only the entries these operations read,
-        where a table sized 2^n or 4^n up front would not fit."""
+        """n = 24: the chart's tables fill only the entries these operations
+        read, where a table sized 2^n or 4^n up front would not fit."""
         chart = LogChart(24, 20, 2, {1, 5, 20})
         a = LogPolyForm(chart, {(1, 2, 24): monomial(24, {5: 2, 24: 1}, 3),
                                 (2, 3, 23): monomial(24, {1: 1}, Fraction(1, 2))})
@@ -535,9 +551,11 @@ class TestPackedLimits:
         assert res.chart == chart.restrict({1, 2})
         assert weight_level(prod) == 2
         assert str(res) == "(3*z4z5^2z20z22^3z24) xi4^xi24"
-        lay = logforms._layout(chart)
-        assert max(len(lay.sign), len(lay.d), len(lay.poles)) <= 8 and not lay.pool
-        assert all(len(entry) <= chart.n for entry in lay.d.values())
+        assert max(len(chart.sign), len(chart.d), len(chart.poles)) <= 8
+        assert not chart.pool and not chart.dz
+        assert list(chart.slices) == [frozenset({1, 2})]
+        assert res.chart is chart.slices[frozenset({1, 2})]
+        assert all(len(entry) <= chart.n for entry in chart.d.values())
 
 
 class TestPolyHelpers:
@@ -552,10 +570,34 @@ class TestPolyHelpers:
         assert (a + a) == xi(C33, 1)
 
 
+class TestExponentPool:
+    """`_exponent_pool` walks the live variables itself and gives the frozen
+    reference's `_monomials_up_to` filtered by the omitted set, in the same
+    order, which fixes what a seed draws."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_equals_the_filtered_reference(self, n):
+        for r in range(n + 1):
+            for omitted in map(frozenset, itertools.combinations(range(1, n + 1), r)):
+                for degree in range(5):
+                    want = tuple(e for e in ref._monomials_up_to(n, degree)
+                                 if all(e[i - 1] == 0 for i in omitted))
+                    assert logforms._exponent_pool(n, degree, omitted) == want, (omitted, degree)
+
+    def test_a_pool_at_the_limit_builds_at_once(self):
+        """Linear in the pool's size: 32,768 exponents in well under a
+        second, where one range copy per total took about ten."""
+        chart, limit = LogChart(1, 1, 0, {1}), logforms._LIMIT
+        start = time.perf_counter()
+        pool = chart.pool[limit]
+        assert time.perf_counter() - start < 0.5
+        assert pool == tuple(e << logforms._shift(1, 1) for e in range(limit + 1))
+
+
 class TestSampler:
-    """`_below` and `_sample` read `getrandbits` as the running stdlib's
-    `randrange`, `choice` and `sample` do: the same results, and the
-    generator left in the same state, for every n and k below and 200 seeds."""
+    """`_below` reads `getrandbits` as the running stdlib's `randrange` and
+    `choice` do: the same results, and the generator left in the same state,
+    for every n below and 200 seeds."""
 
     @staticmethod
     def _populations(n):
@@ -570,33 +612,27 @@ class TestSampler:
             assert logforms._below(got, n) == want.randrange(0, n)
             assert -3 + logforms._below(got, n) == want.randrange(-3, n - 3)
             assert pool[logforms._below(got, n)] == want.choice(pool)
-            for k in range(min(n, 12) + 1):
-                assert logforms._sample(got, pool, k) == want.sample(pool, k), (seed, k)
             assert got.getstate() == want.getstate(), seed
 
-    def test_both_branches_of_sample_are_reached(self):
-        """Up to 21 (plus 4^ceil(log4(3k)) past k = 5) the stdlib samples a
-        list, above it a set of drawn indices, which may repeat."""
-        for n, k in [(21, 5), (22, 5), (40, 3), (85, 6), (86, 6), (300, 12)]:
-            for seed in range(50):
-                got, want = random.Random(seed), random.Random(seed)
-                assert logforms._sample(got, range(n), k) == want.sample(range(n), k)
-                assert got.getstate() == want.getstate()
-
-    @pytest.mark.parametrize("population, k", [(range(0), 1), ([1, 2], 3), ([1, 2], -1)])
-    def test_a_bad_sample_raises_the_stdlib_error(self, population, k):
-        got, want = random.Random(5), random.Random(5)
+    @pytest.mark.parametrize("p", [-1, -3])
+    @pytest.mark.parametrize("chart", [C33, LogChart(24, 20, 2, {1, 5, 20})], ids=["C33", "n24"])
+    def test_a_negative_degree_raises_the_stdlib_sample_error(self, chart, p):
+        """`random_form` (below and above its inline branch's 21 live
+        indices) and `random_lift` sample their bases with `rng.sample`,
+        whose own error a negative degree raises before anything is drawn."""
         with pytest.raises(ValueError) as want_exc:
-            want.sample(population, k)
-        with pytest.raises(ValueError) as got_exc:
-            logforms._sample(got, population, k)
-        assert str(got_exc.value) == str(want_exc.value)
-        assert got.getstate() == want.getstate() == random.Random(5).getstate()
+            random.Random(5).sample(sorted(chart.live_indices), p)
+        for draw in (random_form, logforms.random_lift):
+            got = random.Random(5)
+            with pytest.raises(ValueError) as got_exc:
+                draw(got, chart, p)
+            assert str(got_exc.value) == str(want_exc.value)
+            assert got.getstate() == random.Random(5).getstate()
 
     def test_an_empty_draw_raises_the_stdlib_error(self):
         """`getrandbits(0)` is 0, so `_below(rng, 0)` would loop for ever:
         `_draw` raises `choice`'s own error on an empty pool instead, and
-        nothing is drawn, nor by a sample of none."""
+        nothing is drawn, nor by a draw of none."""
         got, want = random.Random(5), random.Random(5)
         with pytest.raises(IndexError) as want_exc:
             want.choice(())
@@ -605,7 +641,7 @@ class TestSampler:
         assert str(got_exc.value) == str(want_exc.value)
         acc = {}
         logforms._draw(got, (), acc, 0, 0)
-        assert acc == {} and logforms._sample(got, [], 0) == [] == logforms._sample(got, range(5), 0)
+        assert acc == {}
         assert got.getstate() == random.Random(5).getstate()
 
 

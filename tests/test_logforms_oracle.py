@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 import reference_logforms as ref
 from nchodge import logforms as lf
 from nchodge import verify
+from nchodge.errors import ChartMismatch
 from nchodge.verify import FUZZ_CHARTS
 
 # Every fuzz chart and its residue slice (every fuzz chart has k >= 1); two
@@ -338,13 +339,36 @@ def test_chart_tables_match_reference_on_every_slice(chart):
             )
 
 
-def test_equal_charts_built_apart_share_one_layout():
-    for chart in SLICES:
-        twin = lf.LogChart(chart.n, chart.l, chart.k, set(chart.ideal), set(chart.omitted))
-        assert twin == chart and twin is not chart
-        assert lf._layout(twin) is lf._layout(chart)
+def test_a_chart_builds_each_slice_and_table_entry_once():
+    """A chart keeps what it builds: `chart.slices[I]` is one chart, equal to
+    `chart.restrict(I)`, for every nonempty set I of live indices, and a
+    table entry read twice is one object."""
     for chart in FUZZ_CHARTS:
-        twin = lf.LogChart(chart.n, chart.l, chart.k, set(chart.ideal))
-        sliced = lf._slice_chart(chart, chart.residue_set)
-        assert lf._slice_chart(twin, frozenset(range(1, chart.k + 1))) is sliced
-        assert sliced == chart.restrict(chart.residue_set)
+        live = sorted(chart.live_indices)
+        for r in range(1, len(live) + 1):
+            for I in map(frozenset, itertools.combinations(live, r)):
+                sliced = chart.slices[I]
+                assert chart.slices[I] is sliced and sliced == chart.restrict(I)
+        for table, key in ((chart.pool, 2), (chart.d, 0b11), (chart.poles, 0b1), (chart.dz, 0b1)):
+            assert table[key] is table[key]
+
+
+@pytest.mark.parametrize("chart", SLICES, ids=chart_id)
+def test_forms_on_equal_charts_built_apart_mix(chart):
+    """`==` and `hash` read a chart's five fields and not its tables: equal
+    charts built apart draw the same forms, and their forms add, wedge,
+    compare equal and hash equal; only an unequal chart raises
+    `ChartMismatch`."""
+    twin = lf.LogChart(chart.n, chart.l, chart.k, set(chart.ideal), set(chart.omitted))
+    assert twin == chart and twin is not chart and hash(twin) == hash(chart)
+    for seed in range(4):
+        a = lf.random_form(random.Random(seed), chart, 1)
+        a_twin = lf.random_form(random.Random(seed), twin, 1)
+        assert a_twin == a and hash(a_twin) == hash(a) and a_twin.chart is twin
+        b = lf.random_form(random.Random(seed + 10), twin, 0)
+        assert a + b == a_twin + b and lf.wedge(a, b) == lf.wedge(a_twin, b)
+        assert a - a_twin == lf.zero_form(chart)
+    other = lf.LogChart(chart.n + 1, chart.l, chart.k, set(chart.ideal), set(chart.omitted))
+    for combine in (lambda x, y: x + y, lf.wedge):
+        with pytest.raises(ChartMismatch):
+            combine(lf.zero_form(chart), lf.zero_form(other))

@@ -1,5 +1,6 @@
 import pytest
 
+from nchodge import verify
 from nchodge.atlas import generic_arrangement
 from nchodge.errors import BadParams
 from nchodge.reports import CheckLine, CheckReport
@@ -29,6 +30,16 @@ class TestRunSuite:
     def test_atlas_required(self):
         with pytest.raises(BadParams):
             run_suite("fujiki")
+
+    def test_degree_bound_just_below_the_exponent_limit_is_accepted(self, monkeypatch):
+        # the claim's span reaches degree bound + 1, which is still a legal exponent
+        seen = []
+        monkeypatch.setattr(verify, "suite_logforms",
+                            lambda seed, degree_bound: seen.append(degree_bound) or "ran")
+        assert run_suite("logforms", degree_bound=32766) == "ran" and seen == [32766]
+        with pytest.raises(BadParams, match="exponent limit 32767, got 32767"):
+            run_suite("logforms", degree_bound=32767)
+        assert seen == [32766]
 
     def test_logforms_needs_no_atlas(self):
         report = run_suite("logforms", seed=1, degree_bound=1)
