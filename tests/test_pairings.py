@@ -26,7 +26,7 @@ from nchodge.pairings import (
     product_terms,
     sign_shuffle,
 )
-from nchodge.tables import compute_table
+from nchodge.tables import MixedHodgeTable, compute_table
 
 FIXTURE_NAMES = ["p1_1pt", "p1_2pts", "triangle", "elliptic_1pt"]
 
@@ -597,6 +597,37 @@ class TestFujiki:
         line = next(l for l in report.lines if "local orientation" in l.name)
         assert line.ok
         assert "2 pieces" in line.detail
+
+    def test_no_orientation_class(self, triangle, monkeypatch):
+        """With the relative table's top block (4, 4, (2, 2)) hidden, the
+        first side has no orientation class: the global line, the dim
+        symmetry into that block and each perfect pairing fail, and nothing
+        else does."""
+        original = pairings.compute_table
+
+        def hiding_top(family):
+            table = original(family)
+            if family.label != "XD-tilde":
+                return table
+            dims = {key: 0 if key == (4, 4, (2, 2)) else d for key, d in table.dims.items()}
+            return MixedHodgeTable(table.family, dims)
+
+        monkeypatch.setattr(pairings, "compute_table", hiding_top)
+        report = fujiki_duality_report(triangle)
+        assert {l.name: l.detail for l in report.lines if not l.ok} == {
+            "global orientation class": "H^4(XD) has dim 0 with 0 in the top block",
+            "dim symmetry H(U)^0[w=0,(0,0)] vs H(XD)^4[w=4,(2,2)]": "1 vs 0",
+            "perfect pairing H(U)^1[w=2,(1,1)] vs H(XD)^3[w=2,(1,1)]": "no orientation class",
+            "perfect pairing H(U)^2[w=4,(2,2)] vs H(XD)^2[w=0,(0,0)]": "no orientation class",
+        }
+
+    def test_perfect_into_a_wider_top_block(self, p1_2pts):
+        """Two divisor points give a two-dimensional top block of H^2_D, so
+        the pairing there is checked by injectivity on both sides."""
+        name = "perfect pairing H_D^2[w=2,(1,1)] vs H(D)^0[w=0,(0,0)]"
+        line = next(l for l in fujiki_duality_report(p1_2pts).lines if l.name == name)
+        assert line.ok
+        assert line.detail == "two-sided injectivity into a 2 dimensional top block"
 
     def test_empty_divisor_raises(self):
         with pytest.raises(EmptyDivisor):

@@ -3,6 +3,7 @@ import pytest
 from nchodge import verify
 from nchodge.atlas import generic_arrangement
 from nchodge.errors import BadParams
+from nchodge.fixtures import builtin_atlas
 from nchodge.reports import CheckLine, CheckReport
 from nchodge.verify import SUITES, run_suite, suite_consistency, suite_logforms
 
@@ -58,6 +59,13 @@ class TestRunSuite:
         report = run_suite("all", generic_arrangement(1, 0), degree_bound=1)
         assert report.ok
         assert any("skipped: empty divisor" in l.detail for l in report.lines)
+
+    @pytest.mark.parametrize("suite", ["fujiki", "les", "cup", "consistency", "all"])
+    @pytest.mark.parametrize("name", ["p1_1pt", "p1_2pts", "triangle", "elliptic_1pt", "generic_2_4"])
+    def test_line_names_unique_within_a_report(self, name, suite):
+        atlas = generic_arrangement(2, 4) if name == "generic_2_4" else builtin_atlas(name)
+        names = [l.name for l in run_suite(suite, atlas, seed=7).lines]
+        assert len(names) == len(set(names))
 
 
 class TestConsistencySuite:
