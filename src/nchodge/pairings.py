@@ -37,7 +37,6 @@ from .complexes import (
     cone_morphism,
     cone_rows,
     map_term_block,
-    rows_log,
     rows_sum_strata,
 )
 from .errors import DimensionMismatch, EmptyDivisor
@@ -221,10 +220,9 @@ def cup_log_XD(atlas: StrataAtlas) -> GradedPairing:
     (XD-tilde); the source side of the cone multiplies as log rows, the
     semisimplicial side picks up the cone sign.
     """
-    flog = rows_log(atlas)
     fxdt = build(atlas, "XD-tilde")
     rule = functools.partial(product_terms, atlas)
-    return GradedPairing(atlas, flog, fxdt, fxdt, rule, "log x XD -> XD")
+    return GradedPairing(atlas, fxdt.morphism.source, fxdt, fxdt, rule, "log x XD -> XD")
 
 
 def cup_extraordinary(atlas: StrataAtlas) -> GradedPairing:
@@ -307,38 +305,6 @@ def express_in_space(space: CohomologySpace | None, cycles, failure: str) -> Rat
     return RationalMatrix([sol[:dim] for sol in solutions], ncols=dim)
 
 
-def _perfect_into_top(
-    pairing: GradedPairing,
-    left_table: MixedHodgeTable,
-    right_table: MixedHodgeTable,
-    target_table: MixedHodgeTable,
-    left_block: tuple[int, int, Bidegree],
-    right_block: tuple[int, int, Bidegree],
-) -> tuple[bool, str]:
-    """Perfectness of one block pairing valued in the top block: both
-    induced maps into the top-valued dual are injective.  The blocks have
-    equal positive dimension, so into a one-dimensional top block this is
-    the Gram matrix having full rank."""
-    block = _block_matrix(
-        pairing, left_table, right_table, target_table, left_block, right_block
-    )
-    (mi, q1, ab1), (mj, q2, ab2) = left_block, right_block
-    dl = left_table.dim(mi, q1, ab1)
-    dr = right_table.dim(mj, q2, ab2)
-    top = block.ncols
-    # row (i, j) of the block is the product of left class i and right class j
-    left = [[0] * (dr * top) for _ in range(dl)]
-    right = [[0] * (dl * top) for _ in range(dr)]
-    for row, c, x in block.entries():
-        i, j = divmod(row, dr)
-        left[i][j * top + c] = right[j][i * top + c] = x
-    r_left = rank(RationalMatrix(left, ncols=dr * top))
-    ok = r_left == dl and rank(RationalMatrix(right, ncols=dl * top)) == dr
-    if top == 1:
-        return ok, f"rank {r_left} of {dl}"
-    return ok, f"two-sided injectivity into a {top} dimensional top block"
-
-
 def _block_matrix(
     pairing: GradedPairing,
     left_table: MixedHodgeTable,
@@ -372,7 +338,7 @@ def induced_pairing(
     right_table: MixedHodgeTable,
     i: int,
     j: int,
-    target_table: MixedHodgeTable | None = None,
+    target_table: MixedHodgeTable,
 ) -> RationalMatrix:
     """Matrix of the induced pairing H^i x H^j -> H^{i+j} on cohomology.
 
@@ -380,8 +346,6 @@ def induced_pairing(
     the deterministic table order; columns over the target classes in
     degree i + j.
     """
-    if target_table is None:
-        target_table = compute_table(pairing.target)
     offsets: dict[tuple[int, Bidegree], int] = {}
     width = 0
     for q, ab, d in target_table.entries(i + j):
@@ -404,56 +368,62 @@ def induced_pairing(
 # -- reports ------------------------------------------------------------------
 
 
-def _mirror(n: int, q: int, ab: Bidegree) -> tuple[int, Bidegree]:
-    return 2 * n - q, (n - ab[0], n - ab[1])
-
-
-def _mirrored_blocks(
-    n: int, left: MixedHodgeTable, mi: int, right: MixedHodgeTable, mj: int
-):
-    """Yield (q, ab, qm, abm, dl, dr) for every block (q, ab) of H^mi(left)
-    or mirror of a block of H^mj(right), in order, with its mirror (qm, abm)
-    and the dimensions of the two blocks."""
-    blocks = {(q, ab) for q, ab, _ in left.entries(mi)}
-    blocks |= {_mirror(n, q, ab) for q, ab, _ in right.entries(mj)}
-    for q, ab in sorted(blocks):
-        qm, abm = _mirror(n, q, ab)
-        yield q, ab, qm, abm, left.dim(mi, q, ab), right.dim(mj, qm, abm)
-
-
-def _duality_side(
+def _mirrored_walk(
     lines: list[CheckLine],
-    pairing: GradedPairing,
+    check: str,
+    n: int,
     left_table: MixedHodgeTable,
     right_table: MixedHodgeTable,
-    target_table: MixedHodgeTable,
-    n: int,
     left_name: str,
     right_name: str,
     degree_pairs,
+    pairing: GradedPairing | None,
+    target_table: MixedHodgeTable | None,
 ) -> None:
-    """Dimension symmetry and perfectness for one side of the duality."""
+    """For each (i, mi, mj) of degree_pairs, one `check` line on the dims of
+    every block (q, ab) of H^mi(left) or mirror (2n - q, (n - a, n - b)) of a
+    block of H^mj(right), in sorted order, against its mirror.  With a
+    pairing, each matched nonzero block is then checked perfect into the top
+    block (2n, (n, n)) of the target: both induced maps into the top-valued
+    dual are injective, the two reshaped Gram matrices read from the block's
+    entries().  The blocks have equal positive dimension, so into a
+    one-dimensional top block this is the Gram matrix having full rank."""
     for i, mi, mj in degree_pairs:
-        for q, ab, qm, abm, dl, dr in _mirrored_blocks(
-            n, left_table, mi, right_table, mj
-        ):
+        blocks = {(q, ab) for q, ab, _ in left_table.entries(mi)}
+        blocks |= {(2 * n - q, (n - a, n - b)) for q, (a, b), _ in right_table.entries(mj)}
+        for q, ab in sorted(blocks):
+            qm, abm = 2 * n - q, (n - ab[0], n - ab[1])
+            dl, dr = left_table.dim(mi, q, ab), right_table.dim(mj, qm, abm)
             name = (
                 f"{left_name}^{i}[w={q},({ab[0]},{ab[1]})] vs "
                 f"{right_name}^{2 * n - i}[w={qm},({abm[0]},{abm[1]})]"
             )
             lines.append(
-                CheckLine(f"dim symmetry {name}", dl == dr, f"{dl} vs {dr}")
+                CheckLine(f"{check} {name}", dl == dr, f"{dl} vs {dr}")
             )
-            if dl != dr or dl == 0:
+            if pairing is None or dl != dr:
                 continue
             if target_table.dim(mi + mj, 2 * n, (n, n)) == 0:
                 lines.append(
                     CheckLine(f"perfect pairing {name}", False, "no orientation class")
                 )
                 continue
-            ok, detail = _perfect_into_top(
+            block = _block_matrix(
                 pairing, left_table, right_table, target_table,
                 (mi, q, ab), (mj, qm, abm),
+            )
+            top = block.ncols
+            # row (x, y) of the block is the product of left class x and right class y
+            left = [[0] * (dr * top) for _ in range(dl)]
+            right = [[0] * (dl * top) for _ in range(dr)]
+            for row, c, value in block.entries():
+                x, y = divmod(row, dr)
+                left[x][y * top + c] = right[y][x * top + c] = value
+            r_left = rank(RationalMatrix(left, ncols=dr * top))
+            ok = r_left == dl and rank(RationalMatrix(right, ncols=dl * top)) == dr
+            detail = (
+                f"rank {r_left} of {dl}" if top == 1
+                else f"two-sided injectivity into a {top} dimensional top block"
             )
             lines.append(CheckLine(f"perfect pairing {name}", ok, detail))
 
@@ -477,9 +447,9 @@ def fujiki_duality_report(atlas: StrataAtlas) -> CheckReport:
             f"H^{2 * n}(XD) has dim {table_xd.betti(2 * n)} with {top} in the top block",
         )
     )
-    _duality_side(
-        lines, cup, table_u, table_xd, table_xd, n, "H(U)", "H(XD)",
-        [(i, i, 2 * n - i) for i in range(0, 2 * n + 1)],
+    _mirrored_walk(
+        lines, "dim symmetry", n, table_u, table_xd, "H(U)", "H(XD)",
+        [(i, i, 2 * n - i) for i in range(0, 2 * n + 1)], cup, table_xd,
     )
 
     ext = cup_extraordinary(atlas)
@@ -497,9 +467,9 @@ def fujiki_duality_report(atlas: StrataAtlas) -> CheckReport:
         )
     )
     # degree i of local cohomology is degree i-1 of the quotient rows
-    _duality_side(
-        lines, ext, table_cu, table_d, table_cv, n, "H_D", "H(D)",
-        [(i, i - 1, 2 * n - i) for i in range(0, 2 * n + 1)],
+    _mirrored_walk(
+        lines, "dim symmetry", n, table_cu, table_d, "H_D", "H(D)",
+        [(i, i - 1, 2 * n - i) for i in range(0, 2 * n + 1)], ext, table_cv,
     )
     return CheckReport("fujiki duality", tuple(lines))
 
@@ -526,29 +496,6 @@ def _class_map(
     return RationalMatrix.from_columns(classes.rows, classes.ncols)
 
 
-def _exact_at(
-    lines: list[CheckLine],
-    node_name: str,
-    incoming: RationalMatrix,
-    outgoing: RationalMatrix,
-    dim_here: int,
-) -> None:
-    comp_zero = (
-        (outgoing @ incoming).is_zero() if incoming.ncols and outgoing.nrows else True
-    )
-    r_in = rank(incoming)
-    r_out = rank(outgoing)
-    ok = comp_zero and (r_in + r_out == dim_here)
-    lines.append(
-        CheckLine(
-            f"exact at {node_name}",
-            ok,
-            f"rank in {r_in} + rank out {r_out} vs dim {dim_here}"
-            + ("" if comp_zero else "; composition nonzero"),
-        )
-    )
-
-
 def _sequence_checks(
     lines: list[CheckLine],
     tag: str,
@@ -560,7 +507,6 @@ def _sequence_checks(
     By the slot rule of cone_rows both maps at the cone are a slice or a pad.
     Returns the tables of the cone, the source and the target.
     """
-    cone_name, src_name, dst_name = names
     cone_table = compute_table(cone_rows(morphism))
     src_table = compute_table(morphism.source)
     dst_table = compute_table(morphism.target)
@@ -584,29 +530,36 @@ def _sequence_checks(
         if d
         for up in ups
     }
+    tables = (cone_table, src_table, dst_table)
     for i, q, ab in sorted(blocks):
         where = f"[w={q},({ab[0]},{ab[1]})] ({tag})"
         # (x, y) |-> x, with n_src bound now: a lambda would read it when called
         n_src = morphism.source.row(q).dim(i, ab)
-        proj_here = _class_map(
-            cone_table, src_table, i, i, q, ab, operator.itemgetter(slice(n_src))
+        # delta(i-1), then the maps out of the cone, the source and the target
+        maps = (
+            delta(i - 1, q, ab),
+            _class_map(cone_table, src_table, i, i, q, ab, operator.itemgetter(slice(n_src))),
+            _class_map(src_table, dst_table, i, i, q, ab, morphism.matrix(q, i, ab).apply),
+            delta(i, q, ab),
         )
-        _exact_at(
-            lines, f"{cone_name}^{i}{where}", delta(i - 1, q, ab), proj_here,
-            cone_table.dim(i, q, ab),
-        )
-        f_here = _class_map(
-            src_table, dst_table, i, i, q, ab, morphism.matrix(q, i, ab).apply
-        )
-        _exact_at(
-            lines, f"{src_name}^{i}{where}", proj_here, f_here,
-            src_table.dim(i, q, ab),
-        )
-        _exact_at(
-            lines, f"{dst_name}^{i}{where}", f_here, delta(i, q, ab),
-            dst_table.dim(i, q, ab),
-        )
-    return cone_table, src_table, dst_table
+        ranks = [rank(m) for m in maps]
+        # each node reads the map into it and the map out of it
+        for name, table, incoming, outgoing, r_in, r_out in zip(
+            names, tables, maps, maps[1:], ranks, ranks[1:]
+        ):
+            comp_zero = (
+                (outgoing @ incoming).is_zero() if incoming.ncols and outgoing.nrows else True
+            )
+            dim = table.dim(i, q, ab)
+            lines.append(
+                CheckLine(
+                    f"exact at {name}^{i}{where}",
+                    comp_zero and r_in + r_out == dim,
+                    f"rank in {r_in} + rank out {r_out} vs dim {dim}"
+                    + ("" if comp_zero else "; composition nonzero"),
+                )
+            )
+    return tables
 
 
 def les_check(atlas: StrataAtlas) -> CheckReport:
@@ -633,16 +586,8 @@ def les_check(atlas: StrataAtlas) -> CheckReport:
         degrees = set(left_table.degrees()) | {
             2 * n - m for m in right_table.degrees()
         }
-        for i in sorted(degrees):
-            for q, ab, qm, abm, dl, dr in _mirrored_blocks(
-                n, left_table, i, right_table, 2 * n - i
-            ):
-                lines.append(
-                    CheckLine(
-                        f"duality pattern {lname}^{i}[w={q},({ab[0]},{ab[1]})] vs "
-                        f"{rname}^{2 * n - i}[w={qm},({abm[0]},{abm[1]})]",
-                        dl == dr,
-                        f"{dl} vs {dr}",
-                    )
-                )
+        _mirrored_walk(
+            lines, "duality pattern", n, left_table, right_table, lname, rname,
+            [(i, i, 2 * n - i) for i in sorted(degrees)], None, None,
+        )
     return CheckReport("long exact sequences", tuple(lines))

@@ -656,6 +656,17 @@ class TestLES:
         with pytest.raises(EmptyDivisor):
             les_check(generic_arrangement(2, 0))
 
+    def test_each_map_ranked_once_per_block(self, triangle, monkeypatch):
+        """Each exactness block ranks its four maps, delta(i-1), the
+        projection, f and delta(i), once each, and the duality pattern ranks
+        nothing: 52 ranks for the triangle's 13 blocks of three nodes."""
+        ranked, original = [], pairings.rank
+        monkeypatch.setattr(pairings, "rank", lambda m: ranked.append(m) or original(m))
+        report = les_check(triangle)
+        nodes = [l for l in report.lines if l.name.startswith("exact at ")]
+        assert len(nodes) == 3 * 13
+        assert len(ranked) == 4 * 13
+
     def test_generic_arrangements(self):
         for n, m in [(1, 3), (2, 3)]:
             report = les_check(generic_arrangement(n, m))
